@@ -54,7 +54,7 @@ def main() -> None:
     sizes = (10**2, 10**3, 10**4, 10**5)
     for i, n in enumerate(sizes):
         samples = tpm_sample(sched, BETA, n, seed=1000 + i)
-        vals = np.exp(-BETA * np.array([s.work for s in samples]))
+        vals = np.exp(-BETA * samples.work)
         err = abs(float(vals.mean()) - math.exp(-BETA * df))
         se = float(vals.std(ddof=1)) / math.sqrt(n)
         errors.append(err)

@@ -18,7 +18,7 @@ from .errors import (
 from .jarzynski import (
     DriveSchedule,
     JarzynskiReport,
-    WorkSample,
+    WorkSamples,
     delta_F,
     jarzynski_equality_check,
     jarzynski_exact,

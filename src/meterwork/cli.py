@@ -12,7 +12,8 @@ seed therefore produces byte-identical outputs at any worker count (see the
 ``METERWORK_THREADS`` environment variable).
 
 Exit status is 0 iff every enabled check passed. A machine-readable summary
-is written even when checks fail.
+is written even when checks fail; on a domain error (exit status 2) it holds
+``"passed": false`` and the error's type and message.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import fields as dataclass_fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -98,21 +100,68 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_json_render(obj) + "\n")
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f17(value)
-    return str(value)
+# Rows are formatted and written this many at a time, so memory stays flat
+# as the row count grows.
+_ROWS_PER_BLOCK = 1024
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def _cells(column: np.ndarray) -> tuple[str, list]:
+    """Format spec and Python values for one block of one column:
+    %d for integers, %.17g for floats."""
+    kind = column.dtype.kind
+    if kind in "iu":
+        return "%d", column.tolist()
+    if kind == "f":
+        return "%.17g", column.tolist()
+    raise TypeError(f"cannot write a column of dtype {column.dtype}")
+
+
+def _json_cells(column: np.ndarray) -> tuple[str, list]:
+    """As `_cells`, except that a block holding a non-finite float renders
+    each cell as `write_json` does, so inf and nan become quoted strings."""
+    if column.dtype.kind == "f" and not np.isfinite(column).all():
+        return "%s", [_json_render(x) for x in column.tolist()]
+    return _cells(column)
+
+
+def _write_rows(fh, row_format, columns, sep: str = "", cells=_cells) -> None:
+    """Write one row per column entry, `sep` between rows.
+
+    `row_format` maps the per-column format specs to the row template.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    for start in range(0, n, _ROWS_PER_BLOCK):
+        stop = min(start + _ROWS_PER_BLOCK, n)
+        specs, values = zip(*(cells(c[start:stop]) for c in columns))
+        if start:
+            fh.write(sep)
+        row = row_format(specs)
+        fh.write(sep.join([row] * (stop - start)) % tuple(chain.from_iterable(zip(*values))))
+
+
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """A header row, then one row per entry of the equal-length columns."""
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(c) for c in row) + "\n")
+        _write_rows(fh, lambda specs: ",".join(specs) + "\n", columns)
+
+
+def write_json_records(path: Path, keys: list[str], columns) -> None:
+    """A non-empty JSON array of one object per row, laid out as `write_json`
+    lays it out."""
+
+    def row_format(specs):
+        return "  {\n" + ",\n".join(f'    "{k}": {s}' for k, s in zip(keys, specs)) + "\n  }"
+
+    with open(path, "w") as fh:
+        fh.write("[\n")
+        _write_rows(fh, row_format, columns, sep=",\n", cells=_json_cells)
+        fh.write("\n]\n")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -222,6 +271,13 @@ def _out_dir(settings: dict) -> Path:
     return out
 
 
+# the summary each command writes, on success and on a domain error
+_SUMMARY_FILES = {
+    "relaxation": "relaxation_summary.json",
+    "jarzynski": "jarzynski_report.json",
+    "scheme": "scheme_summary.json",
+}
+
 _DESCRIPTION_MAP = {
     "direct": simulate_direct,
     "statistical": simulate_statistical,
@@ -243,13 +299,13 @@ def cmd_relaxation(settings: dict) -> int:
         write_csv(
             out / f"relaxation_{name}.csv",
             ["t", "rho", "sigma"],
-            zip(traj.times, traj.weights, sigma),
+            [traj.times, traj.weights, sigma],
         )
         rho_dt = traj.weight_at(dt)
         sigma_dt = float(sigma[np.flatnonzero(np.isclose(traj.times, dt))[0]])
         summary[name] = {"rho_at_dt": rho_dt, "sigma_at_dt": sigma_dt}
         print(f"{name:<14} {f17(rho_dt):<22} {f17(sigma_dt)}")
-    write_json(out / "relaxation_summary.json", summary)
+    write_json(out / _SUMMARY_FILES["relaxation"], summary)
     return 0
 
 
@@ -314,29 +370,12 @@ def cmd_jarzynski(settings: dict) -> int:
     samples = tpm_sample(schedule, beta, settings["samples"], settings["seed"], policy=policy)
     report = jarzynski_equality_check(samples, beta, df_used)
 
+    keys = ["initial_energy", "final_energy", "work", "stream_id", "draw_id"]
+    columns = [getattr(samples, k) for k in keys]
     if settings["format"] == "json":
-        write_json(
-            out / "work_samples.json",
-            [
-                {
-                    "initial_energy": s.initial_energy,
-                    "final_energy": s.final_energy,
-                    "work": s.work,
-                    "stream_id": s.stream_id,
-                    "draw_id": s.draw_id,
-                }
-                for s in samples
-            ],
-        )
+        write_json_records(out / "work_samples.json", keys, columns)
     else:
-        write_csv(
-            out / "work_samples.csv",
-            ["initial_energy", "final_energy", "work", "stream_id", "draw_id"],
-            (
-                (s.initial_energy, s.final_energy, s.work, s.stream_id, s.draw_id)
-                for s in samples
-            ),
-        )
+        write_csv(out / "work_samples.csv", keys, columns)
     payload = {
         "scenario": settings["scenario"],
         "seed": settings["seed"],
@@ -346,13 +385,81 @@ def cmd_jarzynski(settings: dict) -> int:
         "exact_evaluation": exact,
         **report.to_dict(),
     }
-    write_json(out / "jarzynski_report.json", payload)
+    write_json(out / _SUMMARY_FILES["jarzynski"], payload)
     status = "pass" if report.passed else "FAIL"
     print(
         f"scenario={settings['scenario']} mean={f17(report.estimator_mean)} "
         f"target={f17(report.exact_value)} se={f17(report.standard_error)} [{status}]"
     )
     return 0 if report.passed else 1
+
+
+# scheme_records.jsonl keys, in file order, with their column types
+_RECORD_COLUMNS = {
+    "stream": np.int64,
+    "draw": np.int64,
+    "initial_sector": np.int64,
+    "initial_energy": float,
+    "event_outcome": np.int64,
+    "final_sector": np.int64,
+    "final_energy": float,
+    "work_drive": float,
+    "work_reading_experimenter": float,
+    "work_reading_reader": float,
+    "work_total": float,
+    "sigma_experimenter": float,
+    "sigma_reader": float,
+    "sigma_measured": float,
+}
+
+
+# scheme_summary.csv columns, in file order
+_SUMMARY_COLUMNS = [
+    "stream",
+    "draw",
+    "initial_energy",
+    "final_energy",
+    "work_drive",
+    "work_total",
+    "event_outcome",
+    "sigma_experimenter",
+    "sigma_reader",
+    "sigma_measured",
+]
+
+
+def _write_records(out: Path, records) -> None:
+    """scheme_records.jsonl and scheme_summary.csv, from one pass over the records."""
+
+    def rows():
+        for r in records:
+            totals = r.ledger.totals()
+            yield (
+                r.stream_id,
+                r.draw_id,
+                r.tpm_initial[0],
+                r.tpm_initial[1],
+                r.event_outcome,
+                r.tpm_final[0],
+                r.tpm_final[1],
+                r.work_drive,
+                r.work_reading_experimenter,
+                r.work_reading_reader,
+                r.work_total,
+                totals.get(EXPERIMENTER, 0.0),
+                totals.get(READER, 0.0),
+                totals.get(MEASURED, 0.0),
+            )
+
+    table = np.fromiter(rows(), dtype=list(_RECORD_COLUMNS.items()), count=len(records))
+
+    def jsonl_row(specs):  # floats are quoted 17-digit strings
+        cells = (s if s == "%d" else f'"{s}"' for s in specs)
+        return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(_RECORD_COLUMNS, cells)) + "}\n"
+
+    with open(out / "scheme_records.jsonl", "w") as fh:
+        _write_rows(fh, jsonl_row, [table[k] for k in _RECORD_COLUMNS])
+    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, [table[k] for k in _SUMMARY_COLUMNS])
 
 
 def cmd_scheme(settings: dict) -> int:
@@ -374,60 +481,7 @@ def cmd_scheme(settings: dict) -> int:
     result = run_scheme(config, policy=policy)
     kT = 1.0 / settings["beta"]
 
-    with open(out / "scheme_records.jsonl", "w") as fh:
-        for r in result.records:
-            totals = r.ledger.totals()
-            fh.write(
-                json.dumps(
-                    {
-                        "stream": r.stream_id,
-                        "draw": r.draw_id,
-                        "initial_sector": r.tpm_initial[0],
-                        "initial_energy": f17(r.tpm_initial[1]),
-                        "event_outcome": r.event_outcome,
-                        "final_sector": r.tpm_final[0],
-                        "final_energy": f17(r.tpm_final[1]),
-                        "work_drive": f17(r.work_drive),
-                        "work_reading_experimenter": f17(r.work_reading_experimenter),
-                        "work_reading_reader": f17(r.work_reading_reader),
-                        "work_total": f17(r.work_total),
-                        "sigma_experimenter": f17(totals.get(EXPERIMENTER, 0.0)),
-                        "sigma_reader": f17(totals.get(READER, 0.0)),
-                        "sigma_measured": f17(totals.get(MEASURED, 0.0)),
-                    }
-                )
-                + "\n"
-            )
-    write_csv(
-        out / "scheme_summary.csv",
-        [
-            "stream",
-            "draw",
-            "initial_energy",
-            "final_energy",
-            "work_drive",
-            "work_total",
-            "event_outcome",
-            "sigma_experimenter",
-            "sigma_reader",
-            "sigma_measured",
-        ],
-        (
-            (
-                r.stream_id,
-                r.draw_id,
-                r.tpm_initial[1],
-                r.tpm_final[1],
-                r.work_drive,
-                r.work_total,
-                r.event_outcome,
-                r.ledger.totals().get(EXPERIMENTER, 0.0),
-                r.ledger.totals().get(READER, 0.0),
-                r.ledger.totals().get(MEASURED, 0.0),
-            )
-            for r in result.records
-        ),
-    )
+    _write_records(out, result.records)
     write_json(out / "scheme_report_original.json", result.original_report.to_dict())
     write_json(out / "scheme_report_modified.json", result.modified_report.to_dict())
 
@@ -464,7 +518,7 @@ def cmd_scheme(settings: dict) -> int:
         )
 
     write_json(
-        out / "scheme_summary.json",
+        out / _SUMMARY_FILES["scheme"],
         {
             "samples": n,
             "seed": settings["seed"],
@@ -593,6 +647,15 @@ def main(argv=None) -> int:
         return 2
     except _DOMAIN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        failure = {
+            "command": args.command,
+            "passed": False,
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        }
+        try:
+            write_json(_out_dir(settings) / _SUMMARY_FILES[args.command], failure)
+        except OSError as err:
+            print(f"i/o error: {err}", file=sys.stderr)
         return 2
 
 

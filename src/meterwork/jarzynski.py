@@ -25,8 +25,8 @@ so results are bit-identical at any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -38,7 +38,7 @@ from .superselection import EnergySector, energy_sectors
 
 __all__ = [
     "DriveSchedule",
-    "WorkSample",
+    "WorkSamples",
     "JarzynskiReport",
     "thermal_state",
     "delta_F",
@@ -145,20 +145,39 @@ class DriveSchedule:
         return u
 
 
-@dataclass(frozen=True)
-class WorkSample:
-    """One TPM record; work is exactly the energy difference."""
+@dataclass(frozen=True, eq=False)
+class WorkSamples:
+    """TPM records as read-only columns, one entry per sample in draw order.
 
-    initial_energy: float
-    final_energy: float
-    initial_outcome_index: int
-    final_outcome_index: int
-    stream_id: int = 0
-    draw_id: int = 0
-    work: float = field(init=False)
+    Energies and ``work`` are float64, the index columns int64. ``work`` is
+    exactly ``final_energy - initial_energy``, elementwise.
+    """
+
+    initial_energy: np.ndarray
+    final_energy: np.ndarray
+    initial_outcome_index: np.ndarray
+    final_outcome_index: np.ndarray
+    stream_id: np.ndarray
+    draw_id: np.ndarray
+    work: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "work", self.final_energy - self.initial_energy)
+        n = len(self.initial_energy)
+        for f in fields(self):
+            if not f.init:
+                continue
+            dtype = float if f.name.endswith("energy") else np.int64
+            col = np.array(getattr(self, f.name), dtype=dtype)
+            if col.shape != (n,):
+                raise ValueError(f"column {f.name} has shape {col.shape}, expected ({n},)")
+            col.setflags(write=False)
+            object.__setattr__(self, f.name, col)
+        work = self.final_energy - self.initial_energy
+        work.setflags(write=False)
+        object.__setattr__(self, "work", work)
+
+    def __len__(self) -> int:
+        return len(self.work)
 
 
 @dataclass(frozen=True)
@@ -269,7 +288,7 @@ def tpm_sample(
     *,
     workers: int | None = None,
     policy: NumericPolicy = DEFAULT_POLICY,
-) -> list[WorkSample]:
+) -> WorkSamples:
     """Draw TPM work samples for a drive prepared in the Gibbs state.
 
     Per sample: draw an initial energy sector from the Gibbs weights,
@@ -288,29 +307,27 @@ def tpm_sample(
     cdf_init = cdf_of(p_init)
     cdf_rows = np.vstack([cdf_of(row) for row in cond])
 
-    def run_block(block: tuple[int, int, int]) -> list[WorkSample]:
-        stream, start, count = block
+    def run_block(block: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+        stream, _start, count = block
         rng = stream_generator(seed, stream)
         us = np.maximum(rng.random((count, 2)), 1e-300)
         i_idx = draw_indices(cdf_init, us[:, 0])
         rows = cdf_rows[i_idx]
         f_idx = np.argmax(us[:, 1][:, None] <= rows, axis=1)
-        return [
-            WorkSample(
-                initial_energy=float(e_init[i]),
-                final_energy=float(e_fin[f]),
-                initial_outcome_index=int(i),
-                final_outcome_index=int(f),
-                stream_id=stream,
-                draw_id=start + k,
-            )
-            for k, (i, f) in enumerate(zip(i_idx, f_idx))
-        ]
+        return i_idx, f_idx
 
-    out: list[WorkSample] = []
-    for chunk in map_streams(run_block, stream_blocks(n_samples), workers):
-        out.extend(chunk)
-    return out
+    blocks = stream_blocks(n_samples)
+    drawn = map_streams(run_block, blocks, workers)
+    i_idx = np.concatenate([i for i, _ in drawn])
+    f_idx = np.concatenate([f for _, f in drawn])
+    return WorkSamples(
+        initial_energy=e_init[i_idx],
+        final_energy=e_fin[f_idx],
+        initial_outcome_index=i_idx,
+        final_outcome_index=f_idx,
+        stream_id=np.repeat([b[0] for b in blocks], [b[2] for b in blocks]),
+        draw_id=np.arange(n_samples),
+    )
 
 
 def jarzynski_exact(
@@ -389,20 +406,20 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _works_array(samples) -> np.ndarray:
-    """Accept WorkSample sequences or plain arrays of work values."""
-    if len(samples) and isinstance(samples[0], WorkSample):
-        return np.array([s.work for s in samples])
+    """Accept WorkSamples or plain arrays of work values."""
+    if isinstance(samples, WorkSamples):
+        return samples.work
     return np.asarray(samples, dtype=float)
 
 
 def jarzynski_equality_check(
-    samples: Sequence[WorkSample] | np.ndarray,
+    samples: WorkSamples | np.ndarray,
     beta: float,
     delta_f: float,
 ) -> JarzynskiReport:
     """Compare the sample mean of exp(-beta W) against exp(-beta dF).
 
-    Accepts WorkSample sequences or a plain array of work values. Passes when
+    Accepts WorkSamples or a plain array of work values. Passes when
     the deviation is within three standard errors.
     """
     if not len(samples):
@@ -425,7 +442,7 @@ def jarzynski_equality_check(
 
 
 def modified_jarzynski_check(
-    samples: Sequence[WorkSample] | np.ndarray,
+    samples: WorkSamples | np.ndarray,
     beta: float,
     delta_f: float,
     sigma_total: float = 3.0,

@@ -209,6 +209,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.beta <= 0.0:
             raise ValueError(f"beta must be positive, got {self.beta!r}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         if self.meter_dim < self.s0_dim:
             raise ValueError("meter must have at least one level per site outcome")
         if self.barrier_schedule is None:

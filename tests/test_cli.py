@@ -2,9 +2,18 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from meterwork.cli import load_config_file, main
+from meterwork.cli import (
+    load_config_file,
+    main,
+    write_csv,
+    write_json,
+    write_json_records,
+)
+from meterwork.jarzynski import DriveSchedule, tpm_sample
+from meterwork.linalg import Operator
 
 
 def read_json(path: Path) -> dict:
@@ -288,6 +297,104 @@ class TestPolicyOverrides:
         cfg = tmp_path / "loose.cfg"
         cfg.write_text("policy_hermitian_tol = 1e-9\nsamples = 20\n")
         assert main(["scheme", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 0
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 0.1, -1.0 / 3.0]
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("repeats", [1, 1000])  # one block, many blocks
+    def test_cells_render_as_format_17g(self, tmp_path, repeats):
+        floats = np.array(SPECIAL_FLOATS * repeats)
+        ints = np.arange(len(floats), dtype=np.int64) - 2**62
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["x", "k"], [floats, ints])
+        rows = path.read_text().splitlines()
+        assert rows[0] == "x,k"
+        assert rows[1:] == [
+            f"{format(x, '.17g')},{int(k)}" for x, k in zip(floats.tolist(), ints)
+        ]
+        assert rows[1:9] == [
+            "-0,-4611686018427387904",
+            "0,-4611686018427387903",
+            "inf,-4611686018427387902",
+            "-inf,-4611686018427387901",
+            "nan,-4611686018427387900",
+            "4.9406564584124654e-324,-4611686018427387899",
+            "0.10000000000000001,-4611686018427387898",
+            "-0.33333333333333331,-4611686018427387897",
+        ]
+
+    def test_json_records_match_write_json(self, tmp_path):
+        floats = np.array(SPECIAL_FLOATS * 300)
+        ints = np.arange(len(floats), dtype=np.int64)
+        write_json_records(tmp_path / "cols.json", ["x", "k"], [floats, ints])
+        write_json(
+            tmp_path / "dicts.json",
+            [{"x": x, "k": k} for x, k in zip(floats.tolist(), ints.tolist())],
+        )
+        text = (tmp_path / "cols.json").read_text()
+        assert text == (tmp_path / "dicts.json").read_text()
+        assert '"x": "inf"' in text and '"x": "-inf"' in text and '"x": "nan"' in text
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    def test_tpm_columns_round_trip_bit_equal(self, tmp_path):
+        h_i = Operator(np.diag([1.0, -1.0]).astype(complex), hermitian=True)
+        h_f = Operator(np.array([[0.3, 0.7], [0.7, -0.2]], dtype=complex), hermitian=True)
+        samples = tpm_sample(DriveSchedule.quench(h_i, h_f), 1.0, 9000, seed=3)
+        keys = ["initial_energy", "final_energy", "work", "stream_id", "draw_id"]
+        path = tmp_path / "samples.csv"
+        write_csv(path, keys, [getattr(samples, k) for k in keys])
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == 9000
+        for j, key in enumerate(keys):
+            want = getattr(samples, key)
+            got = np.array([row[j] for row in rows]).astype(want.dtype)
+            np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_json_export_holds_the_csv_values(self, tmp_path):
+        common = ["jarzynski", "--scenario", "driven-qubit", "--samples", "9000",
+                  "--steps", "40", "--seed", "5"]
+        assert main([*common, "--output", str(tmp_path / "c")]) == 0
+        assert main([*common, "--format", "json", "--output", str(tmp_path / "j")]) == 0
+        csv_rows = (tmp_path / "c" / "work_samples.csv").read_text().splitlines()
+        keys = csv_rows[0].split(",")
+        records = read_json(tmp_path / "j" / "work_samples.json")
+        assert len(records) == len(csv_rows) - 1 == 9000
+        for line, record in zip(csv_rows[1:], records):
+            assert list(record) == keys
+            assert [json.loads(cell) for cell in line.split(",")] == list(record.values())
+        assert (tmp_path / "c" / "jarzynski_report.json").read_bytes() == (
+            tmp_path / "j" / "jarzynski_report.json"
+        ).read_bytes()
+
+
+class TestDomainErrors:
+    def test_scheme_zero_samples_names_the_count(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["scheme", "--samples", "0", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n_samples must be at least 1, got 0" in err
+        assert "entropy production" not in err
+
+    @pytest.mark.parametrize(
+        "argv, summary",
+        [
+            (["scheme", "--samples", "0"], "scheme_summary.json"),
+            (["jarzynski", "--samples", "0"], "jarzynski_report.json"),
+            (["relaxation", "--steps", "0"], "relaxation_summary.json"),
+        ],
+    )
+    def test_failure_summary_is_written(self, tmp_path, argv, summary):
+        out = tmp_path / "o"
+        assert main([*argv, "--output", str(out)]) == 2
+        report = read_json(out / summary)
+        assert report["passed"] is False
+        assert report["error"]["type"] == "ValueError"
+        assert "got 0" in report["error"]["message"]
 
 
 class TestReproducibility:

@@ -6,7 +6,7 @@ import pytest
 from helpers import random_hermitian
 from meterwork.jarzynski import (
     DriveSchedule,
-    WorkSample,
+    WorkSamples,
     delta_F,
     jarzynski_equality_check,
     jarzynski_exact,
@@ -16,6 +16,7 @@ from meterwork.jarzynski import (
     tpm_sample,
 )
 from meterwork.linalg import Operator
+from meterwork.superselection import energy_sectors
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -75,19 +76,21 @@ class TestTpmSample:
     def test_constant_schedule_zero_work(self):
         sched = DriveSchedule.constant(qubit_gap(1.0), t_f=1.0, n_steps=3)
         samples = tpm_sample(sched, 1.0, 500, seed=4)
-        assert all(s.work == 0.0 for s in samples)
+        assert len(samples) == 500
+        assert np.all(samples.work == 0.0)
 
     def test_work_field_is_energy_difference(self):
-        s = WorkSample(initial_energy=0.25, final_energy=1.0,
-                       initial_outcome_index=0, final_outcome_index=1)
-        assert s.work == 0.75
+        s = WorkSamples(initial_energy=[0.25], final_energy=[1.0],
+                        initial_outcome_index=[0], final_outcome_index=[1],
+                        stream_id=[0], draw_id=[0])
+        assert s.work[0] == 0.75
 
     def test_quench_distribution_matches_gibbs(self):
         beta, eps = 1.0, 1.0
         sched = DriveSchedule.quench(qubit_gap(eps), qubit_gap(2 * eps))
         n = 40000
         samples = tpm_sample(sched, beta, n, seed=11)
-        works = np.array([s.work for s in samples])
+        works = samples.work
         support = np.unique(works)
         np.testing.assert_allclose(support, [0.0, eps], atol=1e-12)
         p_excited = math.exp(-beta * eps) / (1.0 + math.exp(-beta * eps))
@@ -107,15 +110,51 @@ class TestTpmSample:
         sched = driven_qubit_schedule(n_steps=20)
         a = tpm_sample(sched, 1.0, 9000, seed=5, workers=1)
         b = tpm_sample(sched, 1.0, 9000, seed=5, workers=7)
-        assert [(s.work, s.stream_id, s.draw_id) for s in a] == [
-            (s.work, s.stream_id, s.draw_id) for s in b
-        ]
+        for column in ("work", "stream_id", "draw_id"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
 
     def test_stream_ids_partition_draws(self):
         sched = DriveSchedule.constant(qubit_gap(1.0))
         samples = tpm_sample(sched, 1.0, 5000, seed=0)
-        assert [s.draw_id for s in samples] == list(range(5000))
-        assert {s.stream_id for s in samples} == {0, 1}
+        assert samples.draw_id.tolist() == list(range(5000))
+        assert set(samples.stream_id.tolist()) == {0, 1}
+
+    def test_columns_are_read_only_and_consistent(self):
+        sched = driven_qubit_schedule(n_steps=20)
+        samples = tpm_sample(sched, 1.0, 3000, seed=6)
+        e_init = np.array([s.energy for s in energy_sectors(sched.initial_hamiltonian())])
+        e_fin = np.array([s.energy for s in energy_sectors(sched.final_hamiltonian())])
+        assert_eq = np.testing.assert_array_equal
+        assert_eq(samples.initial_energy, e_init[samples.initial_outcome_index])
+        assert_eq(samples.final_energy, e_fin[samples.final_outcome_index])
+        assert_eq(samples.work, samples.final_energy - samples.initial_energy)
+        with pytest.raises(ValueError, match="read-only"):
+            samples.work[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            samples.draw_id[0] = 1
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError, match="stream_id"):
+            WorkSamples(initial_energy=[0.0, 1.0], final_energy=[1.0, 1.0],
+                        initial_outcome_index=[0, 1], final_outcome_index=[1, 1],
+                        stream_id=[0], draw_id=[0, 1])
+
+    def test_compares_and_hashes_by_identity(self):
+        sched = driven_qubit_schedule(n_steps=20)
+        a = tpm_sample(sched, 1.0, 50, seed=12)
+        b = tpm_sample(sched, 1.0, 50, seed=12)
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
+    def test_checks_accept_columns_or_work_array(self):
+        sched = driven_qubit_schedule(n_steps=20)
+        samples = tpm_sample(sched, 1.0, 2000, seed=12)
+        assert jarzynski_equality_check(samples, 1.0, 0.1) == jarzynski_equality_check(
+            samples.work, 1.0, 0.1
+        )
+        assert modified_jarzynski_check(samples, 1.0, 0.1) == modified_jarzynski_check(
+            np.array(samples.work), 1.0, 0.1
+        )
 
 
 class TestJarzynskiExact:
@@ -203,7 +242,7 @@ class TestEqualityCheck:
         samples = tpm_sample(sched, beta, 20000, seed=8)
         df = delta_F(sched.initial_hamiltonian(), sched.final_hamiltonian(), beta)
         report = jarzynski_equality_check(samples, beta, df)
-        works = np.array([s.work for s in samples])
+        works = samples.work
         se_w = works.std(ddof=1) / math.sqrt(len(works))
         assert report.mean_work >= df - 3 * se_w
 
@@ -213,7 +252,7 @@ class TestModifiedCheck:
         beta = 1.0
         sched = DriveSchedule.quench(qubit_gap(1.0), qubit_gap(2.0))
         samples = tpm_sample(sched, beta, 20000, seed=9)
-        drive_works = np.array([s.work for s in samples])
+        drive_works = samples.work
         total_works = drive_works + 3.0  # three injected k_B T amounts at k_B T = 1
         df = delta_F(sched.initial_hamiltonian(), sched.final_hamiltonian(), beta)
         plain = jarzynski_equality_check(drive_works, beta, df)

@@ -319,7 +319,7 @@ class TestRunScheme:
         )
         scheme_works = np.array([r.work_drive for r in result.records])
         plain = tpm_sample(sched, beta, 20000, seed=77)
-        plain_works = np.array([s.work for s in plain])
+        plain_works = plain.work
         np.testing.assert_allclose(
             np.unique(scheme_works), np.unique(plain_works), atol=1e-12
         )
@@ -406,3 +406,8 @@ class TestConfigValidation:
     def test_controlled_shift_requires_room(self):
         with pytest.raises(ValueError, match="record"):
             controlled_shift_entangler(3, 2)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_count_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=rf"n_samples must be at least 1, got {n}"):
+            SchemeConfig(n_samples=n)
