@@ -19,7 +19,7 @@ agreeing with each other is a structural cross-check of the propagator and
 sector machinery.
 
 Monte Carlo estimation (`tpm_sample`) partitions samples over seeded streams
-so results are bit-identical at any worker count.
+in fixed blocks, so results are a function of the configuration and seed.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .linalg import DensityMatrix, Operator
+from .linalg import DensityMatrix, Operator, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, draw_indices, map_streams, stream_blocks, stream_generator
+from .streams import cdf_of, draw_indices, stream_blocks, stream_generator
 from .superselection import EnergySector, energy_sectors
 
 __all__ = [
@@ -132,11 +131,10 @@ class DriveSchedule:
     def step_propagators(self) -> list[np.ndarray]:
         """exp(-i H(lambda_{t_n}) dt) for each step, left control endpoint."""
         dt = self.t_f / self.n_steps
-        out = []
-        for n in range(self.n_steps):
-            w, v = np.linalg.eigh(self._h_matrices[n])
-            out.append((v * np.exp(-1j * w * dt)) @ v.conj().T)
-        return out
+        return [
+            _hermitian_function(self._h_matrices[n], lambda w: np.exp(-1j * w * dt))
+            for n in range(self.n_steps)
+        ]
 
     def total_propagator(self) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)
@@ -231,16 +229,37 @@ def thermal_state(
         raise ValueError("thermal state needs a hermitian hamiltonian")
     if beta < 0.0:
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
-    w, v = np.linalg.eigh(h.matrix)
-    weights = np.exp(-beta * (w - w.min()))
-    weights /= weights.sum()
-    m = (v * weights) @ v.conj().T
+
+    def gibbs_weights(w: np.ndarray) -> np.ndarray:
+        weights = np.exp(-beta * (w - w.min()))
+        weights /= weights.sum()
+        return weights
+
+    m = _hermitian_function(h.matrix, gibbs_weights)
     m = 0.5 * (m + m.conj().T)
     return DensityMatrix(m, 1.0, policy=policy)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a finite 1-D array.
+
+    Follows scipy.special.logsumexp (1.17): the terms equal to the maximum
+    are counted, not summed, and the rest are summed in place, so results
+    agree with it bit for bit.
+    """
+    top = np.max(a)
+    at_top = a == top
+    count = float(np.count_nonzero(at_top))
+    terms = np.exp(a - top)
+    terms[at_top] = 0.0
+    rest = terms.sum()
+    if rest != 0:
+        rest = rest / count
+    return float(np.log1p(rest) + np.log(count) + top)
+
+
 def _log_partition(h: Operator, beta: float) -> float:
-    return float(logsumexp(-beta * np.linalg.eigvalsh(h.matrix)))
+    return _logsumexp(-beta * np.linalg.eigvalsh(h.matrix))
 
 
 def delta_F(h_initial: Operator, h_final: Operator, beta: float) -> float:
@@ -266,7 +285,7 @@ def _sector_tables(
     energies = np.array([s.energy for s in init])
     degens = np.array([s.degeneracy for s in init], dtype=float)
     logw = -beta * energies + np.log(degens)
-    p_init = np.exp(logw - logsumexp(logw))
+    p_init = np.exp(logw - _logsumexp(logw))
     p_init /= p_init.sum()
 
     u = schedule.total_propagator()
@@ -286,7 +305,6 @@ def tpm_sample(
     n_samples: int,
     seed: int,
     *,
-    workers: int | None = None,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> WorkSamples:
     """Draw TPM work samples for a drive prepared in the Gibbs state.
@@ -294,8 +312,8 @@ def tpm_sample(
     Per sample: draw an initial energy sector from the Gibbs weights,
     collapse with the full (possibly degenerate) sector projector, evolve
     through the stepwise propagator, and read a final sector by the Born
-    rule. Samples are partitioned over seeded streams in fixed blocks; the
-    result is independent of the worker count.
+    rule. Samples are partitioned over seeded streams in fixed blocks, so
+    the first n samples of a larger run equal a run of n samples.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -307,19 +325,17 @@ def tpm_sample(
     cdf_init = cdf_of(p_init)
     cdf_rows = np.vstack([cdf_of(row) for row in cond])
 
-    def run_block(block: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        stream, _start, count = block
+    blocks = stream_blocks(n_samples)
+    i_parts, f_parts = [], []
+    for stream, _start, count in blocks:
         rng = stream_generator(seed, stream)
         us = np.maximum(rng.random((count, 2)), 1e-300)
-        i_idx = draw_indices(cdf_init, us[:, 0])
-        rows = cdf_rows[i_idx]
-        f_idx = np.argmax(us[:, 1][:, None] <= rows, axis=1)
-        return i_idx, f_idx
-
-    blocks = stream_blocks(n_samples)
-    drawn = map_streams(run_block, blocks, workers)
-    i_idx = np.concatenate([i for i, _ in drawn])
-    f_idx = np.concatenate([f for _, f in drawn])
+        i_block = draw_indices(cdf_init, us[:, 0])
+        rows = cdf_rows[i_block]
+        i_parts.append(i_block)
+        f_parts.append(np.argmax(us[:, 1][:, None] <= rows, axis=1))
+    i_idx = np.concatenate(i_parts)
+    f_idx = np.concatenate(f_parts)
     return WorkSamples(
         initial_energy=e_init[i_idx],
         final_energy=e_fin[f_idx],
@@ -385,15 +401,14 @@ def jarzynski_time_ordered(
 
     def heisenberg(k: int) -> np.ndarray:
         u = cumulative[k]
-        return u.conj().T @ schedule.hamiltonian_matrix(k) @ u
-
-    def herm_exp(m: np.ndarray, scale: float) -> np.ndarray:
-        w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-        return (v * np.exp(scale * w)) @ v.conj().T
+        m = u.conj().T @ schedule.hamiltonian_matrix(k) @ u
+        return 0.5 * (m + m.conj().T)
 
     product = np.eye(dim, dtype=complex)
     for k in range(n):
-        product = herm_exp(heisenberg(k + 1), -beta) @ herm_exp(heisenberg(k), +beta) @ product
+        later = _hermitian_function(heisenberg(k + 1), lambda w: np.exp(-beta * w))
+        earlier = _hermitian_function(heisenberg(k), lambda w: np.exp(beta * w))
+        product = later @ earlier @ product
     rho0 = thermal_state(schedule.initial_hamiltonian(), beta, policy=policy)
     return float(np.trace(product @ rho0.matrix).real)
 

@@ -31,6 +31,8 @@ __all__ = [
     "tensor_kets",
     "partial_trace",
     "evolve",
+    "conjugate",
+    "collapse",
     "expectation",
     "embed_operator",
     "hermitian_propagator",
@@ -308,6 +310,16 @@ class ProjectorSet:
         self.labels = labels
         self.dim = dim
 
+    @classmethod
+    def basis(cls, dim: int, labels: Sequence | None = None) -> "ProjectorSet":
+        """Rank-1 projectors onto the computational basis states, in index order."""
+        projs = []
+        for k in range(dim):
+            m = np.zeros((dim, dim))
+            m[k, k] = 1.0
+            projs.append(Operator(m, projector=True))
+        return cls(projs, labels)
+
     def __len__(self) -> int:
         return len(self.projectors)
 
@@ -390,8 +402,47 @@ def hermitian_propagator(
         raise ValueError("generator must be hermitian")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration!r}")
-    w, v = np.linalg.eigh(h.matrix)
-    return (v * np.exp(-1j * w * duration)) @ v.conj().T
+    return _hermitian_function(h.matrix, lambda w: np.exp(-1j * w * duration))
+
+
+def _hermitian_function(m: np.ndarray, f) -> np.ndarray:
+    """f(m) for a hermitian matrix m: f applied to the eigenvalues of m."""
+    w, v = np.linalg.eigh(m)
+    return (v * f(w)) @ v.conj().T
+
+
+def conjugate(
+    state: DensityMatrix,
+    u: np.ndarray,
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> DensityMatrix:
+    """u rho u^dag for a unitary matrix u.
+
+    Trace drift is asserted against the preservation tolerance and then
+    snapped away, so long conjugation chains keep their weight exactly.
+    """
+    m = u @ state.matrix @ u.conj().T
+    m = 0.5 * (m + m.conj().T)
+    tr = float(np.trace(m).real)
+    if abs(tr - state.trace_weight) > policy.preservation_tol:
+        raise NumericalConsistencyError(
+            f"conjugation broke the trace: {tr!r} vs {state.trace_weight!r}"
+        )
+    m *= state.trace_weight / tr
+    return DensityMatrix(m, state.trace_weight, policy=policy)
+
+
+def collapse(
+    state: DensityMatrix,
+    projector: Operator,
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> DensityMatrix:
+    """Unit-trace post-measurement state P rho P / tr(P rho P)."""
+    m = projector.matrix @ state.matrix @ projector.matrix
+    m = 0.5 * (m + m.conj().T)
+    return DensityMatrix(m / np.trace(m).real, 1.0, policy=policy)
 
 
 def evolve(state, h: Operator, duration: float, *, policy: NumericPolicy = DEFAULT_POLICY):
@@ -408,15 +459,7 @@ def evolve(state, h: Operator, duration: float, *, policy: NumericPolicy = DEFAU
             raise NumericalConsistencyError(f"evolution broke normalization: {norm!r}")
         return Ket(amps / norm, policy=policy)
     if isinstance(state, DensityMatrix):
-        m = u @ state.matrix @ u.conj().T
-        m = 0.5 * (m + m.conj().T)
-        tr = float(np.trace(m).real)
-        if abs(tr - state.trace_weight) > policy.preservation_tol:
-            raise NumericalConsistencyError(
-                f"evolution broke the trace: {tr!r} vs {state.trace_weight!r}"
-            )
-        m *= state.trace_weight / tr
-        return DensityMatrix(m, state.trace_weight, policy=policy)
+        return conjugate(state, u, policy=policy)
     raise TypeError(f"cannot evolve {type(state).__name__}")
 
 

@@ -33,7 +33,7 @@ from .errors import (
     DegenerateDistributionError,
     SupportError,
 )
-from .linalg import DensityMatrix, Ket, Operator, ProjectorSet, tensor
+from .linalg import DensityMatrix, Ket, Operator, ProjectorSet, collapse, tensor
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import cdf_of, draw_index, stream_generator
 from .superselection import dephase
@@ -141,14 +141,6 @@ class PointerModel:
     def translation(self, points: int) -> np.ndarray:
         """Permutation matrix moving grid point k to k + points (mod dim)."""
         return np.roll(np.eye(self.pointer_dim), points % self.pointer_dim, axis=0)
-
-    def cell_projector_set(self) -> ProjectorSet:
-        projs = []
-        for k in range(self.pointer_dim):
-            m = np.zeros((self.pointer_dim, self.pointer_dim))
-            m[k, k] = 1.0
-            projs.append(Operator(m, projector=True))
-        return ProjectorSet(tuple(projs), tuple(range(self.pointer_dim)))
 
     def __repr__(self) -> str:
         return (
@@ -361,11 +353,7 @@ def event_read(
         rng = stream_generator(int(rng), 0)
     idx = draw_index(cdf_of(probs), float(rng.random()))
 
-    proj = outcome_projectors.projectors[idx].matrix
-    collapsed = proj @ rho.matrix @ proj
-    weight = float(np.trace(collapsed).real)
-    collapsed = 0.5 * (collapsed + collapsed.conj().T) / weight
-    state = DensityMatrix(collapsed, 1.0, policy=policy)
+    state = collapse(rho, outcome_projectors.projectors[idx], policy=policy)
     new_ledger = ledger.with_pair(reader_label, measured_label, sigma, cause)
     return EventReadResult(outcome_projectors.labels[idx], state, new_ledger)
 

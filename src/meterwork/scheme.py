@@ -30,6 +30,7 @@ branch and sampling reduces to three inverse-CDF draws per run, which keeps
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .linalg import (
     Ket,
     Operator,
     ProjectorSet,
+    collapse,
+    conjugate,
     embed_operator,
     partial_trace,
 )
@@ -62,7 +65,7 @@ from .measurement import (
     pointer_coupling_unitary,
 )
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, draw_index, map_streams, stream_blocks, stream_generator
+from .streams import cdf_of, draw_index, stream_blocks, stream_generator
 from .superselection import dephase, energy_sectors, sector_projector_set
 
 __all__ = [
@@ -112,16 +115,6 @@ def site_observable(dim: int = 2) -> Operator:
     Integer spacing keeps every pointer shift commensurate with a unit grid.
     """
     return Operator.from_diagonal(np.array([dim - 1 - 2 * k for k in range(dim)], dtype=float))
-
-
-def site_projector_set(dim: int = 2) -> ProjectorSet:
-    """Site-basis sectors labeled 0..dim-1 in basis order."""
-    projs = []
-    for k in range(dim):
-        m = np.zeros((dim, dim))
-        m[k, k] = 1.0
-        projs.append(Operator(m, projector=True))
-    return ProjectorSet(tuple(projs), tuple(range(dim)))
 
 
 def barrier_hamiltonian(tunneling: float) -> Operator:
@@ -178,10 +171,8 @@ def controlled_shift_entangler(n_branches: int, meter_dim: int) -> Operator:
         )
     u = np.zeros((n_branches * meter_dim, n_branches * meter_dim), dtype=complex)
     for k in range(n_branches):
-        sel = np.zeros((n_branches, n_branches))
-        sel[k, k] = 1.0
-        shift = np.roll(np.eye(meter_dim), k, axis=0)
-        u += np.kron(sel, shift)
+        block = slice(k * meter_dim, (k + 1) * meter_dim)
+        u[block, block] = np.roll(np.eye(meter_dim), k, axis=0)
     return Operator(u, unitary=True)
 
 
@@ -204,7 +195,6 @@ class SchemeConfig:
     entangler: Operator | None = None
     event_pointer: PointerModel | None = None
     eigenstate_prep: bool = False
-    workers: int | None = None
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -264,15 +254,6 @@ class SchemeContext:
     policy: NumericPolicy = DEFAULT_POLICY
 
 
-def _basis_projectors(dim: int, labels=None) -> ProjectorSet:
-    projs = []
-    for k in range(dim):
-        m = np.zeros((dim, dim))
-        m[k, k] = 1.0
-        projs.append(Operator(m, projector=True))
-    return ProjectorSet(tuple(projs), labels)
-
-
 def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) -> SchemeContext:
     cfg = config
     space = CompositeSpace(
@@ -313,15 +294,8 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
         policy=policy,
     ).matrix
 
-    site_cells = []
-    site_cell_labels = []
-    for k in range(cfg.s0_dim):
-        for c in range(aprime_dim):
-            m = np.zeros((cfg.s0_dim * aprime_dim, cfg.s0_dim * aprime_dim))
-            m[k * aprime_dim + c, k * aprime_dim + c] = 1.0
-            site_cells.append(Operator(m, projector=True))
-            site_cell_labels.append((k, c))
-    nsm_dephase = ProjectorSet(tuple(site_cells), tuple(site_cell_labels)).embedded(
+    site_cells = list(product(range(cfg.s0_dim), range(aprime_dim)))
+    nsm_dephase = ProjectorSet.basis(len(site_cells), site_cells).embedded(
         space, (SYSTEM, APPARATUS)
     )
 
@@ -331,19 +305,11 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
     event_u_m = pointer_coupling_unitary(meter_obs, cfg.event_pointer, policy=policy)
     event_u = embed_operator(event_u_m, space, (METER, POINTER), policy=policy).matrix
 
-    pdim = cfg.event_pointer.pointer_dim
-    meter_cells = []
-    meter_cell_labels = []
-    for m_idx in range(cfg.meter_dim):
-        for c in range(pdim):
-            mm = np.zeros((cfg.meter_dim * pdim, cfg.meter_dim * pdim))
-            mm[m_idx * pdim + c, m_idx * pdim + c] = 1.0
-            meter_cells.append(Operator(mm, projector=True))
-            meter_cell_labels.append((m_idx, c))
-    event_dephase = ProjectorSet(tuple(meter_cells), tuple(meter_cell_labels)).embedded(
+    meter_cells = list(product(range(cfg.meter_dim), range(cfg.event_pointer.pointer_dim)))
+    event_dephase = ProjectorSet.basis(len(meter_cells), meter_cells).embedded(
         space, (METER, POINTER)
     )
-    meter_outcomes = _basis_projectors(cfg.meter_dim).embedded(space, (METER,))
+    meter_outcomes = ProjectorSet.basis(cfg.meter_dim).embedded(space, (METER,))
 
     return SchemeContext(
         config=cfg,
@@ -369,14 +335,6 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
     )
 
 
-def _conjugate(state: DensityMatrix, u: np.ndarray, policy: NumericPolicy) -> DensityMatrix:
-    m = u @ state.matrix @ u.conj().T
-    m = 0.5 * (m + m.conj().T)
-    tr = float(np.trace(m).real)
-    m *= state.trace_weight / tr
-    return DensityMatrix(m, state.trace_weight, policy=policy)
-
-
 def prepare_initial_state(ctx: SchemeContext) -> DensityMatrix:
     """Measured side thermal (or its ground sector under eigenstate
     preparation), meter in its ready eigenstate, pointer at the grid origin;
@@ -384,10 +342,8 @@ def prepare_initial_state(ctx: SchemeContext) -> DensityMatrix:
     cfg = ctx.config
     rho_sa = thermal_state(ctx.h_initial, cfg.beta, policy=ctx.policy)
     if cfg.eigenstate_prep:
-        ground = energy_sectors(ctx.h_initial, policy=ctx.policy)[0].projector.matrix
-        m = ground @ rho_sa.matrix @ ground
-        m = 0.5 * (m + m.conj().T)
-        rho_sa = DensityMatrix(m / np.trace(m).real, 1.0, policy=ctx.policy)
+        ground = energy_sectors(ctx.h_initial, policy=ctx.policy)[0].projector
+        rho_sa = collapse(rho_sa, ground, policy=ctx.policy)
     meter = np.outer(ctx.meter_ready.amplitudes, ctx.meter_ready.amplitudes.conj())
     pointer = np.outer(ctx.pointer_ready.amplitudes, ctx.pointer_ready.amplitudes.conj())
     full = np.kron(rho_sa.matrix, np.kron(meter, pointer))
@@ -423,14 +379,14 @@ def read_energy(
 
 def apply_barrier_drive(ctx: SchemeContext, state: DensityMatrix) -> DensityMatrix:
     """Stepwise unitary drive of the system factor only."""
-    return _conjugate(state, ctx.barrier_unitary, ctx.policy)
+    return conjugate(state, ctx.barrier_unitary, policy=ctx.policy)
 
 
 def apply_nonselective_measurement(ctx: SchemeContext, state: DensityMatrix) -> DensityMatrix:
     """Couple the system to the apparatus cells, then dephase in the joint
     site (x) cell sectors; the system marginal loses its site coherence while
     every site population is untouched."""
-    coupled = _conjugate(state, ctx.nsm_unitary, ctx.policy)
+    coupled = conjugate(state, ctx.nsm_unitary, policy=ctx.policy)
     return dephase(coupled, ctx.nsm_dephase_set, policy=ctx.policy)
 
 
@@ -441,7 +397,7 @@ def apply_meter_entangling(ctx: SchemeContext, state: DensityMatrix) -> DensityM
     an entangler violating that requirement is rejected.
     """
     before = partial_trace(state, ctx.space, (SYSTEM, APPARATUS), policy=ctx.policy)
-    out = _conjugate(state, ctx.entangler_full, ctx.policy)
+    out = conjugate(state, ctx.entangler_full, policy=ctx.policy)
     after = partial_trace(out, ctx.space, (SYSTEM, APPARATUS), policy=ctx.policy)
     deviation = float(np.max(np.abs(before.matrix - after.matrix)))
     if deviation > ctx.policy.marginal_tol:
@@ -463,7 +419,7 @@ def apply_event_reading(
     correlation set up by the entangling step; the ledger gains the
     (+1, -1) nat pair unless the outcome was deterministic.
     """
-    coupled = _conjugate(state, ctx.event_unitary, ctx.policy)
+    coupled = conjugate(state, ctx.event_unitary, policy=ctx.policy)
     dephased = dephase(coupled, ctx.event_dephase_set, policy=ctx.policy)
     label, collapsed, ledger = event_read(
         dephased,
@@ -600,10 +556,7 @@ class _BranchTables:
         for i in range(n_i):
             if self.p_init[i] <= floor:
                 continue
-            proj = ctx.initial_pset.projectors[i].matrix
-            m = proj @ dephased0.matrix @ proj
-            m = 0.5 * (m + m.conj().T)
-            state_i = DensityMatrix(m / np.trace(m).real, 1.0, policy=policy)
+            state_i = collapse(dephased0, ctx.initial_pset.projectors[i], policy=policy)
             self.states_initial[i] = state_i
             state_b = apply_barrier_drive(ctx, state_i)
             self.states_barrier[i] = state_b
@@ -611,7 +564,7 @@ class _BranchTables:
             self.states_nsm[i] = state_n
             state_e = apply_meter_entangling(ctx, state_n)
             self.states_ent[i] = state_e
-            coupled = _conjugate(state_e, ctx.event_unitary, policy)
+            coupled = conjugate(state_e, ctx.event_unitary, policy=policy)
             ready = dephase(coupled, ctx.event_dephase_set, policy=policy)
             q = born_probabilities(ready, ctx.meter_outcome_set, policy=policy)
             self.cdf_event[i] = cdf_of(q)
@@ -619,10 +572,7 @@ class _BranchTables:
             for m_idx in range(n_m):
                 if q[m_idx] <= floor:
                     continue
-                mp = ctx.meter_outcome_set.projectors[m_idx].matrix
-                mm = mp @ ready.matrix @ mp
-                mm = 0.5 * (mm + mm.conj().T)
-                state_v = DensityMatrix(mm / np.trace(mm).real, 1.0, policy=policy)
+                state_v = collapse(ready, ctx.meter_outcome_set.projectors[m_idx], policy=policy)
                 self.states_event[(i, m_idx)] = state_v
                 deph_f = nonselective_measure(state_v, ctx.final_pset, policy=policy)
                 r = born_probabilities(deph_f, ctx.final_pset, policy=policy)
@@ -672,20 +622,16 @@ def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) 
 
     The original check runs on the drive works; the modified check runs on
     the total works (drive plus injected reading work) with the counter
-    factor exp(+sigma_total). Sampling is stream-partitioned and worker-count
-    independent.
+    factor exp(+sigma_total). Sampling is stream-partitioned: the first n
+    records of a larger run equal a run of n records.
     """
     ctx = build_context(config, policy=policy)
     tables = _BranchTables(ctx)
 
-    def run_block(block: tuple[int, int, int]) -> list[SchemeRunRecord]:
-        stream, start, count = block
-        rng = stream_generator(config.seed, stream)
-        return [tables.draw_run(rng, stream, start + k) for k in range(count)]
-
     records: list[SchemeRunRecord] = []
-    for chunk in map_streams(run_block, stream_blocks(config.n_samples), config.workers):
-        records.extend(chunk)
+    for stream, start, count in stream_blocks(config.n_samples):
+        rng = stream_generator(config.seed, stream)
+        records.extend(tables.draw_run(rng, stream, start + k) for k in range(count))
 
     sigma_totals = {
         sum((e.sigma_nats for e in r.ledger.entries if e.sigma_nats > 0.0), 0.0)
@@ -751,11 +697,9 @@ def _branch_unitaries(ctx: SchemeContext) -> list[np.ndarray]:
     blocks = []
     rebuilt = np.zeros_like(u)
     for k in range(d_s):
-        block = u[k * d_m : (k + 1) * d_m, k * d_m : (k + 1) * d_m]
-        blocks.append(block)
-        sel = np.zeros((d_s, d_s))
-        sel[k, k] = 1.0
-        rebuilt += np.kron(sel, block)
+        rows = slice(k * d_m, (k + 1) * d_m)
+        blocks.append(u[rows, rows])
+        rebuilt[rows, rows] = u[rows, rows]
     if float(np.max(np.abs(u - rebuilt))) > ctx.policy.unitary_tol:
         raise SchemeConstraintError(
             "entangler is not a site-controlled unitary; branch round trips undefined"
@@ -802,7 +746,7 @@ def verify_unitary_roundtrips(
 
     blocks = _branch_unitaries(ctx)
     pdim = ctx.config.event_pointer.pointer_dim
-    site_set = site_projector_set(ctx.config.s0_dim).embedded(ctx.space, (SYSTEM,))
+    site_set = ProjectorSet.basis(ctx.config.s0_dim).embedded(ctx.space, (SYSTEM,))
 
     def branch_roundtrip(state_full: DensityMatrix, undo_m: list[np.ndarray]) -> float:
         """Worst branch deviation of (undone M marginal vs ready, S branch vs
@@ -825,7 +769,7 @@ def verify_unitary_roundtrips(
         return worst
 
     def proj_site(k: int, s_state: DensityMatrix) -> np.ndarray:
-        sp = site_projector_set(ctx.config.s0_dim).embedded(
+        sp = ProjectorSet.basis(ctx.config.s0_dim).embedded(
             CompositeSpace([(SYSTEM, ctx.config.s0_dim), (APPARATUS, ctx.config.nsm_pointer.pointer_dim)]),
             (SYSTEM,),
         ).projectors[k].matrix
@@ -837,7 +781,7 @@ def verify_unitary_roundtrips(
     undo_b = [np.kron(v.conj().T, np.eye(pdim)) for v in blocks]
     dev_b = branch_roundtrip(after_iv, undo_b)
 
-    after_v_unitary = _conjugate(after_iv, ctx.event_unitary, policy)
+    after_v_unitary = conjugate(after_iv, ctx.event_unitary, policy=policy)
     undo_c = [np.kron(v.conj().T, np.eye(pdim)) @ ctx.event_unitary_m.conj().T for v in blocks]
     dev_c = branch_roundtrip(after_v_unitary, undo_c)
 

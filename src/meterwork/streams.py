@@ -1,10 +1,10 @@
 """Reproducible stream-partitioned sampling.
 
 A root seed plus a stream index determines a counter-based generator
-(Philox) independently of how streams are assigned to workers, so estimators
-produce bit-identical results at any thread count. Samples are partitioned
-into fixed-size blocks; block -> stream assignment never depends on the
-worker pool.
+(Philox). Samples are partitioned into fixed-size blocks of `STREAM_BLOCK`
+draws, block k drawing from stream k, so the first n samples of a larger
+run are exactly the samples of a run of size n, and every result is a
+function of the configuration and the seed alone.
 
 Inverse-CDF sampling over discrete outcomes uses a fixed outcome order and
 resolves ties at CDF boundaries to the lower index.
@@ -12,27 +12,17 @@ resolves ties at CDF boundaries to the lower index.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
 import numpy as np
 
 __all__ = [
     "STREAM_BLOCK",
-    "THREADS_ENV_VAR",
     "stream_generator",
     "stream_blocks",
     "draw_index",
     "draw_indices",
-    "map_streams",
-    "resolve_workers",
 ]
 
 STREAM_BLOCK = 4096
-THREADS_ENV_VAR = "METERWORK_THREADS"
-
-T = TypeVar("T")
 
 
 def stream_generator(seed: int, stream_id: int) -> np.random.Generator:
@@ -72,30 +62,3 @@ def draw_index(cdf: np.ndarray, u: float) -> int:
 
 def draw_indices(cdf: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf, np.maximum(us, _U_FLOOR), side="left")
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit worker count, else the environment override, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def map_streams(
-    fn: Callable[[tuple[int, int, int]], T],
-    blocks: Sequence[tuple[int, int, int]],
-    workers: int | None = None,
-) -> list[T]:
-    """Apply `fn` to every block, in block order, on `workers` threads.
-
-    Results are collected in block order, so the output is independent of
-    the worker count.
-    """
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(fn, blocks))

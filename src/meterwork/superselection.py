@@ -10,6 +10,7 @@ metadata only; nothing downstream depends on their product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 RELATIVE_GROUPING_TOL = 1e-8
+# Rotating c*I by a random unitary spreads its eigenvalues by up to about
+# 3.5 * eps * |c| * dim; the grouping tolerance never drops below this
+# multiple of that scale, so a flat spectrum stays one sector.
+ROUNDING_GROUPING_FACTOR = 16.0
 
 
 @dataclass(frozen=True)
@@ -84,14 +89,10 @@ def build_planck_basis(
     dim = q_levels * p_levels
     if dim > policy.max_dim:
         raise ValueError(f"cell basis dimension {dim} exceeds budget {policy.max_dim}")
-    cells = []
-    for qi in range(q_levels):
-        for pi in range(p_levels):
-            idx = qi * p_levels + pi
-            m = np.zeros((dim, dim))
-            m[idx, idx] = 1.0
-            cells.append(PlanckCell(qi, pi, Operator(m, projector=True)))
-    return PlanckCellBasis(tuple(cells), (dq, dp))
+    labels = list(product(range(q_levels), range(p_levels)))
+    pset = ProjectorSet.basis(dim, labels)
+    cells = tuple(PlanckCell(qi, pi, proj) for (qi, pi), proj in zip(labels, pset.projectors))
+    return PlanckCellBasis(cells, (dq, dp))
 
 
 def dephase(
@@ -134,8 +135,9 @@ def energy_sectors(
 ) -> list[EnergySector]:
     """Cluster the spectrum of a hermitian operator into degenerate sectors.
 
-    Eigenvalues closer than `grouping_tol` are merged; the default tolerance
-    is 1e-8 relative to the spectral range. A single all-embracing sector is
+    Eigenvalues closer than `grouping_tol` are merged. The default tolerance
+    is 1e-8 relative to the spectral range, floored at the eigensolver's
+    rounding scale 16 * eps * max|E| * dim. A single all-embracing sector is
     a legal result for flat spectra.
     """
     if h.hermitian is False or not h.is_hermitian(policy):
@@ -143,7 +145,8 @@ def energy_sectors(
     w, v = np.linalg.eigh(h.matrix)
     spread = float(w[-1] - w[0])
     if grouping_tol is None:
-        grouping_tol = RELATIVE_GROUPING_TOL * spread
+        rounding = float(np.finfo(float).eps * np.max(np.abs(w)) * len(w))
+        grouping_tol = max(RELATIVE_GROUPING_TOL * spread, ROUNDING_GROUPING_FACTOR * rounding)
     sectors: list[EnergySector] = []
     start = 0
     for i in range(1, len(w) + 1):

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meterwork
 from meterwork.cli import (
     load_config_file,
     main,
@@ -266,6 +270,15 @@ class TestSchemeCommand:
         assert [s["stage"] for s in report["stages"]] == ["a", "b", "c", "d"]
         assert all(s["passed"] for s in report["stages"])
 
+    @pytest.mark.parametrize("beta", ["1e-9", "1e-5"])
+    def test_work_gap_identity_at_high_temperature(self, tmp_path, beta):
+        # the gap is 3 kT = 3/beta; one ulp of 3e9 is 4.8e-7, far above 1e-12
+        out = tmp_path / "o"
+        code = main(["scheme", "--beta", beta, "--samples", "7000", "--output", str(out)])
+        summary = read_json(out / "scheme_summary.json")
+        assert summary["checks"]["work_gap_identity"] is True
+        assert code == 0
+
     def test_summary_csv_columns(self, tmp_path):
         out = tmp_path / "o"
         main(["scheme", "--samples", "20", "--output", str(out)])
@@ -398,15 +411,28 @@ class TestDomainErrors:
 
 
 class TestReproducibility:
-    def test_worker_counts_yield_identical_bytes(self, tmp_path, monkeypatch):
-        outputs = {}
-        for workers in ("1", "8"):
-            monkeypatch.setenv("METERWORK_THREADS", workers)
-            out = tmp_path / f"w{workers}"
+    def test_repeat_runs_yield_identical_bytes(self, tmp_path):
+        outputs = []
+        for run in ("first", "second"):
+            out = tmp_path / run
             assert main(
                 ["scheme", "--samples", "6000", "--seed", "11", "--output", str(out)]
             ) == 0
-            outputs[workers] = {
-                p.name: p.read_bytes() for p in sorted(out.iterdir())
-            }
-        assert outputs["1"] == outputs["8"]
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(meterwork.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        code = (
+            "import sys, meterwork.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.stdout.strip() == "[]"

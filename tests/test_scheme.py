@@ -346,12 +346,24 @@ class TestRunScheme:
                 (e.party, e.sigma_nats, e.cause) for e in manual.ledger.entries
             ] == [(e.party, e.sigma_nats, e.cause) for e in record.ledger.entries]
 
-    def test_worker_count_invariance(self):
-        a = run_scheme(SchemeConfig(n_samples=9000, seed=13, workers=1))
-        b = run_scheme(SchemeConfig(n_samples=9000, seed=13, workers=8))
-        assert [(r.tpm_initial, r.event_outcome, r.tpm_final) for r in a.records] == [
-            (r.tpm_initial, r.event_outcome, r.tpm_final) for r in b.records
-        ]
+    def test_longer_run_extends_shorter_run(self):
+        # 5000 runs end inside the second stream block of the 9000 run
+        def key(r):
+            entries = [(e.party, e.sigma_nats, e.cause) for e in r.ledger.entries]
+            return (
+                r.stream_id,
+                r.draw_id,
+                r.tpm_initial,
+                r.event_outcome,
+                r.tpm_final,
+                r.work_drive,
+                r.work_total,
+                entries,
+            )
+
+        longer = run_scheme(SchemeConfig(n_samples=9000, seed=13))
+        shorter = run_scheme(SchemeConfig(n_samples=5000, seed=13))
+        assert [key(r) for r in longer.records[:5000]] == [key(r) for r in shorter.records]
 
     def test_records_carry_branch_states(self):
         result = run_scheme(SchemeConfig(n_samples=3, seed=1))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian
+from helpers import random_density, random_hermitian, random_unitary
 from meterwork.linalg import DensityMatrix, Ket, Operator, ProjectorSet
 from meterwork.superselection import (
     build_planck_basis,
@@ -122,6 +122,17 @@ class TestEnergySectors:
         sectors = energy_sectors(Operator.identity(4))
         assert len(sectors) == 1 and sectors[0].degeneracy == 4
         np.testing.assert_allclose(sectors[0].projector.matrix, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 4, 9, 16])
+    def test_rotated_multiple_of_identity_single_sector(self, rng, dim):
+        # the eigensolver spreads a flat spectrum by rounding only; a grouping
+        # tolerance relative to that spread would split it
+        for _ in range(25):
+            u = random_unitary(rng, dim)
+            h = u @ (2.0 * np.eye(dim)) @ u.conj().T
+            sectors = energy_sectors(Operator(0.5 * (h + h.conj().T), hermitian=True))
+            assert [s.degeneracy for s in sectors] == [dim]
+            assert abs(sectors[0].energy - 2.0) <= 1e-13
 
     def test_sector_count_matches_reference_eigensolve(self, rng):
         h = random_hermitian(rng, 6)
