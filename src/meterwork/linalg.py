@@ -50,6 +50,32 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def _is_diagonal(m: np.ndarray) -> bool:
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+
+
+def _index_support(m: np.ndarray) -> np.ndarray | None:
+    """Boolean support of a diagonal matrix whose entries are exactly 0 or 1,
+    or None for any other matrix."""
+    if not _is_diagonal(m):
+        return None
+    d = np.diagonal(m)
+    support = d == 1
+    if not np.all(support | (d == 0)):
+        return None
+    return support
+
+
+def _restrict(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Entries of m where the boolean mask `keep` holds, +0.0 elsewhere.
+
+    This is what products with 0/1 diagonal projectors give, bit for bit:
+    kept entries are copied exactly, and adding +0.0 turns their -0.0 parts
+    into +0.0 as the zero-initialized sums of a matmul do.
+    """
+    return np.where(keep, m, 0.0) + 0.0
+
+
 class Ket:
     """Normalized pure state on a finite-dimensional Hilbert space.
 
@@ -114,8 +140,11 @@ class Operator:
         m = _as_square(matrix).copy()
         if projector is True:
             hermitian = True
+        # On a diagonal matrix the off-diagonal entries of m - m^dag and of
+        # m @ m - m are zero, so both deviations are read off the diagonal.
+        d = np.diagonal(m) if hermitian is True and _is_diagonal(m) else None
         if hermitian is True:
-            dev = _max_abs(m - m.conj().T)
+            dev = _max_abs(m - m.conj().T) if d is None else _max_abs(d - d.conj())
             if dev > policy.hermitian_tol:
                 raise ValueError(f"hermitian assertion fails by {dev:.3e}")
         if unitary is True:
@@ -123,7 +152,7 @@ class Operator:
             if dev > policy.unitary_tol:
                 raise ValueError(f"unitary assertion fails by {dev:.3e}")
         if projector is True:
-            dev = _max_abs(m @ m - m)
+            dev = _max_abs(m @ m - m) if d is None else _max_abs(d * d - d)
             if dev > policy.projector_tol:
                 raise ValueError(f"projector assertion fails by {dev:.3e}")
         m.setflags(write=False)
@@ -273,9 +302,16 @@ class ProjectorSet:
 
     Completeness (projectors summing to the identity) is validated at
     construction; orthogonality follows from completeness plus idempotence.
+
+    ``sector_of`` is set when the family partitions the computational basis:
+    every projector is diagonal with entries exactly 0 or 1, and each index
+    lies in exactly one of them. It is the read-only array mapping each
+    basis index to the position of its projector, and dephasing, collapse
+    and Born reading then work by index masking. It is None for any other
+    family, such as the energy sectors of a non-diagonal Hamiltonian.
     """
 
-    __slots__ = ("projectors", "labels", "dim")
+    __slots__ = ("projectors", "labels", "dim", "sector_of")
 
     def __init__(
         self,
@@ -294,8 +330,12 @@ class ProjectorSet:
             if p.projector is not True:
                 # revalidate unflagged input rather than trusting the caller
                 Operator(p.matrix, projector=True, policy=policy)
-        total = sum(p.matrix for p in projs)
-        dev = _max_abs(total - np.eye(dim))
+        sector_of = _partition_of(projs)
+        if sector_of is None:
+            total = sum(p.matrix for p in projs)
+            dev = _max_abs(total - np.eye(dim))
+        else:
+            dev = 0.0  # 0/1 diagonals covering each index once sum to I exactly
         if dev > policy.completeness_tol:
             raise ValueError(f"projectors do not sum to identity: deviation {dev:.3e}")
         if labels is None:
@@ -309,15 +349,22 @@ class ProjectorSet:
         self.projectors = projs
         self.labels = labels
         self.dim = dim
+        self.sector_of = sector_of
 
     @classmethod
     def basis(cls, dim: int, labels: Sequence | None = None) -> "ProjectorSet":
         """Rank-1 projectors onto the computational basis states, in index order."""
-        projs = []
-        for k in range(dim):
-            m = np.zeros((dim, dim))
-            m[k, k] = 1.0
-            projs.append(Operator(m, projector=True))
+        return cls._from_sector_of(np.arange(dim), dim, labels)
+
+    @classmethod
+    def _from_sector_of(
+        cls, sector_of: np.ndarray, n: int, labels: Sequence | None
+    ) -> "ProjectorSet":
+        """Projector k is the 0/1 diagonal on the indices i with sector_of[i] == k."""
+        projs = [
+            Operator(np.diag((sector_of == k).astype(complex)), projector=True)
+            for k in range(n)
+        ]
         return cls(projs, labels)
 
     def __len__(self) -> int:
@@ -325,11 +372,32 @@ class ProjectorSet:
 
     def embedded(self, space: CompositeSpace, acting_on: Sequence[str]) -> "ProjectorSet":
         """Lift every projector onto `space` acting on the named factors."""
-        lifted = [embed_operator(p, space, acting_on) for p in self.projectors]
-        return ProjectorSet(lifted, self.labels)
+        if self.sector_of is None:
+            lifted = [embed_operator(p, space, acting_on) for p in self.projectors]
+            return ProjectorSet(lifted, self.labels)
+        rest_dim, perm = _embedding(space, acting_on, self.dim)
+        lifted_sector_of = np.repeat(self.sector_of, rest_dim)[perm]
+        return self._from_sector_of(lifted_sector_of, len(self), self.labels)
 
     def __repr__(self) -> str:
         return f"ProjectorSet(n={len(self.projectors)}, dim={self.dim})"
+
+
+def _partition_of(projs: Sequence[Operator]) -> np.ndarray | None:
+    """Sector index of every basis index when the projectors partition the
+    computational basis, else None."""
+    supports = []
+    for p in projs:
+        support = _index_support(p.matrix)
+        if support is None:
+            return None
+        supports.append(support)
+    member = np.array(supports)
+    if not np.all(np.count_nonzero(member, axis=0) == 1):
+        return None
+    sector_of = np.argmax(member, axis=0)
+    sector_of.setflags(write=False)
+    return sector_of
 
 
 def tensor(a: Operator, b: Operator, *, policy: NumericPolicy = DEFAULT_POLICY) -> Operator:
@@ -439,8 +507,16 @@ def collapse(
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> DensityMatrix:
-    """Unit-trace post-measurement state P rho P / tr(P rho P)."""
-    m = projector.matrix @ state.matrix @ projector.matrix
+    """Unit-trace post-measurement state P rho P / tr(P rho P).
+
+    Onto a 0/1 diagonal projector this is the rows and columns of its
+    support, with the same bits as the matrix products.
+    """
+    support = _index_support(projector.matrix)
+    if support is None:
+        m = projector.matrix @ state.matrix @ projector.matrix
+    else:
+        m = _restrict(state.matrix, np.outer(support, support))
     m = 0.5 * (m + m.conj().T)
     return DensityMatrix(m / np.trace(m).real, 1.0, policy=policy)
 
@@ -495,23 +571,8 @@ def embed_operator(
     The named factors need not be adjacent; index permutation handles the
     general case.
     """
-    acting = [space.axis_of(label) for label in acting_on]
-    if len(set(acting)) != len(acting):
-        raise ValueError(f"repeated labels in {tuple(acting_on)}")
-    acting_dim = int(np.prod([space.dims[a] for a in acting]))
-    if op.dim != acting_dim:
-        raise ValueError(
-            f"operator dimension {op.dim} does not match factors {tuple(acting_on)} "
-            f"of total dimension {acting_dim}"
-        )
-    rest = [a for a in range(len(space.dims)) if a not in acting]
-    rest_dim = int(np.prod([space.dims[a] for a in rest])) if rest else 1
+    rest_dim, perm = _embedding(space, acting_on, op.dim)
     big = np.kron(op.matrix, np.eye(rest_dim))
-
-    order = acting + rest
-    reordered_dims = [space.dims[a] for a in order]
-    digits = np.unravel_index(np.arange(space.total_dim), space.dims)
-    perm = np.ravel_multi_index([digits[a] for a in order], reordered_dims)
     lifted = big[np.ix_(perm, perm)]
     return Operator(
         lifted,
@@ -520,3 +581,27 @@ def embed_operator(
         projector=op.projector,
         policy=policy,
     )
+
+
+def _embedding(
+    space: CompositeSpace, acting_on: Sequence[str], op_dim: int
+) -> tuple[int, np.ndarray]:
+    """Dimension of the untouched factors and the index permutation taking
+    the composite-space order to (named factors, rest) order, so that
+    kron(op, I_rest)[perm][:, perm] is op lifted onto `space`."""
+    acting = [space.axis_of(label) for label in acting_on]
+    if len(set(acting)) != len(acting):
+        raise ValueError(f"repeated labels in {tuple(acting_on)}")
+    acting_dim = int(np.prod([space.dims[a] for a in acting]))
+    if op_dim != acting_dim:
+        raise ValueError(
+            f"operator dimension {op_dim} does not match factors {tuple(acting_on)} "
+            f"of total dimension {acting_dim}"
+        )
+    rest = [a for a in range(len(space.dims)) if a not in acting]
+    rest_dim = int(np.prod([space.dims[a] for a in rest])) if rest else 1
+    order = acting + rest
+    reordered_dims = [space.dims[a] for a in order]
+    digits = np.unravel_index(np.arange(space.total_dim), space.dims)
+    perm = np.ravel_multi_index([digits[a] for a in order], reordered_dims)
+    return rest_dim, perm

@@ -33,7 +33,7 @@ from .errors import (
     DegenerateDistributionError,
     SupportError,
 )
-from .linalg import DensityMatrix, Ket, Operator, ProjectorSet, collapse, tensor
+from .linalg import DensityMatrix, Ket, Operator, ProjectorSet, _restrict, collapse, tensor
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import cdf_of, draw_index, stream_generator
 from .superselection import dephase
@@ -298,10 +298,25 @@ def born_probabilities(
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
-    """Outcome distribution tr[P(y) rho] / trace_weight, in projector order."""
-    raw = np.array(
-        [float(np.trace(p.matrix @ rho.matrix).real) for p in outcome_projectors.projectors]
-    )
+    """Outcome distribution tr[P(y) rho] / trace_weight, in projector order.
+
+    For a partition of the computational basis each trace is the sum of the
+    full-length diagonal with the other sectors' entries zeroed, which keeps
+    the summation order, and so the bits, of the trace of the product.
+    """
+    sector_of = outcome_projectors.sector_of
+    if sector_of is None:
+        raw = np.array(
+            [float(np.trace(p.matrix @ rho.matrix).real) for p in outcome_projectors.projectors]
+        )
+    else:
+        diag = np.diagonal(rho.matrix)
+        raw = np.array(
+            [
+                float(_restrict(diag, sector_of == k).sum().real)
+                for k in range(len(outcome_projectors))
+            ]
+        )
     if np.all(raw < policy.outcome_floor):
         raise DegenerateDistributionError("every outcome probability is numerically zero")
     return np.clip(raw, 0.0, None) / rho.trace_weight

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import DensityMatrix, Operator, ProjectorSet
+from .linalg import DensityMatrix, Operator, ProjectorSet, _restrict
 from .numeric import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -55,8 +55,7 @@ class PlanckCellBasis:
     def position_operator(self) -> Operator:
         """Redefined position: q_index * width_q on each cell."""
         dq = self.cell_widths[0]
-        m = sum(cell.q_index * dq * cell.projector.matrix for cell in self.cells)
-        return Operator(m, hermitian=True)
+        return Operator.from_diagonal([cell.q_index * dq for cell in self.cells])
 
     def momentum_operator(self) -> Operator:
         """Redefined momentum: p_index * width_p on each cell.
@@ -65,8 +64,7 @@ class PlanckCellBasis:
         exactly (entrywise zero commutator, not merely small).
         """
         dp = self.cell_widths[1]
-        m = sum(cell.p_index * dp * cell.projector.matrix for cell in self.cells)
-        return Operator(m, hermitian=True)
+        return Operator.from_diagonal([cell.p_index * dp for cell in self.cells])
 
     def projector_set(self) -> ProjectorSet:
         labels = tuple((cell.q_index, cell.p_index) for cell in self.cells)
@@ -104,16 +102,26 @@ def dephase(
     """Remove coherence between sectors: rho -> sum_y P(y) rho P(y).
 
     Trace-preserving and idempotent; sector populations are untouched.
+    A partition of the computational basis (``sectors.sector_of``) keeps
+    the entries whose row and column share a sector, with the same bits
+    as the projector sum.
     """
     if sectors.dim != rho.dim:
         raise ValueError(f"sector dimension {sectors.dim} != state dimension {rho.dim}")
-    total = sum(p.matrix for p in sectors.projectors)
-    dev = float(np.max(np.abs(total - np.eye(rho.dim))))
+    sector_of = sectors.sector_of
+    if sector_of is None:
+        total = sum(p.matrix for p in sectors.projectors)
+        dev = float(np.max(np.abs(total - np.eye(rho.dim))))
+    else:
+        dev = 0.0  # 0/1 diagonals covering each index once sum to I exactly
     if dev > policy.completeness_tol:
         raise ValueError(f"projector set incomplete: deviation {dev:.3e}")
-    out = np.zeros_like(rho.matrix)
-    for p in sectors.projectors:
-        out += p.matrix @ rho.matrix @ p.matrix
+    if sector_of is None:
+        out = np.zeros_like(rho.matrix)
+        for p in sectors.projectors:
+            out += p.matrix @ rho.matrix @ p.matrix
+    else:
+        out = _restrict(rho.matrix, sector_of[:, None] == sector_of[None, :])
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out, rho.trace_weight, policy=policy)
 

@@ -1,11 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian, random_ket
+from helpers import (
+    dense_collapse,
+    index_partition,
+    random_density,
+    random_hermitian,
+    random_ket,
+    state_with_signed_zeros,
+)
 from meterwork.errors import CapacityError, NumericalConsistencyError
 from meterwork.linalg import (
     CompositeSpace,
@@ -13,6 +21,7 @@ from meterwork.linalg import (
     Ket,
     Operator,
     ProjectorSet,
+    collapse,
     embed_operator,
     evolve,
     expectation,
@@ -56,6 +65,28 @@ class TestOperatorFlags:
     def test_projector_assertion_enforced(self):
         with pytest.raises(ValueError, match="projector"):
             Operator(np.diag([1.0, 2.0]), projector=True)
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[1.0, 2.0], [0.5, 1.0, 0.0], [1.0 + 1e-9, 0.0], [1.0, 1.0, 1.0], [1.0 + 3e-7j, -0.0]],
+    )
+    def test_diagonal_deviations_are_the_dense_ones(self, diagonal):
+        m = np.diag(np.asarray(diagonal, dtype=complex))
+        # negative tolerances make every check fail and report its deviation
+        cases = (
+            ("hermitian", m - m.conj().T, {"hermitian": True}, NumericPolicy(hermitian_tol=-1.0)),
+            (
+                "projector",
+                m @ m - m,
+                {"projector": True},
+                NumericPolicy(hermitian_tol=1.0, projector_tol=-1.0),
+            ),
+        )
+        for name, residual, flags, policy in cases:
+            dev = float(np.max(np.abs(residual)))
+            message = re.escape(f"{name} assertion fails by {dev:.3e}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Operator(m, policy=policy, **flags)
 
     def test_unchecked_flags_stay_none(self):
         op = Operator([[0, 1], [0, 0]])
@@ -293,6 +324,60 @@ class TestProjectorSet:
         p1 = Operator(np.diag([0.0, 1.0]), projector=True)
         with pytest.raises(ValueError, match="unique"):
             ProjectorSet((p0, p1), labels=("x", "x"))
+
+
+    @pytest.mark.parametrize("acting", [("a", "b"), ("a", "c"), ("c", "a"), ("b",)])
+    def test_embedded_basis_matches_embed_operator_bitwise(self, acting):
+        space = CompositeSpace([("a", 2), ("b", 3), ("c", 2)])
+        n = int(np.prod([space.dim_of(label) for label in acting]))
+        basis = ProjectorSet.basis(n, labels=[f"k{k}" for k in range(n)])
+        lifted = basis.embedded(space, acting)
+        assert lifted.labels == basis.labels
+        assert lifted.sector_of is not None
+        for p, q in zip(basis.projectors, lifted.projectors):
+            dense = embed_operator(p, space, acting)
+            assert q.matrix.tobytes() == dense.matrix.tobytes()
+            assert q.projector is True and q.hermitian is True
+        assert np.array_equal(
+            np.diagonal(sum(k * q.matrix for k, q in enumerate(lifted.projectors))).real,
+            lifted.sector_of,
+        )
+
+    def test_basis_matches_unit_diagonals(self):
+        for k, p in enumerate(ProjectorSet.basis(4).projectors):
+            m = np.zeros((4, 4))
+            m[k, k] = 1.0
+            assert p.matrix.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+
+class TestCollapse:
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 16, 33]))
+    def test_index_projector_bitwise(self, seed, dim):
+        gen = np.random.default_rng(seed)
+        _, projs = index_partition(gen, dim)
+        for rho in (random_density(gen, dim), state_with_signed_zeros(gen, dim)):
+            for p in projs:
+                if float(np.trace(p.matrix @ rho.matrix).real) <= 1e-12:
+                    continue
+                out = collapse(rho, p)
+                assert out.matrix.tobytes() == dense_collapse(rho.matrix, p).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_embedded_index_projector_bitwise(self, seed):
+        gen = np.random.default_rng(seed)
+        space = CompositeSpace([("S", 2), ("A", 3), ("M", 2), ("P", 2)])
+        pset = ProjectorSet.basis(4).embedded(space, ("S", "M"))
+        for rho in (random_density(gen, 24), state_with_signed_zeros(gen, 24)):
+            for p in pset.projectors:
+                if float(np.trace(p.matrix @ rho.matrix).real) <= 1e-12:
+                    continue
+                out = collapse(rho, p)
+                assert out.matrix.tobytes() == dense_collapse(rho.matrix, p).tobytes()
+
+    def test_non_diagonal_projector_stays_dense(self, rng):
+        p = Operator(np.full((2, 2), 0.5), projector=True)
+        rho = random_density(rng, 2)
+        assert collapse(rho, p).matrix.tobytes() == dense_collapse(rho.matrix, p).tobytes()
 
 
 class TestCompositeSpace:

@@ -3,8 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian, random_unitary
-from meterwork.linalg import DensityMatrix, Ket, Operator, ProjectorSet
+from helpers import (
+    dense_born,
+    dense_dephase,
+    index_partition,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    state_with_signed_zeros,
+)
+from meterwork.errors import CoherentInputError
+from meterwork.linalg import CompositeSpace, DensityMatrix, Ket, Operator, ProjectorSet
+from meterwork.measurement import EntropyLedger, born_probabilities, event_read
+from meterwork.numeric import NumericPolicy
 from meterwork.superselection import (
     build_planck_basis,
     dephase,
@@ -20,6 +31,11 @@ class TestPlanckBasis:
         p = basis.momentum_operator().matrix
         comm = q @ p - p @ q
         assert np.all(comm == 0.0)
+        # bit-identical to summing label * width * cell projector
+        q_sum = sum(c.q_index * 0.5 * c.projector.matrix for c in basis.cells)
+        p_sum = sum(c.p_index * 2.0 * c.projector.matrix for c in basis.cells)
+        assert q.tobytes() == q_sum.tobytes()
+        assert p.tobytes() == p_sum.tobytes()
 
     def test_single_cell_projector_is_identity(self):
         basis = build_planck_basis(1, 1)
@@ -110,6 +126,96 @@ class TestDephase:
         rho = random_density(rng, 4).scaled(0.5)
         out = dephase(rho, _two_sector_set())
         assert out.trace_weight == 0.5
+
+
+DIMS = st.sampled_from([1, 2, 3, 8, 16, 33])
+
+
+class TestIndexSetSectors:
+    """Partitions of the computational basis are dephased and read by
+    masking; the results must carry the projector products' exact bits."""
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=DIMS)
+    def test_dephase_and_born_bitwise(self, seed, dim):
+        gen = np.random.default_rng(seed)
+        sector_of, projs = index_partition(gen, dim)
+        pset = ProjectorSet(projs)
+        assert np.array_equal(pset.sector_of, sector_of)
+        for rho in (random_density(gen, dim), state_with_signed_zeros(gen, dim)):
+            out = dephase(rho, pset)
+            assert out.matrix.tobytes() == dense_dephase(rho.matrix, projs).tobytes()
+            probs = born_probabilities(rho, pset)
+            assert probs.tobytes() == dense_born(rho, projs).tobytes()
+
+    @pytest.mark.parametrize(
+        "acting", [("S", "A"), ("S", "M"), ("M", "S"), ("A",), ("P", "S", "M")]
+    )
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_embedded_families_bitwise(self, acting, seed):
+        gen = np.random.default_rng(seed)
+        space = CompositeSpace([("S", 2), ("A", 3), ("M", 2), ("P", 4)])
+        n = int(np.prod([space.dim_of(label) for label in acting]))
+        pset = ProjectorSet.basis(n).embedded(space, acting)
+        assert pset.sector_of is not None
+        for rho in (random_density(gen, 48), state_with_signed_zeros(gen, 48)):
+            out = dephase(rho, pset)
+            assert out.matrix.tobytes() == dense_dephase(rho.matrix, pset.projectors).tobytes()
+            probs = born_probabilities(rho, pset)
+            assert probs.tobytes() == dense_born(rho, pset.projectors).tobytes()
+
+    def test_energy_sectors_stay_dense(self, rng):
+        h = Operator(random_hermitian(rng, 6), hermitian=True)
+        pset = sector_projector_set(energy_sectors(h))
+        assert pset.sector_of is None
+        rho = random_density(rng, 6)
+        out = dephase(rho, pset)
+        assert out.matrix.tobytes() == dense_dephase(rho.matrix, pset.projectors).tobytes()
+        probs = born_probabilities(rho, pset)
+        assert probs.tobytes() == dense_born(rho, pset.projectors).tobytes()
+
+    def test_one_non_diagonal_projector_keeps_family_dense(self, rng):
+        plus = np.full((2, 2), 0.5)
+        p0 = np.zeros((4, 4))
+        p0[:2, :2] = plus
+        p1 = np.zeros((4, 4))
+        p1[:2, :2] = np.eye(2) - plus
+        p2 = np.diag([0.0, 0.0, 1.0, 1.0])
+        projs = [Operator(m, projector=True) for m in (p0, p1, p2)]
+        pset = ProjectorSet(projs)
+        assert pset.sector_of is None
+        rho = random_density(rng, 4)
+        assert dephase(rho, pset).matrix.tobytes() == dense_dephase(rho.matrix, projs).tobytes()
+
+    def test_sector_of_is_read_only(self):
+        pset = ProjectorSet.basis(3)
+        assert list(pset.sector_of) == [0, 1, 2]
+        with pytest.raises(ValueError):
+            pset.sector_of[0] = 1
+
+    @pytest.mark.parametrize(
+        "diagonals",
+        [
+            ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0]),  # index 1 in both
+            ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),  # index 2 in neither
+        ],
+    )
+    def test_overlapping_or_missing_index_rejected(self, rng, diagonals):
+        projs = [Operator(np.diag(d), projector=True) for d in diagonals]
+        with pytest.raises(ValueError, match="projectors do not sum to identity"):
+            ProjectorSet(projs)
+        loose = ProjectorSet(projs, policy=NumericPolicy(completeness_tol=2.0))
+        assert loose.sector_of is None
+        with pytest.raises(ValueError, match="projector set incomplete: deviation 1.000e"):
+            dephase(random_density(rng, 3), loose)
+
+    def test_dimension_mismatch_rejected(self, rng):
+        with pytest.raises(ValueError, match="sector dimension 2 != state dimension 4"):
+            dephase(random_density(rng, 4), ProjectorSet.basis(2))
+
+    def test_event_read_rejects_coherent_input(self):
+        plus = DensityMatrix.from_ket(Ket.normalized([1, 1]))
+        with pytest.raises(CoherentInputError, match="off-sector coherence 5.000e-01"):
+            event_read(plus, ProjectorSet.basis(2), 0, EntropyLedger(), "s", "r")
 
 
 class TestEnergySectors:
