@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, Operator, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, draw_indices, stream_blocks, stream_generator
+from .streams import cdf_of, draw_indices, draw_rows, stream_uniforms
 from .superselection import EnergySector, energy_sectors
 
 __all__ = [
@@ -325,23 +325,15 @@ def tpm_sample(
     cdf_init = cdf_of(p_init)
     cdf_rows = np.vstack([cdf_of(row) for row in cond])
 
-    blocks = stream_blocks(n_samples)
-    i_parts, f_parts = [], []
-    for stream, _start, count in blocks:
-        rng = stream_generator(seed, stream)
-        us = np.maximum(rng.random((count, 2)), 1e-300)
-        i_block = draw_indices(cdf_init, us[:, 0])
-        rows = cdf_rows[i_block]
-        i_parts.append(i_block)
-        f_parts.append(np.argmax(us[:, 1][:, None] <= rows, axis=1))
-    i_idx = np.concatenate(i_parts)
-    f_idx = np.concatenate(f_parts)
+    us, stream_id = stream_uniforms(seed, n_samples, 2)
+    i_idx = draw_indices(cdf_init, us[:, 0])
+    f_idx = draw_rows(cdf_rows[i_idx], us[:, 1])
     return WorkSamples(
         initial_energy=e_init[i_idx],
         final_energy=e_fin[f_idx],
         initial_outcome_index=i_idx,
         final_outcome_index=f_idx,
-        stream_id=np.repeat([b[0] for b in blocks], [b[2] for b in blocks]),
+        stream_id=stream_id,
         draw_id=np.arange(n_samples),
     )
 

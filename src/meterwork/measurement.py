@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linalg import DensityMatrix, Ket, Operator, ProjectorSet, _restrict, collapse, tensor
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, draw_index, stream_generator
+from .streams import cdf_of, draw_indices, stream_generator
 from .superselection import dephase
 
 __all__ = [
@@ -366,7 +366,7 @@ def event_read(
 
     if isinstance(rng, (int, np.integer)):
         rng = stream_generator(int(rng), 0)
-    idx = draw_index(cdf_of(probs), float(rng.random()))
+    idx = int(draw_indices(cdf_of(probs), rng.random()))
 
     state = collapse(rho, outcome_projectors.projectors[idx], policy=policy)
     new_ledger = ledger.with_pair(reader_label, measured_label, sigma, cause)

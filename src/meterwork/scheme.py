@@ -29,8 +29,10 @@ branch and sampling reduces to three inverse-CDF draws per run, which keeps
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from .measurement import (
     pointer_coupling_unitary,
 )
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, draw_index, stream_blocks, stream_generator
+from .streams import cdf_of, draw_indices, draw_rows, stream_generator, stream_uniforms
 from .superselection import dephase, energy_sectors, sector_projector_set
 
 __all__ = [
@@ -447,7 +449,7 @@ class SchemeRunRecord:
     ledger: EntropyLedger
     stream_id: int = 0
     draw_id: int = 0
-    states: dict[str, DensityMatrix] | None = None
+    states: Mapping[str, DensityMatrix] | None = None
     work_total: float = field(init=False)
 
     def __post_init__(self):
@@ -525,96 +527,102 @@ class _BranchTables:
 
     Stage probabilities and collapsed states depend only on the drawn
     outcome indices, so all distinct branches are computed once with the
-    same step functions the stepwise path uses.
+    same step functions the stepwise path uses. `branches[i][m]` holds the
+    record fields shared by the runs of branch (i, m); a branch pruned by
+    `outcome_floor` keeps its CDF width but has no entry.
     """
 
     def __init__(self, ctx: SchemeContext):
         policy = ctx.policy
-        floor = policy.outcome_floor
-        self.ctx = ctx
+        self.floor = floor = policy.outcome_floor
         prepared = prepare_initial_state(ctx)
-        self.prepared = prepared
         dephased0 = nonselective_measure(prepared, ctx.initial_pset, policy=policy)
         self.p_init = born_probabilities(dephased0, ctx.initial_pset, policy=policy)
         self.cdf_init = cdf_of(self.p_init)
-        self.sigma_initial = 1.0 if int(np.sum(self.p_init > floor)) > 1 else 0.0
-        self.e_init = [float(l) for l in ctx.initial_pset.labels]
-        self.e_fin = [float(l) for l in ctx.final_pset.labels]
+        s1 = 1.0 if int(np.sum(self.p_init > floor)) > 1 else 0.0
+        self.e_init = np.array(ctx.initial_pset.labels, dtype=float)
+        self.e_fin = np.array(ctx.final_pset.labels, dtype=float)
 
         n_i = len(ctx.initial_pset)
         n_m = len(ctx.meter_outcome_set)
-        self.states_initial: dict[int, DensityMatrix] = {}
-        self.states_barrier: dict[int, DensityMatrix] = {}
-        self.states_nsm: dict[int, DensityMatrix] = {}
-        self.states_ent: dict[int, DensityMatrix] = {}
-        self.states_event: dict[tuple[int, int], DensityMatrix] = {}
-        self.cdf_event: dict[int, np.ndarray] = {}
-        self.sigma_event: dict[int, float] = {}
-        self.cdf_final: dict[tuple[int, int], np.ndarray] = {}
-        self.sigma_final: dict[tuple[int, int], float] = {}
+        self.p_event = np.zeros((n_i, n_m))
+        self.cdf_event = np.zeros((n_i, n_m))
+        self.cdf_final = np.zeros((n_i, n_m, len(ctx.final_pset)))
+        self.branches: list[list[dict | None]] = [[None] * n_m for _ in range(n_i)]
 
         for i in range(n_i):
             if self.p_init[i] <= floor:
                 continue
             state_i = collapse(dephased0, ctx.initial_pset.projectors[i], policy=policy)
-            self.states_initial[i] = state_i
             state_b = apply_barrier_drive(ctx, state_i)
-            self.states_barrier[i] = state_b
             state_n = apply_nonselective_measurement(ctx, state_b)
-            self.states_nsm[i] = state_n
             state_e = apply_meter_entangling(ctx, state_n)
-            self.states_ent[i] = state_e
             coupled = conjugate(state_e, ctx.event_unitary, policy=policy)
             ready = dephase(coupled, ctx.event_dephase_set, policy=policy)
             q = born_probabilities(ready, ctx.meter_outcome_set, policy=policy)
+            self.p_event[i] = q
             self.cdf_event[i] = cdf_of(q)
-            self.sigma_event[i] = 1.0 if int(np.sum(q > floor)) > 1 else 0.0
+            s2 = 1.0 if int(np.sum(q > floor)) > 1 else 0.0
             for m_idx in range(n_m):
                 if q[m_idx] <= floor:
                     continue
                 state_v = collapse(ready, ctx.meter_outcome_set.projectors[m_idx], policy=policy)
-                self.states_event[(i, m_idx)] = state_v
                 deph_f = nonselective_measure(state_v, ctx.final_pset, policy=policy)
                 r = born_probabilities(deph_f, ctx.final_pset, policy=policy)
-                self.cdf_final[(i, m_idx)] = cdf_of(r)
-                self.sigma_final[(i, m_idx)] = 1.0 if int(np.sum(r > floor)) > 1 else 0.0
+                self.cdf_final[i, m_idx] = cdf_of(r)
+                s3 = 1.0 if int(np.sum(r > floor)) > 1 else 0.0
+                ledger = (
+                    EntropyLedger()
+                    .with_pair(EXPERIMENTER, MEASURED, s1, ENERGY_EVENT_READING)
+                    .with_pair(READER, MEASURED, s2, EVENT_READING)
+                    .with_pair(EXPERIMENTER, MEASURED, s3, ENERGY_EVENT_READING)
+                )
+                states = {
+                    "prepared": prepared,
+                    "after_tpm_initial": state_i,
+                    "after_barrier": state_b,
+                    "after_nonselective": state_n,
+                    "after_entangle": state_e,
+                    "after_event": state_v,
+                }
+                self.branches[i][m_idx] = dict(
+                    work_reading_experimenter=ctx.kT * (s1 + s3),
+                    work_reading_reader=ctx.kT * s2,
+                    ledger=ledger,
+                    states=MappingProxyType(states),
+                )
 
-    def draw_run(
-        self, rng: np.random.Generator, stream_id: int, draw_id: int
-    ) -> SchemeRunRecord:
-        ctx = self.ctx
-        i = draw_index(self.cdf_init, float(rng.random()))
-        m = draw_index(self.cdf_event[i], float(rng.random()))
-        f = draw_index(self.cdf_final[(i, m)], float(rng.random()))
-        s1 = self.sigma_initial
-        s2 = self.sigma_event[i]
-        s3 = self.sigma_final[(i, m)]
-        ledger = (
-            EntropyLedger()
-            .with_pair(EXPERIMENTER, MEASURED, s1, ENERGY_EVENT_READING)
-            .with_pair(READER, MEASURED, s2, EVENT_READING)
-            .with_pair(EXPERIMENTER, MEASURED, s3, ENERGY_EVENT_READING)
+    def draw(self, seed: int, n: int) -> list[SchemeRunRecord]:
+        """Records of runs [0, n): three uniforms per run, one row of its stream."""
+        us, stream_id = stream_uniforms(seed, n, 3)
+        i = draw_indices(self.cdf_init, us[:, 0])
+        m = draw_rows(self.cdf_event[i], us[:, 1])
+        p_m = self.p_event[i, m]  # 0 below a pruned initial sector
+        pruned = np.flatnonzero(p_m <= self.floor)
+        if pruned.size:
+            j = pruned[0]
+            if self.p_init[i[j]] <= self.floor:
+                what, p = f"initial energy sector {i[j]}", self.p_init[i[j]]
+            else:
+                what, p = f"event outcome {m[j]} after initial sector {i[j]}", p_m[j]
+            raise SchemeConstraintError(
+                f"run {j} drew {what} with probability {p:.6g}, at or below outcome_floor "
+                f"{self.floor:g}; a pruned branch has no tabulated states"
+            )
+        f = draw_rows(self.cdf_final[i, m], us[:, 2])
+
+        e_i, e_f = self.e_init[i], self.e_fin[f]
+        columns = zip(
+            i.tolist(), e_i.tolist(), m.tolist(), f.tolist(), e_f.tolist(),
+            (e_f - e_i).tolist(), stream_id.tolist(),
         )
-        states = {
-            "prepared": self.prepared,
-            "after_tpm_initial": self.states_initial[i],
-            "after_barrier": self.states_barrier[i],
-            "after_nonselective": self.states_nsm[i],
-            "after_entangle": self.states_ent[i],
-            "after_event": self.states_event[(i, m)],
-        }
-        return SchemeRunRecord(
-            tpm_initial=(i, self.e_init[i]),
-            tpm_final=(f, self.e_fin[f]),
-            event_outcome=m,
-            work_drive=self.e_fin[f] - self.e_init[i],
-            work_reading_experimenter=ctx.kT * (s1 + s3),
-            work_reading_reader=ctx.kT * s2,
-            ledger=ledger,
-            stream_id=stream_id,
-            draw_id=draw_id,
-            states=states,
-        )
+        return [  # positional: tpm_initial, tpm_final, event_outcome, work_drive
+            SchemeRunRecord(
+                (i_j, ei_j), (f_j, ef_j), m_j, w_j, stream_id=s_j, draw_id=j,
+                **self.branches[i_j][m_j],
+            )
+            for j, (i_j, ei_j, m_j, f_j, ef_j, w_j, s_j) in enumerate(columns)
+        ]
 
 
 def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) -> SchemeResult:
@@ -626,12 +634,7 @@ def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) 
     records of a larger run equal a run of n records.
     """
     ctx = build_context(config, policy=policy)
-    tables = _BranchTables(ctx)
-
-    records: list[SchemeRunRecord] = []
-    for stream, start, count in stream_blocks(config.n_samples):
-        rng = stream_generator(config.seed, stream)
-        records.extend(tables.draw_run(rng, stream, start + k) for k in range(count))
+    records = _BranchTables(ctx).draw(config.seed, config.n_samples)
 
     sigma_totals = {
         sum((e.sigma_nats for e in r.ledger.entries if e.sigma_nats > 0.0), 0.0)
@@ -747,6 +750,10 @@ def verify_unitary_roundtrips(
     blocks = _branch_unitaries(ctx)
     pdim = ctx.config.event_pointer.pointer_dim
     site_set = ProjectorSet.basis(ctx.config.s0_dim).embedded(ctx.space, (SYSTEM,))
+    sa_space = CompositeSpace(
+        [(SYSTEM, ctx.config.s0_dim), (APPARATUS, ctx.config.nsm_pointer.pointer_dim)]
+    )
+    site_sa = ProjectorSet.basis(ctx.config.s0_dim).embedded(sa_space, (SYSTEM,))
 
     def branch_roundtrip(state_full: DensityMatrix, undo_m: list[np.ndarray]) -> float:
         """Worst branch deviation of (undone M marginal vs ready, S branch vs
@@ -764,18 +771,9 @@ def verify_unitary_roundtrips(
             worst = max(worst, float(np.max(np.abs(undone - m_ready))))
 
             s_branch = partial_trace(branch_dm, ctx.space, (SYSTEM, APPARATUS), policy=policy)
-            ref = proj_site(k, s_marg)
+            ref = collapse(s_marg, site_sa.projectors[k], policy=policy).matrix
             worst = max(worst, float(np.max(np.abs(s_branch.matrix - ref))))
         return worst
-
-    def proj_site(k: int, s_state: DensityMatrix) -> np.ndarray:
-        sp = ProjectorSet.basis(ctx.config.s0_dim).embedded(
-            CompositeSpace([(SYSTEM, ctx.config.s0_dim), (APPARATUS, ctx.config.nsm_pointer.pointer_dim)]),
-            (SYSTEM,),
-        ).projectors[k].matrix
-        ref = sp @ s_state.matrix @ sp
-        p = float(np.trace(ref).real)
-        return 0.5 * (ref + ref.conj().T) / p
 
     after_iv = apply_meter_entangling(ctx, pre_entangle)
     undo_b = [np.kron(v.conj().T, np.eye(pdim)) for v in blocks]
@@ -800,7 +798,8 @@ def verify_unitary_roundtrips(
     undone = undo_c[n0] @ m_after.matrix @ undo_c[n0].conj().T
     dev_d = float(np.max(np.abs(undone - m_ready)))
     s_after = partial_trace(collapsed, ctx.space, (SYSTEM, APPARATUS), policy=policy)
-    dev_d = max(dev_d, float(np.max(np.abs(s_after.matrix - proj_site(n0, s_marg)))))
+    ref = collapse(s_marg, site_sa.projectors[n0], policy=policy).matrix
+    dev_d = max(dev_d, float(np.max(np.abs(s_after.matrix - ref))))
 
     stages = tuple(
         StageResult(name, dev <= tol, dev)

@@ -17,9 +17,9 @@ import numpy as np
 __all__ = [
     "STREAM_BLOCK",
     "stream_generator",
-    "stream_blocks",
-    "draw_index",
+    "stream_uniforms",
     "draw_indices",
+    "draw_rows",
 ]
 
 STREAM_BLOCK = 4096
@@ -31,19 +31,20 @@ def stream_generator(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def stream_blocks(n_total: int, block: int = STREAM_BLOCK) -> list[tuple[int, int, int]]:
-    """Partition [0, n_total) into (stream_id, start, count) blocks."""
-    if n_total < 0:
-        raise ValueError(f"sample count must be nonnegative, got {n_total}")
-    out = []
-    stream = 0
-    start = 0
-    while start < n_total:
-        count = min(block, n_total - start)
-        out.append((stream, start, count))
-        stream += 1
-        start += count
-    return out
+def stream_uniforms(seed: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`k` uniforms for each of samples [0, n), and each sample's stream id.
+
+    Sample j belongs to block j // STREAM_BLOCK, drawn from the stream of
+    that number; its row holds the next k draws of the stream, exactly what
+    k scalar ``rng.random()`` calls would return to a per-sample loop.
+    """
+    us = np.empty((n, k))
+    stream_id = np.empty(n, dtype=np.int64)
+    for stream, start in enumerate(range(0, n, STREAM_BLOCK)):
+        block = slice(start, min(start + STREAM_BLOCK, n))
+        us[block] = stream_generator(seed, stream).random((block.stop - start, k))
+        stream_id[block] = stream
+    return us, stream_id
 
 
 def cdf_of(probs: np.ndarray) -> np.ndarray:
@@ -55,10 +56,16 @@ def cdf_of(probs: np.ndarray) -> np.ndarray:
 _U_FLOOR = 1e-300
 
 
-def draw_index(cdf: np.ndarray, u: float) -> int:
-    """First index whose CDF value reaches u (ties resolve to the lower index)."""
-    return int(np.searchsorted(cdf, max(u, _U_FLOOR), side="left"))
-
-
-def draw_indices(cdf: np.ndarray, us: np.ndarray) -> np.ndarray:
+def draw_indices(cdf: np.ndarray, us: float | np.ndarray):
+    """First index whose CDF value reaches u (ties resolve to the lower index),
+    for a scalar u or elementwise over an array."""
     return np.searchsorted(cdf, np.maximum(us, _U_FLOOR), side="left")
+
+
+def draw_rows(cdf_rows: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """`draw_indices` with one CDF per draw: draw j searches row j for us[j].
+
+    Every row ends at 1.0 (see `cdf_of`) and each u is below 1, so the first
+    row entry reaching u exists and equals the row's sorted search.
+    """
+    return np.argmax(np.maximum(us, _U_FLOOR)[:, None] <= cdf_rows, axis=1)

@@ -409,6 +409,17 @@ class TestDomainErrors:
         assert report["error"]["type"] == "ValueError"
         assert "got 0" in report["error"]["message"]
 
+    def test_draw_on_pruned_branch_writes_failure_summary(self, tmp_path, capsys):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("policy_outcome_floor = 0.3\nsamples = 50\n")
+        out = tmp_path / "o"
+        assert main(["scheme", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "SchemeConstraintError" in capsys.readouterr().err
+        report = read_json(out / "scheme_summary.json")
+        assert report["passed"] is False
+        assert report["error"]["type"] == "SchemeConstraintError"
+        assert "initial energy sector 1" in report["error"]["message"]
+
 
 class TestReproducibility:
     def test_repeat_runs_yield_identical_bytes(self, tmp_path):

@@ -5,9 +5,10 @@ import pytest
 
 from helpers import random_unitary
 from meterwork.errors import SchemeConstraintError
-from meterwork.jarzynski import delta_F, tpm_sample
+from meterwork.jarzynski import DriveSchedule, delta_F, tpm_sample
 from meterwork.linalg import DensityMatrix, Operator, partial_trace
 from meterwork.measurement import EntropyLedger
+from meterwork.numeric import NumericPolicy
 from meterwork.scheme import (
     APPARATUS,
     EXPERIMENTER,
@@ -366,7 +367,8 @@ class TestRunScheme:
         assert [key(r) for r in longer.records[:5000]] == [key(r) for r in shorter.records]
 
     def test_records_carry_branch_states(self):
-        result = run_scheme(SchemeConfig(n_samples=3, seed=1))
+        result = run_scheme(SchemeConfig(n_samples=40, seed=1))
+        by_branch = {}
         for record in result.records:
             assert set(record.states) >= {
                 "prepared",
@@ -377,6 +379,29 @@ class TestRunScheme:
                 "after_event",
             }
             assert record.states["after_event"].dim == 64
+            branch = (record.tpm_initial[0], record.event_outcome)
+            assert by_branch.setdefault(branch, record.states) is record.states
+            with pytest.raises(TypeError):
+                record.states["final"] = record.states["prepared"]
+        assert len(by_branch) > 1
+
+    @pytest.mark.parametrize(
+        "tilt, message",
+        [
+            # p_init = 0.881 / 0.119: sector 1 is pruned but keeps its CDF width
+            (0.0, r"run 3 drew initial energy sector 1 with probability 0\.119.* 0\.3;"),
+            # a tilted constant drive leaves site populations 0.243 / 0.757 after sector 0
+            (0.6, r"run 0 drew event outcome 0 after initial sector 0 with probability 0\.2427"),
+        ],
+    )
+    def test_draw_on_pruned_branch_names_it(self, tilt, message):
+        schedule = None
+        if tilt:
+            h = np.array([[tilt, -1.0], [-1.0, -tilt]], dtype=complex)
+            schedule = DriveSchedule.linear(lambda lam: Operator(h, hermitian=True), 1.0, 1)
+        config = SchemeConfig(n_samples=50, seed=0, barrier_schedule=schedule)
+        with pytest.raises(SchemeConstraintError, match=message):
+            run_scheme(config, policy=NumericPolicy(outcome_floor=0.3))
 
 
 class TestRoundTrips:
