@@ -2,12 +2,15 @@
 
 Value types (`Ket`, `Operator`, `DensityMatrix`, `CompositeSpace`,
 `ProjectorSet`) are immutable after construction and validate their
-structural invariants against a `NumericPolicy`. Density matrices may be
+structural invariants against a `NumericPolicy`. The one exception is the
+dense ``projectors`` of a `ProjectorSet` given as a basis partition, which
+are built on first access and then kept. Density matrices may be
 subnormalized: `trace_weight` is 1 for conventional ensembles and
 ``exp(-sigma)`` for ensembles redefined by an entropy production ``sigma``
 (which may be negative, so weights above 1 are legal).
 
-Operations are pure functions; nothing here mutates shared state, so all
+Operations are pure functions. Apart from that cache nothing here mutates
+shared state, and threads racing to fill it build equal projectors, so all
 values are safe to share across threads.
 """
 
@@ -64,6 +67,34 @@ def _index_support(m: np.ndarray) -> np.ndarray | None:
     if not np.all(support | (d == 0)):
         return None
     return support
+
+
+def _lowest_eigenvalue(m: np.ndarray) -> float:
+    """Lowest eigenvalue of a hermitian m, or of its support block.
+
+    The support is the set of indices whose row or column holds an entry
+    != 0. The rows and columns outside it are exactly zero and add only
+    0 eigenvalues, so a negative lowest eigenvalue of m is that of the
+    block, and a matrix with no support has 0 as its lowest eigenvalue.
+    """
+    nonzero = m != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    if support.size == m.shape[0]:
+        return float(np.min(np.linalg.eigvalsh(m)))
+    if support.size == 0:
+        return 0.0
+    return float(np.min(np.linalg.eigvalsh(m[np.ix_(support, support)])))
+
+
+def _permutation_of(u: np.ndarray) -> np.ndarray | None:
+    """perm with u[i, perm[i]] == 1 when the square matrix u holds exactly
+    one nonzero per row and per column and each of them is exactly 1, or
+    None for any other matrix."""
+    rows, cols = np.nonzero(u)  # in row-major order
+    one_per_row = np.array_equal(rows, np.arange(u.shape[0]))
+    if one_per_row and np.all(u[rows, cols] == 1) and np.array_equal(np.sort(cols), rows):
+        return cols
+    return None
 
 
 def _restrict(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -216,7 +247,7 @@ class DensityMatrix:
         dev = _max_abs(m - m.conj().T)
         if dev > policy.hermitian_tol:
             raise ValueError(f"density matrix not hermitian: deviation {dev:.3e}")
-        lo = float(np.min(np.linalg.eigvalsh(m)))
+        lo = _lowest_eigenvalue(m)
         if lo < -policy.psd_tol:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         tr = complex(np.trace(m))
@@ -309,28 +340,38 @@ class ProjectorSet:
     basis index to the position of its projector, and dephasing, collapse
     and Born reading then work by index masking. It is None for any other
     family, such as the energy sectors of a non-diagonal Hamiltonian.
+
+    A partition may be given as its ``sector_of`` integer array in place of
+    the projectors, one sector per label. Its dense ``projectors``, the 0/1
+    diagonals in sector order, are then built on first access and kept.
     """
 
-    __slots__ = ("projectors", "labels", "dim", "sector_of")
+    __slots__ = ("_projectors", "labels", "dim", "sector_of")
 
     def __init__(
         self,
-        projectors: Sequence[Operator],
+        projectors: Sequence[Operator] | np.ndarray,
         labels: Sequence | None = None,
         *,
         policy: NumericPolicy = DEFAULT_POLICY,
     ):
-        projs = tuple(projectors)
-        if not projs:
-            raise ValueError("projector set cannot be empty")
-        dim = projs[0].dim
-        for p in projs:
-            if p.dim != dim:
-                raise ValueError("projectors have mismatched dimensions")
-            if p.projector is not True:
-                # revalidate unflagged input rather than trusting the caller
-                Operator(p.matrix, projector=True, policy=policy)
-        sector_of = _partition_of(projs)
+        if isinstance(projectors, np.ndarray):
+            projs = None
+            sector_of = _checked_sector_of(projectors, labels)
+            dim = sector_of.size
+            n = len(labels) if labels is not None else int(sector_of.max()) + 1
+        else:
+            projs = tuple(projectors)
+            if not projs:
+                raise ValueError("projector set cannot be empty")
+            dim, n = projs[0].dim, len(projs)
+            for p in projs:
+                if p.dim != dim:
+                    raise ValueError("projectors have mismatched dimensions")
+                if p.projector is not True:
+                    # revalidate unflagged input rather than trusting the caller
+                    Operator(p.matrix, projector=True, policy=policy)
+            sector_of = _partition_of(projs)
         if sector_of is None:
             total = sum(p.matrix for p in projs)
             dev = _max_abs(total - np.eye(dim))
@@ -339,36 +380,34 @@ class ProjectorSet:
         if dev > policy.completeness_tol:
             raise ValueError(f"projectors do not sum to identity: deviation {dev:.3e}")
         if labels is None:
-            labels = tuple(range(len(projs)))
+            labels = tuple(range(n))
         else:
             labels = tuple(labels)
-            if len(labels) != len(projs):
+            if len(labels) != n:
                 raise ValueError("label count does not match projector count")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"outcome labels must be unique, got {labels}")
-        self.projectors = projs
+        self._projectors = projs
         self.labels = labels
         self.dim = dim
         self.sector_of = sector_of
 
+    @property
+    def projectors(self) -> tuple[Operator, ...]:
+        if self._projectors is None:
+            self._projectors = tuple(
+                Operator(np.diag((self.sector_of == k).astype(complex)), projector=True)
+                for k in range(len(self.labels))
+            )
+        return self._projectors
+
     @classmethod
     def basis(cls, dim: int, labels: Sequence | None = None) -> "ProjectorSet":
         """Rank-1 projectors onto the computational basis states, in index order."""
-        return cls._from_sector_of(np.arange(dim), dim, labels)
-
-    @classmethod
-    def _from_sector_of(
-        cls, sector_of: np.ndarray, n: int, labels: Sequence | None
-    ) -> "ProjectorSet":
-        """Projector k is the 0/1 diagonal on the indices i with sector_of[i] == k."""
-        projs = [
-            Operator(np.diag((sector_of == k).astype(complex)), projector=True)
-            for k in range(n)
-        ]
-        return cls(projs, labels)
+        return cls(np.arange(dim), labels)
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self.labels)
 
     def embedded(self, space: CompositeSpace, acting_on: Sequence[str]) -> "ProjectorSet":
         """Lift every projector onto `space` acting on the named factors."""
@@ -376,11 +415,26 @@ class ProjectorSet:
             lifted = [embed_operator(p, space, acting_on) for p in self.projectors]
             return ProjectorSet(lifted, self.labels)
         rest_dim, perm = _embedding(space, acting_on, self.dim)
-        lifted_sector_of = np.repeat(self.sector_of, rest_dim)[perm]
-        return self._from_sector_of(lifted_sector_of, len(self), self.labels)
+        return ProjectorSet(np.repeat(self.sector_of, rest_dim)[perm], self.labels)
 
     def __repr__(self) -> str:
-        return f"ProjectorSet(n={len(self.projectors)}, dim={self.dim})"
+        return f"ProjectorSet(n={len(self)}, dim={self.dim})"
+
+
+def _checked_sector_of(sector_of: np.ndarray, labels: Sequence | None) -> np.ndarray:
+    """Read-only copy of a sector index array, checked to name sectors
+    0 .. len(labels) - 1 (any non-negative sectors without labels)."""
+    if sector_of.ndim != 1 or not np.issubdtype(sector_of.dtype, np.integer):
+        raise ValueError(
+            f"sector_of must be a 1-D integer array, got {sector_of.dtype} {sector_of.shape}"
+        )
+    if sector_of.size == 0:
+        raise ValueError("projector set cannot be empty")
+    if sector_of.min() < 0 or (labels is not None and sector_of.max() >= len(labels)):
+        raise ValueError("sector_of names a sector outside the label range")
+    out = sector_of.copy()
+    out.setflags(write=False)
+    return out
 
 
 def _partition_of(projs: Sequence[Operator]) -> np.ndarray | None:
@@ -489,8 +543,17 @@ def conjugate(
 
     Trace drift is asserted against the preservation tolerance and then
     snapped away, so long conjugation chains keep their weight exactly.
+    A permutation matrix (one entry exactly 1 per row and column, the rest
+    0) conjugates by gathering rows and columns, with the same bits as the
+    matrix products.
     """
-    m = u @ state.matrix @ u.conj().T
+    perm = _permutation_of(u) if u.shape == state.matrix.shape else None
+    if perm is None:
+        m = u @ state.matrix @ u.conj().T
+    else:
+        # the one product term per entry is copied exactly; adding +0.0
+        # turns -0.0 parts into +0.0 as the zero-initialized matmul sums do
+        m = state.matrix[np.ix_(perm, perm)] + 0.0
     m = 0.5 * (m + m.conj().T)
     tr = float(np.trace(m).real)
     if abs(tr - state.trace_weight) > policy.preservation_tol:

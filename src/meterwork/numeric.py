@@ -5,14 +5,17 @@ Internal units are hbar = k_B = 1 throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class NumericPolicy:
     """Tolerances used by structural invariants.
 
-    All comparisons are absolute (max-entry or scalar) unless noted.
+    All comparisons are absolute (max-entry or scalar) unless noted. Every
+    field is checked at construction: tolerances are finite and >= 0,
+    ``outcome_floor`` lies in [0, 1) and ``max_dim`` is at least 1.
     """
 
     hermitian_tol: float = 1e-12      # max |M - M^dag| entry
@@ -29,6 +32,18 @@ class NumericPolicy:
     marginal_tol: float = 1e-12       # marginal-invariance checks in the scheme
     outcome_floor: float = 1e-14      # probability below which an outcome counts as absent
     max_dim: int = 4096               # desk-scale total dimension budget
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "outcome_floor":
+                ok, bound = 0.0 <= value < 1.0, "lie in [0, 1)"
+            elif f.name == "max_dim":
+                ok, bound = value >= 1, "be at least 1"
+            else:
+                ok, bound = math.isfinite(value) and value >= 0.0, "be finite and >= 0"
+            if not ok:
+                raise ValueError(f"NumericPolicy.{f.name} must {bound}, got {value!r}")
 
 
 DEFAULT_POLICY = NumericPolicy()

@@ -80,3 +80,17 @@ def dense_collapse(rho: np.ndarray, projector: Operator) -> np.ndarray:
 def dense_born(rho: DensityMatrix, projectors) -> np.ndarray:
     raw = np.array([float(np.trace(p.matrix @ rho.matrix).real) for p in projectors])
     return np.clip(raw, 0.0, None) / rho.trace_weight
+
+
+def dense_conjugate(rho: DensityMatrix, u: np.ndarray) -> np.ndarray:
+    """u rho u^dag by matrix products, hermitized and snapped to the weight."""
+    m = u @ rho.matrix @ u.conj().T
+    m = 0.5 * (m + m.conj().T)
+    m *= rho.trace_weight / float(np.trace(m).real)
+    return m
+
+
+def dense_lowest_eigenvalue(m: np.ndarray) -> float:
+    """Lowest eigenvalue of the full matrix, which the support-block PSD
+    check must give the same verdict as."""
+    return float(np.min(np.linalg.eigvalsh(m)))

@@ -420,6 +420,19 @@ class TestDomainErrors:
         assert report["error"]["type"] == "SchemeConstraintError"
         assert "initial energy sector 1" in report["error"]["message"]
 
+    def test_negative_outcome_floor_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("policy_outcome_floor = -1\neigenstate_prep = true\nsamples = 50\n")
+        out = tmp_path / "o"
+        assert main(["scheme", "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "outcome_floor must lie in [0, 1), got -1" in err
+        assert "LinAlgError" not in err
+        report = read_json(out / "scheme_summary.json")
+        assert report["passed"] is False
+        assert report["error"]["type"] == "ValueError"
+        assert "outcome_floor must lie in [0, 1), got -1" in report["error"]["message"]
+
 
 class TestReproducibility:
     def test_repeat_runs_yield_identical_bytes(self, tmp_path):

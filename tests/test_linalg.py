@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     dense_collapse,
+    dense_conjugate,
+    dense_lowest_eigenvalue,
     index_partition,
     random_density,
     random_hermitian,
@@ -21,7 +23,9 @@ from meterwork.linalg import (
     Ket,
     Operator,
     ProjectorSet,
+    _permutation_of,
     collapse,
+    conjugate,
     embed_operator,
     evolve,
     expectation,
@@ -29,7 +33,8 @@ from meterwork.linalg import (
     tensor,
     tensor_kets,
 )
-from meterwork.numeric import NumericPolicy
+from meterwork.numeric import DEFAULT_POLICY, NumericPolicy
+from meterwork.scheme import SchemeConfig, build_context
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -47,6 +52,14 @@ class TestKet:
         k = Ket.basis(2, 0)
         with pytest.raises(ValueError):
             k.amplitudes[0] = 0.0
+
+
+def _forced(**fields) -> NumericPolicy:
+    """A policy with the given fields set without NumericPolicy's checks."""
+    policy = NumericPolicy()
+    for name, value in fields.items():
+        object.__setattr__(policy, name, value)
+    return policy
 
 
 class TestOperatorFlags:
@@ -72,14 +85,15 @@ class TestOperatorFlags:
     )
     def test_diagonal_deviations_are_the_dense_ones(self, diagonal):
         m = np.diag(np.asarray(diagonal, dtype=complex))
-        # negative tolerances make every check fail and report its deviation
+        # negative tolerances make every check fail and report its deviation;
+        # NumericPolicy rejects them, so they are set past its validation
         cases = (
-            ("hermitian", m - m.conj().T, {"hermitian": True}, NumericPolicy(hermitian_tol=-1.0)),
+            ("hermitian", m - m.conj().T, {"hermitian": True}, _forced(hermitian_tol=-1.0)),
             (
                 "projector",
                 m @ m - m,
                 {"projector": True},
-                NumericPolicy(hermitian_tol=1.0, projector_tol=-1.0),
+                _forced(hermitian_tol=1.0, projector_tol=-1.0),
             ),
         )
         for name, residual, flags, policy in cases:
@@ -113,6 +127,122 @@ class TestDensityMatrix:
     def test_overweight_allowed_for_redefined_ensembles(self):
         rho = DensityMatrix(np.diag([0.5, 0.5])).scaled(math.e)
         assert rho.trace_weight == pytest.approx(math.e, abs=1e-15)
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 33))
+    def test_support_block_verdict_is_the_full_matrix_one(self, seed, dim):
+        gen = np.random.default_rng(seed)
+        tol = DEFAULT_POLICY.psd_tol
+        for kind in ("density", "rank-one", "hermitian", "shifted"):
+            k = int(gen.integers(1, dim + 1))
+            if kind == "density":
+                block = random_density(gen, k).matrix
+            elif kind == "rank-one":
+                block = random_density(gen, k, rank=1).matrix
+            elif kind == "hermitian":
+                block = random_hermitian(gen, k)
+            else:  # lowest eigenvalue on either side of the -psd_tol floor
+                w, v = np.linalg.eigh(random_density(gen, k).matrix)
+                w = w - w[0] - tol * gen.choice([0.5, 0.9, 1.1, 2.0])
+                block = (v * w) @ v.conj().T
+                block = 0.5 * (block + block.conj().T)
+            # the block on k random indices, zero rows and columns elsewhere
+            m = np.zeros((dim, dim), dtype=complex)
+            at = gen.choice(dim, size=k, replace=False)
+            m[np.ix_(at, at)] = block
+            if gen.random() < 0.5:
+                m = m.real.astype(complex)
+            parts = m.view(float)
+            parts[(parts == 0.0) & (gen.random(parts.shape) < 0.5)] = -0.0
+            try:
+                DensityMatrix(m)
+            except ValueError as exc:  # a later check may still fail
+                rejected = "negative eigenvalue" in str(exc)
+            else:
+                rejected = False
+            assert rejected == (dense_lowest_eigenvalue(m) < -tol)
+
+    def test_negative_eigenvalue_inside_support_rejected(self):
+        m = np.zeros((5, 5), dtype=complex)
+        m[np.ix_([1, 3], [1, 3])] = [[0.5, 0.7], [0.7, 0.5]]
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-01"):
+            DensityMatrix(m)
+
+    def test_zero_row_with_entry_in_its_column_stays_in_support(self):
+        # row 0 is zero; column 0 holds 1e-13 below the diagonal (hermitian
+        # within tolerance), which the lower-triangle eigensolver reads
+        m = np.zeros((4, 4), dtype=complex)
+        m[3, 3] = 1.0
+        m[2, 0] = 1e-13
+        strict = NumericPolicy(psd_tol=1e-14)
+        assert dense_lowest_eigenvalue(m) < -strict.psd_tol
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-13"):
+            DensityMatrix(m, policy=strict)
+
+    @pytest.mark.parametrize(
+        "fill, error, message",
+        [
+            (0.0, ValueError, "trace_weight must be positive and finite, got 0.0"),
+            (np.nan, np.linalg.LinAlgError, "Eigenvalues did not converge"),
+        ],
+    )
+    def test_all_zero_and_nan_matrices_fail_as_before(self, fill, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            DensityMatrix(np.full((3, 3), fill, dtype=complex))
+        assert type(info.value) is error
+
+
+class TestConjugate:
+    @pytest.fixture(scope="class")
+    def scheme_ctx(self):
+        return build_context(SchemeConfig(n_samples=1))
+
+    @pytest.mark.parametrize("name", ["nsm_unitary", "entangler_full", "event_unitary"])
+    def test_scheme_permutations_match_products_bitwise(self, scheme_ctx, name, rng):
+        u = getattr(scheme_ctx, name)
+        assert _permutation_of(u) is not None
+        for _ in range(5):
+            rho = state_with_signed_zeros(rng, u.shape[0])
+            assert conjugate(rho, u).matrix.tobytes() == dense_conjugate(rho, u).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 64))
+    def test_random_permutations_match_products_bitwise(self, seed, dim):
+        gen = np.random.default_rng(seed)
+        u = np.eye(dim)[gen.permutation(dim)]
+        for u in (u, u.astype(complex)):
+            rho = state_with_signed_zeros(gen, dim)
+            assert conjugate(rho, u).matrix.tobytes() == dense_conjugate(rho, u).tobytes()
+
+    @pytest.mark.parametrize(
+        "entries, unitary",
+        [
+            ({(0, 2): 1.0}, False),  # a second 1 in row 0
+            ({(0, 1): 0.0}, False),  # a zero row
+            ({(1, 0): 0.0, (1, 2): 1.0}, False),  # rows 1 and 3 pick column 2
+            ({(2, 3): -1.0}, True),
+            ({(2, 3): 1j}, True),
+        ],
+    )
+    def test_other_matrices_take_the_dense_path(self, entries, unitary, rng):
+        u = np.eye(4, dtype=complex)[[1, 0, 3, 2]]
+        for at, value in entries.items():
+            u[at] = value
+        assert _permutation_of(u) is None
+        if unitary:
+            rho = state_with_signed_zeros(rng, 4)
+            assert conjugate(rho, u).matrix.tobytes() == dense_conjugate(rho, u).tobytes()
+
+    def test_barrier_unitary_takes_the_dense_path(self, scheme_ctx, rng):
+        u = scheme_ctx.barrier_unitary
+        assert _permutation_of(u) is None
+        rho = state_with_signed_zeros(rng, u.shape[0])
+        assert conjugate(rho, u).matrix.tobytes() == dense_conjugate(rho, u).tobytes()
+
+    def test_trace_check_kept_on_the_permutation_path(self):
+        rho = DensityMatrix(np.diag([0.25, 0.75]))
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        tight = _forced(preservation_tol=-1.0)
+        with pytest.raises(NumericalConsistencyError, match="conjugation broke the trace"):
+            conjugate(rho, swap, policy=tight)
 
 
 class TestTensor:
@@ -324,6 +454,33 @@ class TestProjectorSet:
         p1 = Operator(np.diag([0.0, 1.0]), projector=True)
         with pytest.raises(ValueError, match="unique"):
             ProjectorSet((p0, p1), labels=("x", "x"))
+        with pytest.raises(ValueError, match="unique"):
+            ProjectorSet.basis(2, labels=("x", "x"))
+
+    def test_label_count_checked(self):
+        p0 = Operator(np.diag([1.0, 0.0]), projector=True)
+        p1 = Operator(np.diag([0.0, 1.0]), projector=True)
+        with pytest.raises(ValueError, match="label count"):
+            ProjectorSet((p0, p1), labels=("x",))
+        with pytest.raises(ValueError, match="outside the label range"):
+            ProjectorSet(np.array([0, 1, 2]), labels=("x", "y"))
+
+    @pytest.mark.parametrize("acting", [None, ("a", "b"), ("a", "c"), ("c", "a")])
+    def test_partition_projectors_built_on_first_access(self, acting):
+        space = CompositeSpace([("a", 2), ("b", 3), ("c", 2)])
+        n = 5 if acting is None else int(np.prod([space.dim_of(label) for label in acting]))
+        units = [Operator(np.diag(np.eye(n)[k]), projector=True) for k in range(n)]
+        pset = ProjectorSet.basis(n)
+        if acting is not None:
+            pset = pset.embedded(space, acting)
+            units = [embed_operator(p, space, acting) for p in units]
+        assert pset._projectors is None and len(pset) == n
+        built = pset.projectors
+        assert built is pset.projectors
+        assert len(built) == n
+        for p, unit in zip(built, units):
+            assert p.matrix.tobytes() == unit.matrix.tobytes()
+            assert p.projector is True and p.hermitian is True
 
 
     @pytest.mark.parametrize("acting", [("a", "b"), ("a", "c"), ("c", "a"), ("b",)])

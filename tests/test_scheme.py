@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import random_unitary
+from meterwork import scheme
 from meterwork.errors import SchemeConstraintError
 from meterwork.jarzynski import DriveSchedule, delta_F, tpm_sample
 from meterwork.linalg import DensityMatrix, Operator, partial_trace
-from meterwork.measurement import EntropyLedger
+from meterwork.measurement import EntropyLedger, PointerModel
 from meterwork.numeric import NumericPolicy
 from meterwork.scheme import (
     APPARATUS,
@@ -448,3 +449,49 @@ class TestConfigValidation:
     def test_sample_count_below_one_rejected(self, n):
         with pytest.raises(ValueError, match=rf"n_samples must be at least 1, got {n}"):
             SchemeConfig(n_samples=n)
+
+
+@pytest.fixture
+def contexts(monkeypatch):
+    """Every context that run_scheme builds, in order."""
+    built = []
+
+    def build_and_keep(*args, **kwargs):
+        built.append(build_context(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(scheme, "build_context", build_and_keep)
+    return built
+
+
+class TestWidePointers:
+    def test_dephase_sets_never_build_dense_projectors(self, contexts):
+        pointer = PointerModel(8)
+        run_scheme(SchemeConfig(n_samples=50, seed=3, nsm_pointer=pointer, event_pointer=pointer))
+        (ctx,) = contexts
+        run_single(ctx, stream_generator(3, 0), keep_states=False)
+        for pset in (ctx.nsm_dephase_set, ctx.event_dephase_set):
+            assert pset.sector_of is not None and pset._projectors is None
+
+    def test_dim_576_stepwise_run_is_the_first_table_record(self, contexts):
+        pointer = PointerModel(12)
+        cfg = SchemeConfig(n_samples=200, seed=5, nsm_pointer=pointer, event_pointer=pointer)
+        result = run_scheme(cfg)
+        (ctx,) = contexts
+        assert ctx.space.total_dim == 576
+        manual = run_single(ctx, stream_generator(5, 0), keep_states=False)
+
+        def key(r):
+            floats = (
+                r.tpm_initial[1],
+                r.tpm_final[1],
+                r.work_drive,
+                r.work_total,
+                r.work_reading_experimenter,
+                r.work_reading_reader,
+            )
+            entries = [(e.party, e.sigma_nats, e.cause) for e in r.ledger.entries]
+            indices = (r.tpm_initial[0], r.event_outcome, r.tpm_final[0])
+            return indices, np.array(floats).tobytes(), entries
+
+        assert key(manual) == key(result.records[0])
