@@ -53,9 +53,7 @@ from .relaxation import (
     simulate_statistical,
 )
 from .scheme import (
-    EXPERIMENTER,
-    MEASURED,
-    READER,
+    RECORD_COLUMNS,
     SchemeConfig,
     run_scheme,
     szilard_schedule,
@@ -393,25 +391,6 @@ def cmd_jarzynski(settings: dict) -> int:
     return 0 if report.passed else 1
 
 
-# scheme_records.jsonl keys, in file order, with their column types
-_RECORD_COLUMNS = {
-    "stream": np.int64,
-    "draw": np.int64,
-    "initial_sector": np.int64,
-    "initial_energy": float,
-    "event_outcome": np.int64,
-    "final_sector": np.int64,
-    "final_energy": float,
-    "work_drive": float,
-    "work_reading_experimenter": float,
-    "work_reading_reader": float,
-    "work_total": float,
-    "sigma_experimenter": float,
-    "sigma_reader": float,
-    "sigma_measured": float,
-}
-
-
 # scheme_summary.csv columns, in file order
 _SUMMARY_COLUMNS = [
     "stream",
@@ -427,38 +406,10 @@ _SUMMARY_COLUMNS = [
 ]
 
 
-def _write_records(out: Path, records) -> None:
-    """scheme_records.jsonl and scheme_summary.csv, from one pass over the records."""
-
-    def rows():
-        for r in records:
-            totals = r.ledger.totals()
-            yield (
-                r.stream_id,
-                r.draw_id,
-                r.tpm_initial[0],
-                r.tpm_initial[1],
-                r.event_outcome,
-                r.tpm_final[0],
-                r.tpm_final[1],
-                r.work_drive,
-                r.work_reading_experimenter,
-                r.work_reading_reader,
-                r.work_total,
-                totals.get(EXPERIMENTER, 0.0),
-                totals.get(READER, 0.0),
-                totals.get(MEASURED, 0.0),
-            )
-
-    table = np.fromiter(rows(), dtype=list(_RECORD_COLUMNS.items()), count=len(records))
-
-    def jsonl_row(specs):  # floats are quoted 17-digit strings
-        cells = (s if s == "%d" else f'"{s}"' for s in specs)
-        return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(_RECORD_COLUMNS, cells)) + "}\n"
-
-    with open(out / "scheme_records.jsonl", "w") as fh:
-        _write_rows(fh, jsonl_row, [table[k] for k in _RECORD_COLUMNS])
-    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, [table[k] for k in _SUMMARY_COLUMNS])
+def _jsonl_row(specs) -> str:
+    """scheme_records.jsonl row template; floats are quoted 17-digit strings."""
+    cells = (s if s == "%d" else f'"{s}"' for s in specs)
+    return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(RECORD_COLUMNS, cells)) + "}\n"
 
 
 # <W_total> - <W_drive> is 3 kT up to the rounding of two means; the bound
@@ -485,11 +436,14 @@ def cmd_scheme(settings: dict) -> int:
     result = run_scheme(config, policy=policy)
     kT = 1.0 / settings["beta"]
 
-    _write_records(out, result.records)
+    columns = result.columns
+    with open(out / "scheme_records.jsonl", "w") as fh:
+        _write_rows(fh, _jsonl_row, [columns[k] for k in RECORD_COLUMNS])
+    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, [columns[k] for k in _SUMMARY_COLUMNS])
     write_json(out / "scheme_report_original.json", result.original_report.to_dict())
     write_json(out / "scheme_report_modified.json", result.modified_report.to_dict())
 
-    n = len(result.records)
+    n = config.n_samples
     per_run = {party: total / n for party, total in result.ledger_totals.items()}
     conservation = sum(result.ledger_totals.values())
     gap_target = result.sigma_total * kT
@@ -502,9 +456,8 @@ def cmd_scheme(settings: dict) -> int:
         "ledger_conserved": ledger_ok,
     }
     if settings["eigenstate_prep"]:
-        checks["eigenstate_all_zero"] = all(
-            e.sigma_nats == 0.0 for r in result.records for e in r.ledger.entries
-        )
+        # every run produces sigma_total, the sum of its (+sigma) entries
+        checks["eigenstate_all_zero"] = result.sigma_total == 0.0
 
     roundtrips = None
     if settings["verify_appendix_b"]:

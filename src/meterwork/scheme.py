@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from types import MappingProxyType
 
@@ -94,6 +95,7 @@ __all__ = [
     "apply_event_reading",
     "run_single",
     "run_scheme",
+    "RECORD_COLUMNS",
     "SchemeRunRecord",
     "SchemeResult",
     "StageResult",
@@ -511,15 +513,50 @@ def run_single(
     )
 
 
-@dataclass(frozen=True)
+# The columns of table-drawn runs, in scheme_records.jsonl key order.
+RECORD_COLUMNS = (
+    "stream",
+    "draw",
+    "initial_sector",
+    "initial_energy",
+    "event_outcome",
+    "final_sector",
+    "final_energy",
+    "work_drive",
+    "work_reading_experimenter",
+    "work_reading_reader",
+    "work_total",
+    "sigma_experimenter",
+    "sigma_reader",
+    "sigma_measured",
+)
+
+
+@dataclass(frozen=True, eq=False)
 class SchemeResult:
-    records: tuple[SchemeRunRecord, ...]
+    """Read-only `RECORD_COLUMNS` of the runs in draw order, both checks and
+    the sums; `branches` as in `_BranchTables`."""
+
+    columns: Mapping[str, np.ndarray]
     original_report: JarzynskiReport
     modified_report: JarzynskiReport
     delta_f: float
     sigma_total: float
     ledger_totals: dict[str, float]
     work_gap: float  # <work_total> - <work_drive>; the injected reading work
+    branches: list[list[dict | None]] = field(repr=False)
+
+    @cached_property
+    def records(self) -> tuple[SchemeRunRecord, ...]:
+        """Row view: one record per run; a branch's runs share its ledger and states."""
+        rows = zip(*(c.tolist() for c in self.columns.values()))  # RECORD_COLUMNS order
+        return tuple(
+            SchemeRunRecord(
+                (i, e_i), (f, e_f), m, w, w_exp, w_reader, stream_id=s, draw_id=d,
+                **self.branches[i][m],
+            )
+            for s, d, i, e_i, m, f, e_f, w, w_exp, w_reader, *_ in rows
+        )
 
 
 class _BranchTables:
@@ -527,9 +564,9 @@ class _BranchTables:
 
     Stage probabilities and collapsed states depend only on the drawn
     outcome indices, so all distinct branches are computed once with the
-    same step functions the stepwise path uses. `branches[i][m]` holds the
-    record fields shared by the runs of branch (i, m); a branch pruned by
-    `outcome_floor` keeps its CDF width but has no entry.
+    same step functions the stepwise path uses. Branch (i, m) keeps its run
+    values in `per_branch[:, i, m]` and `sigma[i, m]`, its ledger and states
+    in `branches[i][m]`; one pruned by `outcome_floor` keeps its CDF width.
     """
 
     def __init__(self, ctx: SchemeContext):
@@ -549,6 +586,10 @@ class _BranchTables:
         self.cdf_event = np.zeros((n_i, n_m))
         self.cdf_final = np.zeros((n_i, n_m, len(ctx.final_pset)))
         self.branches: list[list[dict | None]] = [[None] * n_m for _ in range(n_i)]
+        # w_exp, w_reader, then the experimenter, reader and measured ledger
+        # totals: the order of these five in RECORD_COLUMNS
+        self.per_branch = np.zeros((5, n_i, n_m))
+        self.sigma = np.zeros((n_i, n_m))
 
         for i in range(n_i):
             if self.p_init[i] <= floor:
@@ -585,15 +626,17 @@ class _BranchTables:
                     "after_entangle": state_e,
                     "after_event": state_v,
                 }
-                self.branches[i][m_idx] = dict(
-                    work_reading_experimenter=ctx.kT * (s1 + s3),
-                    work_reading_reader=ctx.kT * s2,
-                    ledger=ledger,
-                    states=MappingProxyType(states),
+                totals = ledger.totals()
+                self.per_branch[:, i, m_idx] = (
+                    ctx.kT * (s1 + s3),
+                    ctx.kT * s2,
+                    *(totals.get(party, 0.0) for party in (EXPERIMENTER, READER, MEASURED)),
                 )
+                self.sigma[i, m_idx] = sum(e.sigma_nats for e in ledger.entries if e.sigma_nats > 0)
+                self.branches[i][m_idx] = dict(ledger=ledger, states=MappingProxyType(states))
 
-    def draw(self, seed: int, n: int) -> list[SchemeRunRecord]:
-        """Records of runs [0, n): three uniforms per run, one row of its stream."""
+    def draw(self, seed: int, n: int) -> dict[str, np.ndarray]:
+        """`RECORD_COLUMNS` of runs [0, n): three uniforms per run, one row of its stream."""
         us, stream_id = stream_uniforms(seed, n, 3)
         i = draw_indices(self.cdf_init, us[:, 0])
         m = draw_rows(self.cdf_event[i], us[:, 1])
@@ -612,17 +655,15 @@ class _BranchTables:
         f = draw_rows(self.cdf_final[i, m], us[:, 2])
 
         e_i, e_f = self.e_init[i], self.e_fin[f]
-        columns = zip(
-            i.tolist(), e_i.tolist(), m.tolist(), f.tolist(), e_f.tolist(),
-            (e_f - e_i).tolist(), stream_id.tolist(),
+        w_exp, w_reader, *sigmas = (v[i, m] for v in self.per_branch)  # contiguous gathers
+        w_drive = e_f - e_i
+        w_total = w_drive + w_exp + w_reader  # left to right, as SchemeRunRecord adds
+        columns = (
+            stream_id, np.arange(n), i, e_i, m, f, e_f, w_drive, w_exp, w_reader, w_total, *sigmas
         )
-        return [  # positional: tpm_initial, tpm_final, event_outcome, work_drive
-            SchemeRunRecord(
-                (i_j, ei_j), (f_j, ef_j), m_j, w_j, stream_id=s_j, draw_id=j,
-                **self.branches[i_j][m_j],
-            )
-            for j, (i_j, ei_j, m_j, f_j, ef_j, w_j, s_j) in enumerate(columns)
-        ]
+        for c in columns:
+            c.flags.writeable = False
+        return dict(zip(RECORD_COLUMNS, columns))
 
 
 def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) -> SchemeResult:
@@ -634,12 +675,10 @@ def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) 
     records of a larger run equal a run of n records.
     """
     ctx = build_context(config, policy=policy)
-    records = _BranchTables(ctx).draw(config.seed, config.n_samples)
+    tables = _BranchTables(ctx)
+    columns = tables.draw(config.seed, config.n_samples)
 
-    sigma_totals = {
-        sum((e.sigma_nats for e in r.ledger.entries if e.sigma_nats > 0.0), 0.0)
-        for r in records
-    }
+    sigma_totals = set(tables.sigma[columns["initial_sector"], columns["event_outcome"]].tolist())
     if len(sigma_totals) != 1:
         raise SchemeConstraintError(
             f"entropy production differs across runs ({sorted(sigma_totals)}); "
@@ -647,26 +686,26 @@ def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) 
         )
     sigma_total = sigma_totals.pop()
 
-    drive_works = np.array([r.work_drive for r in records])
-    total_works = np.array([r.work_total for r in records])
+    drive_works, total_works = columns["work_drive"], columns["work_total"]
     original = jarzynski_equality_check(drive_works, config.beta, ctx.delta_f)
     modified = modified_jarzynski_check(
         total_works, config.beta, ctx.delta_f, sigma_total=sigma_total
     )
 
-    totals: dict[str, float] = {}
-    for r in records:
-        for party, val in r.ledger.totals().items():
-            totals[party] = totals.get(party, 0.0) + val
+    # run by run in draw order: cumsum adds in sequence, np.sum pairwise
+    totals = {
+        p: float(np.cumsum(columns[f"sigma_{p}"])[-1]) for p in (EXPERIMENTER, MEASURED, READER)
+    }
     work_gap = float(np.mean(total_works) - np.mean(drive_works))
     return SchemeResult(
-        records=tuple(records),
+        columns=MappingProxyType(columns),
         original_report=original,
         modified_report=modified,
         delta_f=ctx.delta_f,
         sigma_total=sigma_total,
         ledger_totals=totals,
         work_gap=work_gap,
+        branches=tables.branches,
     )
 
 

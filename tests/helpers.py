@@ -94,3 +94,101 @@ def dense_lowest_eigenvalue(m: np.ndarray) -> float:
     """Lowest eigenvalue of the full matrix, which the support-block PSD
     check must give the same verdict as."""
     return float(np.min(np.linalg.eigvalsh(m)))
+
+
+# Record-by-record derivation of the scheme outputs, as `meterwork scheme`
+# made them from one `SchemeRunRecord` per run: the columnar path must
+# reproduce these bytes and bits.
+
+REFERENCE_RECORD_COLUMNS = {
+    "stream": np.int64,
+    "draw": np.int64,
+    "initial_sector": np.int64,
+    "initial_energy": float,
+    "event_outcome": np.int64,
+    "final_sector": np.int64,
+    "final_energy": float,
+    "work_drive": float,
+    "work_reading_experimenter": float,
+    "work_reading_reader": float,
+    "work_total": float,
+    "sigma_experimenter": float,
+    "sigma_reader": float,
+    "sigma_measured": float,
+}
+
+REFERENCE_SUMMARY_COLUMNS = [
+    "stream",
+    "draw",
+    "initial_energy",
+    "final_energy",
+    "work_drive",
+    "work_total",
+    "event_outcome",
+    "sigma_experimenter",
+    "sigma_reader",
+    "sigma_measured",
+]
+
+
+def reference_record_table(records) -> np.ndarray:
+    """One structured row per record, calling `ledger.totals()` per record."""
+
+    def rows():
+        for r in records:
+            totals = r.ledger.totals()
+            yield (
+                r.stream_id,
+                r.draw_id,
+                r.tpm_initial[0],
+                r.tpm_initial[1],
+                r.event_outcome,
+                r.tpm_final[0],
+                r.tpm_final[1],
+                r.work_drive,
+                r.work_reading_experimenter,
+                r.work_reading_reader,
+                r.work_total,
+                totals.get("experimenter", 0.0),
+                totals.get("reader", 0.0),
+                totals.get("measured", 0.0),
+            )
+
+    dtype = list(REFERENCE_RECORD_COLUMNS.items())
+    return np.fromiter(rows(), dtype=dtype, count=len(records))
+
+
+def write_reference_records(out, records) -> None:
+    """scheme_records.jsonl and scheme_summary.csv from the record table."""
+    from meterwork.cli import _write_rows, write_csv
+
+    table = reference_record_table(records)
+
+    def jsonl_row(specs):  # floats are quoted 17-digit strings
+        cells = (s if s == "%d" else f'"{s}"' for s in specs)
+        keys = REFERENCE_RECORD_COLUMNS
+        return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(keys, cells)) + "}\n"
+
+    with open(out / "scheme_records.jsonl", "w") as fh:
+        _write_rows(fh, jsonl_row, [table[k] for k in REFERENCE_RECORD_COLUMNS])
+    columns = [table[k] for k in REFERENCE_SUMMARY_COLUMNS]
+    write_csv(out / "scheme_summary.csv", REFERENCE_SUMMARY_COLUMNS, columns)
+
+
+def reference_scheme_sums(records) -> dict:
+    """sigma_total, ledger_totals and work_gap, summed record by record."""
+    sigma_totals = {
+        sum((e.sigma_nats for e in r.ledger.entries if e.sigma_nats > 0.0), 0.0)
+        for r in records
+    }
+    totals: dict[str, float] = {}
+    for r in records:
+        for party, val in r.ledger.totals().items():
+            totals[party] = totals.get(party, 0.0) + val
+    drive_works = np.array([r.work_drive for r in records])
+    total_works = np.array([r.work_total for r in records])
+    return {
+        "sigma_totals": sigma_totals,
+        "ledger_totals": totals,
+        "work_gap": float(np.mean(total_works) - np.mean(drive_works)),
+    }

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import meterwork
+from helpers import reference_scheme_sums, write_reference_records
+from meterwork import cli
 from meterwork.cli import (
     load_config_file,
     main,
@@ -18,6 +20,10 @@ from meterwork.cli import (
 )
 from meterwork.jarzynski import DriveSchedule, tpm_sample
 from meterwork.linalg import Operator
+from meterwork.measurement import EntropyLedger
+from meterwork.scheme import SchemeRunRecord, run_scheme
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def read_json(path: Path) -> dict:
@@ -295,6 +301,71 @@ class TestSchemeCommand:
             "sigma_reader",
             "sigma_measured",
         ]
+
+
+@pytest.fixture
+def scheme_results(monkeypatch):
+    """Every SchemeResult that `meterwork scheme` computes, in order."""
+    results = []
+
+    def run_and_keep(*args, **kwargs):
+        results.append(run_scheme(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_scheme", run_and_keep)
+    return results
+
+
+class TestSchemeRecordColumns:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config", str(CONFIGS / "scheme_default.cfg")],
+            ["--eigenstate-prep", "--samples", "3000", "--seed", "3"],
+            ["--beta", "0.3", "--samples", "4000", "--seed", "11"],
+            ["--samples", "9000", "--seed", "13"],  # two stream blocks
+            # at kT = 1/0.7, (1.25 + 2 kT) + kT != 1.25 + (2 kT + kT)
+            ["--beta", "0.7", "--samples", "2000", "--seed", "5"],
+        ],
+    )
+    def test_outputs_equal_the_record_by_record_reference(self, tmp_path, scheme_results, argv):
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        ref.mkdir()
+        assert main(["scheme", *argv, "--output", str(out)]) == 0
+        (result,) = scheme_results
+        write_reference_records(ref, result.records)
+        for name in ("scheme_records.jsonl", "scheme_summary.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+        sums = reference_scheme_sums(result.records)
+        assert [float(result.sigma_total).hex()] == [x.hex() for x in sums["sigma_totals"]]
+        assert [(k, float(v).hex()) for k, v in result.ledger_totals.items()] == [
+            (k, v.hex()) for k, v in sums["ledger_totals"].items()
+        ]
+        assert float(result.work_gap).hex() == sums["work_gap"].hex()
+
+    def test_cmd_scheme_builds_no_records_and_sums_each_branch_ledger_once(
+        self, tmp_path, monkeypatch, scheme_results
+    ):
+        calls = {"records": 0, "totals": 0}
+        post_init, totals = SchemeRunRecord.__post_init__, EntropyLedger.totals
+
+        def counting_post_init(record):
+            calls["records"] += 1
+            post_init(record)
+
+        def counting_totals(ledger):
+            calls["totals"] += 1
+            return totals(ledger)
+
+        monkeypatch.setattr(SchemeRunRecord, "__post_init__", counting_post_init)
+        monkeypatch.setattr(EntropyLedger, "totals", counting_totals)
+        argv = ["scheme", "--config", str(CONFIGS / "scheme_default.cfg"), "--output", str(tmp_path)]
+        assert main(argv) == 0
+        # 2 initial energy sectors x 2 event outcomes, none pruned
+        assert calls == {"records": 0, "totals": 4}
+        (result,) = scheme_results
+        assert len({id(r.ledger) for r in result.records}) == 4
 
 
 class TestPolicyOverrides:

@@ -267,6 +267,37 @@ class TestEqualityCheck:
         assert report.mean_work >= df - 3 * se_w
 
 
+class TestZeroVarianceVerdicts:
+    """Deterministic works carry no statistical error, so 3 SE is 0 and only
+    the rounding of exp and of the means separates estimate from target."""
+
+    LEVELS = np.linspace(-3.0, 3.0, 300)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 20000])
+    def test_equality_passes_on_constant_work(self, n):
+        failed = [
+            c for c in self.LEVELS
+            if not jarzynski_equality_check(np.full(n, c), 1.0, c).passed
+        ]
+        assert failed == []
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 1000, 20000])
+    def test_modified_check_passes_on_constant_work(self, n):
+        reports = [
+            modified_jarzynski_check(np.full(n, c + 3.0), 1.0, c, sigma_total=3.0)
+            for c in self.LEVELS
+        ]
+        assert [c for c, r in zip(self.LEVELS, reports) if not r.passed] == []
+        assert [c for c, r in zip(self.LEVELS, reports) if not r.inequality_ok] == []
+
+    def test_rounding_floor_still_rejects_a_wrong_target(self):
+        works = np.full(1000, 0.7)
+        assert not jarzynski_equality_check(works, 1.0, 0.7 + 1e-12).passed
+        report = modified_jarzynski_check(works + 3.0, 1.0, 0.7 + 1e-12, sigma_total=3.0)
+        assert not report.passed
+        assert not report.inequality_ok
+
+
 class TestModifiedCheck:
     def test_injected_accounting_cancels(self):
         beta = 1.0

@@ -17,6 +17,7 @@ from meterwork.scheme import (
     METER,
     POINTER,
     READER,
+    RECORD_COLUMNS,
     SYSTEM,
     SchemeConfig,
     apply_barrier_drive,
@@ -277,6 +278,16 @@ class TestRunScheme:
             assert totals[MEASURED] == -3.0
             assert record.ledger.total() == 0.0
 
+    def test_cumsum_adds_run_by_run(self):
+        # run_scheme sums the per-run ledger totals with np.cumsum because it
+        # adds left to right, as a loop over the runs does; np.sum does not
+        x = np.random.default_rng(3).normal(size=10001)
+        total = 0.0
+        for v in x.tolist():
+            total += v
+        assert float(np.cumsum(x)[-1]).hex() == total.hex()
+        assert float(np.sum(x)).hex() != total.hex()
+
     def test_work_accounting_identity(self):
         result = run_scheme(SchemeConfig(n_samples=300, seed=6))
         for record in result.records:
@@ -385,6 +396,43 @@ class TestRunScheme:
             with pytest.raises(TypeError):
                 record.states["final"] = record.states["prepared"]
         assert len(by_branch) > 1
+
+    def test_entropy_production_differing_across_runs_is_rejected(self):
+        # the third site level is an energy eigenstate throughout: a run that
+        # starts there has a deterministic event and final reading and books
+        # 1 nat, every other run books 3
+        def h_at(lam):
+            j = 1.0 - lam / 2.0
+            h = np.array([[0.0, -j, 0.0], [-j, 0.0, 0.0], [0.0, 0.0, 0.5]], dtype=complex)
+            return Operator(h, hermitian=True)
+
+        config = SchemeConfig(
+            s0_dim=3,
+            meter_dim=3,
+            n_samples=200,
+            seed=1,
+            barrier_schedule=DriveSchedule.linear(h_at, 1.0, 4),
+        )
+        message = r"entropy production differs across runs \(\[1\.0, 3\.0\]\); the c-number"
+        with pytest.raises(SchemeConstraintError, match=message):
+            run_scheme(config)
+
+    def test_columns_are_read_only_and_rows_are_built_once(self):
+        result = run_scheme(SchemeConfig(n_samples=50, seed=4))
+        assert tuple(result.columns) == RECORD_COLUMNS
+        for column in result.columns.values():
+            assert column.shape == (50,) and column.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        with pytest.raises(TypeError):
+            result.columns["draw"] = result.columns["stream"]
+        assert result.records is result.records
+        ledgers = {}
+        for r in result.records:
+            assert ledgers.setdefault((r.tpm_initial[0], r.event_outcome), r.ledger) is r.ledger
+        # compared and hashed by identity: a generated __eq__ over arrays raises
+        assert result != run_scheme(SchemeConfig(n_samples=50, seed=4))
+        assert len({result, result}) == 1
 
     @pytest.mark.parametrize(
         "tilt, message",
