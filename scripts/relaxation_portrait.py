@@ -3,6 +3,7 @@
 Usage: python scripts/relaxation_portrait.py [dt] [horizon] [steps]
 """
 
+import math
 import sys
 
 import numpy as np
@@ -34,8 +35,8 @@ def main() -> None:
             f"{pois.weights[i]:10.6f} {sigma_stat[i]:11.6f} {sigma_pois[i]:11.6f}"
         )
     idx = int(np.flatnonzero(np.isclose(stat.times, dt))[0])
-    print(f"\nplateau at dt={dt}: statistical rho = {stat.weights[idx]!r} "
-          f"(exp(-1) = {np.exp(-1.0)!r}), sigma = {sigma_stat[idx]!r} nat")
+    print(f"\nplateau at dt={dt}: statistical rho = {float(stat.weights[idx])} "
+          f"(exp(-1) = {math.exp(-1.0)}), sigma = {float(sigma_stat[idx])} nat")
 
 
 if __name__ == "__main__":

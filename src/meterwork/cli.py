@@ -191,11 +191,7 @@ def _coerce(key: str, value: str, template):
     return value
 
 
-_COMMON_DEFAULTS = {
-    "seed": 0,
-    "output": "meterwork-output",
-    "format": "csv",
-}
+_COMMON_DEFAULTS = {"output": "meterwork-output"}
 
 # numeric-policy overrides, settable from config files as policy_<field>
 _POLICY_DEFAULTS = {
@@ -213,6 +209,8 @@ _DEFAULTS = {
     },
     "jarzynski": {
         **_COMMON_DEFAULTS,
+        "seed": 0,
+        "format": "csv",
         **_POLICY_DEFAULTS,
         "scenario": "commuting-quench",
         "samples": 20000,
@@ -223,6 +221,7 @@ _DEFAULTS = {
     },
     "scheme": {
         **_COMMON_DEFAULTS,
+        "seed": 0,
         **_POLICY_DEFAULTS,
         "samples": 1000,
         "beta": 1.0,
@@ -525,14 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, *, seeded: bool = True) -> None:
         p.add_argument("--config", help="flat key = value settings file")
-        p.add_argument("--seed", type=int, help="root seed (64-bit unsigned)")
+        if seeded:
+            p.add_argument("--seed", type=int, help="root seed (64-bit unsigned)")
         p.add_argument("--output", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), help="sample export format")
 
     p_rel = sub.add_parser("relaxation", help="weight and entropy trajectories")
-    common(p_rel)
+    common(p_rel, seeded=False)
     p_rel.add_argument("--dt", type=float, help="characteristic relaxation time")
     p_rel.add_argument("--horizon", type=float, help="simulated time span")
     p_rel.add_argument("--steps", type=int, help="grid steps")
@@ -542,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jar = sub.add_parser("jarzynski", help="TPM work statistics for a drive scenario")
     common(p_jar)
+    p_jar.add_argument("--format", choices=("csv", "json"), help="sample export format")
     p_jar.add_argument(
         "--scenario", choices=("constant", "commuting-quench", "driven-qubit", "custom")
     )

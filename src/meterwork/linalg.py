@@ -203,14 +203,6 @@ class Operator:
         herm = True if np.isrealobj(vals) or _max_abs(vals.imag) == 0.0 else None
         return cls(np.diag(vals.astype(complex)), hermitian=herm)
 
-    def dagger(self) -> "Operator":
-        return Operator(
-            self.matrix.conj().T,
-            hermitian=self.hermitian,
-            unitary=self.unitary,
-            projector=self.projector,
-        )
-
     def is_hermitian(self, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
         if self.hermitian is not None:
             return self.hermitian
@@ -520,7 +512,7 @@ def hermitian_propagator(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """exp(-i h duration) for hermitian h, via eigendecomposition."""
-    if h.hermitian is False or not h.is_hermitian(policy):
+    if not h.is_hermitian(policy):
         raise ValueError("generator must be hermitian")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration!r}")
@@ -609,7 +601,7 @@ def expectation(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> float:
     """tr(obs rho), asserting the imaginary residue is below tolerance."""
-    if obs.hermitian is False or not obs.is_hermitian(policy):
+    if not obs.is_hermitian(policy):
         raise ValueError("observable must be hermitian")
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {rho.dim}")

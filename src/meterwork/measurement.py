@@ -5,10 +5,10 @@ Covers the two halves of projective measurement and their bookkeeping:
 * the decoherence half -- a pointer coupled through ``-coupling * O (x) P``
   entangles with the measured observable and the sector dephasing removes
   off-sector coherence (`nonselective_measure`);
-* the informatical half -- `event_read` samples one outcome by the Born rule
-  and records the entropy production pair (+sigma to the reading side,
+* the informatical half -- `select_outcome` samples one outcome by the Born
+  rule and records the entropy production pair (+sigma to the reading side,
   -sigma to the measured side, sigma = 1 nat per generic reading, 0 for a
-  deterministic one);
+  deterministic one); `event_read` first checks that the input is dephased;
 * the ensemble redefinitions that absorb that entropy production:
   ``rho -> exp(-sigma) rho`` with observables scaled by ``exp(+sigma)``, and
   the generalized relative entropy that measures it (allowed to be negative).
@@ -51,6 +51,8 @@ __all__ = [
     "entangle_pointer",
     "nonselective_measure",
     "born_probabilities",
+    "reading_distribution",
+    "select_outcome",
     "event_read",
     "redefine_system",
     "generalized_relative_entropy",
@@ -208,7 +210,7 @@ def von_neumann_hamiltonian(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> Operator:
     """Measurement coupling -coupling * obs (x) momentum_generator."""
-    if obs.hermitian is False or not obs.is_hermitian(policy):
+    if not obs.is_hermitian(policy):
         raise ValueError("measured observable must be hermitian")
     prod = tensor(obs, model.momentum_generator, policy=policy)
     return Operator(-model.coupling * prod.matrix, hermitian=True, policy=policy)
@@ -226,7 +228,7 @@ def pointer_coupling_unitary(
     a sum of (eigenprojector (x) grid translation) blocks so each branch
     shift is an exact permutation.
     """
-    if obs.hermitian is False or not obs.is_hermitian(policy):
+    if not obs.is_hermitian(policy):
         raise ValueError("measured observable must be hermitian")
     w, v = np.linalg.eigh(obs.matrix)
     blocks: dict[int, np.ndarray] = {}
@@ -254,7 +256,7 @@ def entangle_pointer(
     localized at the grid origin and every branch shift must land on the
     grid.
     """
-    if obs.hermitian is False or not obs.is_hermitian(policy):
+    if not obs.is_hermitian(policy):
         raise ValueError("measured observable must be hermitian")
     if obs.dim != system_state.dim:
         raise ValueError(
@@ -322,10 +324,43 @@ def born_probabilities(
     return np.clip(raw, 0.0, None) / rho.trace_weight
 
 
+def reading_distribution(
+    rho: DensityMatrix,
+    outcome_projectors: ProjectorSet,
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> tuple[np.ndarray, float]:
+    """Born probabilities of a dephased state and the sigma its reading books:
+    1 nat unless at most one outcome lies above `outcome_floor`, then 0."""
+    probs = born_probabilities(rho, outcome_projectors, policy=policy)
+    sigma = 0.0 if int(np.sum(probs > policy.outcome_floor)) <= 1 else 1.0
+    return probs, sigma
+
+
 class EventReadResult(NamedTuple):
     label: object
     state: DensityMatrix
     ledger: EntropyLedger
+
+
+def select_outcome(
+    rho: DensityMatrix,
+    outcome_projectors: ProjectorSet,
+    rng: np.random.Generator,
+    ledger: EntropyLedger,
+    measured_label: str,
+    reader_label: str,
+    *,
+    cause: str = EVENT_READING,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> EventReadResult:
+    """`event_read` without its checks, for a state just dephased in the
+    outcome family: inverse-CDF draw in projector order, collapse, ledger pair."""
+    probs, sigma = reading_distribution(rho, outcome_projectors, policy=policy)
+    idx = int(draw_indices(cdf_of(probs), rng.random()))
+    state = collapse(rho, outcome_projectors.projectors[idx], policy=policy)
+    new_ledger = ledger.with_pair(reader_label, measured_label, sigma, cause)
+    return EventReadResult(outcome_projectors.labels[idx], state, new_ledger)
 
 
 def event_read(
@@ -360,17 +395,12 @@ def event_read(
         raise CoherentInputError(
             f"event reading requires a dephased input; off-sector coherence {coherence:.3e}"
         )
-    probs = born_probabilities(rho, outcome_projectors, policy=policy)
-    effective = int(np.sum(probs > policy.outcome_floor))
-    sigma = 0.0 if effective <= 1 else 1.0
-
     if isinstance(rng, (int, np.integer)):
         rng = stream_generator(int(rng), 0)
-    idx = int(draw_indices(cdf_of(probs), rng.random()))
-
-    state = collapse(rho, outcome_projectors.projectors[idx], policy=policy)
-    new_ledger = ledger.with_pair(reader_label, measured_label, sigma, cause)
-    return EventReadResult(outcome_projectors.labels[idx], state, new_ledger)
+    return select_outcome(
+        rho, outcome_projectors, rng, ledger, measured_label, reader_label,
+        cause=cause, policy=policy,
+    )
 
 
 def redefine_system(

@@ -62,10 +62,10 @@ from .measurement import (
     EVENT_READING,
     EntropyLedger,
     PointerModel,
-    born_probabilities,
-    event_read,
     nonselective_measure,
     pointer_coupling_unitary,
+    reading_distribution,
+    select_outcome,
 )
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import cdf_of, draw_indices, draw_rows, stream_generator, stream_uniforms
@@ -92,9 +92,11 @@ __all__ = [
     "apply_barrier_drive",
     "apply_nonselective_measurement",
     "apply_meter_entangling",
+    "apply_event_coupling",
     "apply_event_reading",
     "run_single",
     "run_scheme",
+    "STAGES",
     "RECORD_COLUMNS",
     "SchemeRunRecord",
     "SchemeResult",
@@ -368,15 +370,9 @@ def read_energy(
     """
     pset = ctx.initial_pset if which == "initial" else ctx.final_pset
     dephased = nonselective_measure(state, pset, policy=ctx.policy)
-    label, collapsed, ledger = event_read(
-        dephased,
-        pset,
-        rng,
-        ledger,
-        MEASURED,
-        EXPERIMENTER,
-        cause=ENERGY_EVENT_READING,
-        policy=ctx.policy,
+    label, collapsed, ledger = select_outcome(
+        dephased, pset, rng, ledger, MEASURED, EXPERIMENTER,
+        cause=ENERGY_EVENT_READING, policy=ctx.policy,
     )
     return pset.labels.index(label), float(label), collapsed, ledger
 
@@ -411,31 +407,41 @@ def apply_meter_entangling(ctx: SchemeContext, state: DensityMatrix) -> DensityM
     return out
 
 
+def apply_event_coupling(ctx: SchemeContext, state: DensityMatrix) -> DensityMatrix:
+    """Meter-pointer coupling, then dephasing in the meter (x) pointer cells.
+
+    The cells refine the meter outcomes, so the result is already dephased
+    over `meter_outcome_set` and ready for the event reading.
+    """
+    coupled = conjugate(state, ctx.event_unitary, policy=ctx.policy)
+    return dephase(coupled, ctx.event_dephase_set, policy=ctx.policy)
+
+
 def apply_event_reading(
     ctx: SchemeContext,
     state: DensityMatrix,
     rng: np.random.Generator,
     ledger: EntropyLedger,
 ) -> tuple[int, DensityMatrix, EntropyLedger]:
-    """Meter-pointer coupling, sector dephasing, then the event reading.
+    """`apply_event_coupling`, then the event reading of the meter.
 
     The meter outcome collapse propagates to the measured side through the
     correlation set up by the entangling step; the ledger gains the
     (+1, -1) nat pair unless the outcome was deterministic.
     """
-    coupled = conjugate(state, ctx.event_unitary, policy=ctx.policy)
-    dephased = dephase(coupled, ctx.event_dephase_set, policy=ctx.policy)
-    label, collapsed, ledger = event_read(
-        dephased,
-        ctx.meter_outcome_set,
-        rng,
-        ledger,
-        MEASURED,
-        READER,
-        cause=EVENT_READING,
-        policy=ctx.policy,
+    ready = apply_event_coupling(ctx, state)
+    label, collapsed, ledger = select_outcome(
+        ready, ctx.meter_outcome_set, rng, ledger, MEASURED, READER,
+        cause=EVENT_READING, policy=ctx.policy,
     )
     return int(label), collapsed, ledger
+
+
+# The keys of a run's `states`, in protocol order; table-drawn runs keep all but "final".
+STAGES = (
+    "prepared", "after_tpm_initial", "after_barrier", "after_nonselective", "after_entangle",
+    "after_event", "final",
+)
 
 
 @dataclass(frozen=True)
@@ -473,32 +479,17 @@ def run_single(
     """One full run, executed step by step (three Born draws from `rng`)."""
     ledger = EntropyLedger()
     prepared = prepare_initial_state(ctx)
-    i_idx, e_i, state, ledger = read_energy(ctx, prepared, "initial", rng, ledger)
-    after_initial = state
-    state = apply_barrier_drive(ctx, state)
-    after_barrier = state
-    state = apply_nonselective_measurement(ctx, state)
-    after_nsm = state
-    state = apply_meter_entangling(ctx, state)
-    after_ent = state
-    outcome, state, ledger = apply_event_reading(ctx, state, rng, ledger)
-    after_event = state
-    f_idx, e_f, state, ledger = read_energy(ctx, state, "final", rng, ledger)
+    i_idx, e_i, after_initial, ledger = read_energy(ctx, prepared, "initial", rng, ledger)
+    after_barrier = apply_barrier_drive(ctx, after_initial)
+    after_nsm = apply_nonselective_measurement(ctx, after_barrier)
+    after_ent = apply_meter_entangling(ctx, after_nsm)
+    outcome, after_event, ledger = apply_event_reading(ctx, after_ent, rng, ledger)
+    f_idx, e_f, final, ledger = read_energy(ctx, after_event, "final", rng, ledger)
+    states = (prepared, after_initial, after_barrier, after_nsm, after_ent, after_event, final)
 
     totals = ledger.totals()
     w_exp = ctx.kT * totals.get(EXPERIMENTER, 0.0)
     w_reader = ctx.kT * totals.get(READER, 0.0)
-    states = None
-    if keep_states:
-        states = {
-            "prepared": prepared,
-            "after_tpm_initial": after_initial,
-            "after_barrier": after_barrier,
-            "after_nonselective": after_nsm,
-            "after_entangle": after_ent,
-            "after_event": after_event,
-            "final": state,
-        }
     return SchemeRunRecord(
         tpm_initial=(i_idx, e_i),
         tpm_final=(f_idx, e_f),
@@ -509,7 +500,7 @@ def run_single(
         ledger=ledger,
         stream_id=stream_id,
         draw_id=draw_id,
-        states=states,
+        states=dict(zip(STAGES, states)) if keep_states else None,
     )
 
 
@@ -574,9 +565,8 @@ class _BranchTables:
         self.floor = floor = policy.outcome_floor
         prepared = prepare_initial_state(ctx)
         dephased0 = nonselective_measure(prepared, ctx.initial_pset, policy=policy)
-        self.p_init = born_probabilities(dephased0, ctx.initial_pset, policy=policy)
+        self.p_init, s1 = reading_distribution(dephased0, ctx.initial_pset, policy=policy)
         self.cdf_init = cdf_of(self.p_init)
-        s1 = 1.0 if int(np.sum(self.p_init > floor)) > 1 else 0.0
         self.e_init = np.array(ctx.initial_pset.labels, dtype=float)
         self.e_fin = np.array(ctx.final_pset.labels, dtype=float)
 
@@ -598,34 +588,24 @@ class _BranchTables:
             state_b = apply_barrier_drive(ctx, state_i)
             state_n = apply_nonselective_measurement(ctx, state_b)
             state_e = apply_meter_entangling(ctx, state_n)
-            coupled = conjugate(state_e, ctx.event_unitary, policy=policy)
-            ready = dephase(coupled, ctx.event_dephase_set, policy=policy)
-            q = born_probabilities(ready, ctx.meter_outcome_set, policy=policy)
+            ready = apply_event_coupling(ctx, state_e)
+            q, s2 = reading_distribution(ready, ctx.meter_outcome_set, policy=policy)
             self.p_event[i] = q
             self.cdf_event[i] = cdf_of(q)
-            s2 = 1.0 if int(np.sum(q > floor)) > 1 else 0.0
             for m_idx in range(n_m):
                 if q[m_idx] <= floor:
                     continue
                 state_v = collapse(ready, ctx.meter_outcome_set.projectors[m_idx], policy=policy)
                 deph_f = nonselective_measure(state_v, ctx.final_pset, policy=policy)
-                r = born_probabilities(deph_f, ctx.final_pset, policy=policy)
+                r, s3 = reading_distribution(deph_f, ctx.final_pset, policy=policy)
                 self.cdf_final[i, m_idx] = cdf_of(r)
-                s3 = 1.0 if int(np.sum(r > floor)) > 1 else 0.0
                 ledger = (
                     EntropyLedger()
                     .with_pair(EXPERIMENTER, MEASURED, s1, ENERGY_EVENT_READING)
                     .with_pair(READER, MEASURED, s2, EVENT_READING)
                     .with_pair(EXPERIMENTER, MEASURED, s3, ENERGY_EVENT_READING)
                 )
-                states = {
-                    "prepared": prepared,
-                    "after_tpm_initial": state_i,
-                    "after_barrier": state_b,
-                    "after_nonselective": state_n,
-                    "after_entangle": state_e,
-                    "after_event": state_v,
-                }
+                states = dict(zip(STAGES, (prepared, state_i, state_b, state_n, state_e, state_v)))
                 totals = ledger.totals()
                 self.per_branch[:, i, m_idx] = (
                     ctx.kT * (s1 + s3),
@@ -822,17 +802,7 @@ def verify_unitary_roundtrips(
     undo_c = [np.kron(v.conj().T, np.eye(pdim)) @ ctx.event_unitary_m.conj().T for v in blocks]
     dev_c = branch_roundtrip(after_v_unitary, undo_c)
 
-    dephased = dephase(after_v_unitary, ctx.event_dephase_set, policy=policy)
-    label, collapsed, ledger = event_read(
-        dephased,
-        ctx.meter_outcome_set,
-        rng,
-        ledger,
-        MEASURED,
-        READER,
-        policy=policy,
-    )
-    n0 = int(label)
+    n0, collapsed, _ = apply_event_reading(ctx, after_iv, rng, ledger)
     m_after = partial_trace(collapsed, ctx.space, (METER, POINTER), policy=policy)
     undone = undo_c[n0] @ m_after.matrix @ undo_c[n0].conj().T
     dev_d = float(np.max(np.abs(undone - m_ready)))

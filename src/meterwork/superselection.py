@@ -148,7 +148,7 @@ def energy_sectors(
     rounding scale 16 * eps * max|E| * dim. A single all-embracing sector is
     a legal result for flat spectra.
     """
-    if h.hermitian is False or not h.is_hermitian(policy):
+    if not h.is_hermitian(policy):
         raise ValueError("energy sectors need a hermitian operator")
     w, v = np.linalg.eigh(h.matrix)
     spread = float(w[-1] - w[0])

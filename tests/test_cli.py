@@ -61,6 +61,33 @@ class TestConfigFile:
         assert len(rows) - 1 in (21, 22)  # 20 steps, dt inserted if off-grid
 
 
+class TestCommandKnobs:
+    """`--format` belongs to jarzynski alone and `--seed` to the sampling
+    commands; elsewhere they would be accepted and ignored."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scheme", "--format", "json"], ["relaxation", "--format", "csv"],
+         ["relaxation", "--seed", "3"]],
+    )
+    def test_flag_without_effect_is_usage_error(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, line", [("relaxation", "seed = 3"), ("relaxation", "format = csv"),
+                          ("scheme", "format = json")],
+    )
+    def test_config_key_without_effect_is_unknown(self, command, line, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+
 class TestRelaxationCommand:
     def test_default_summary_has_statistical_plateau(self, tmp_path, capsys):
         out = tmp_path / "o"

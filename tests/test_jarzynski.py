@@ -297,6 +297,33 @@ class TestZeroVarianceVerdicts:
         assert not report.passed
         assert not report.inequality_ok
 
+    @pytest.mark.parametrize("n", [1, 2, 1000, 20000])
+    @pytest.mark.parametrize("beta", [0.3, 2.5, 5.0])
+    def test_verdicts_pass_on_constant_work_at_any_temperature(self, beta, n):
+        # exp(-beta W + sigma) and exp(-beta dF) carry rounding in proportion
+        # to their exponents, here up to |beta c| = 15
+        original = [
+            c for c in self.LEVELS
+            if not jarzynski_equality_check(np.full(n, c), beta, c).passed
+        ]
+        modified = [
+            modified_jarzynski_check(np.full(n, c + 3.0 / beta), beta, c, sigma_total=3.0)
+            for c in self.LEVELS
+        ]
+        assert original == []
+        assert [c for c, r in zip(self.LEVELS, modified) if not r.passed] == []
+        assert [c for c, r in zip(self.LEVELS, modified) if not r.inequality_ok] == []
+
+    @pytest.mark.parametrize("beta", [0.3, 5.0])
+    def test_scaled_rounding_floor_still_rejects_a_wrong_target(self, beta):
+        works = np.full(1000, 3.0)
+        assert not jarzynski_equality_check(works, beta, 3.0 + 1e-12).passed
+        report = modified_jarzynski_check(
+            works + 3.0 / beta, beta, 3.0 + 1e-12, sigma_total=3.0
+        )
+        assert not report.passed
+        assert not report.inequality_ok
+
 
 class TestModifiedCheck:
     def test_injected_accounting_cancels(self):

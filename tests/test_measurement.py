@@ -34,11 +34,14 @@ from meterwork.measurement import (
     nonselective_measure,
     phase_equivalence_trigger,
     pointer_coupling_unitary,
+    reading_distribution,
     redefine_system,
+    select_outcome,
     statistical_relaxation_truncation,
     von_neumann_hamiltonian,
     work_event_reading,
 )
+from meterwork.numeric import NumericPolicy
 from meterwork.streams import stream_generator
 
 
@@ -257,6 +260,42 @@ class TestEventRead:
         a = event_read(rho, z_projector_set(), 42, EntropyLedger(), "m", "r")
         b = event_read(rho, z_projector_set(), 42, EntropyLedger(), "m", "r")
         assert a.label == b.label
+
+
+class TestReadingDistribution:
+    @pytest.mark.parametrize(
+        "diag, sigma",
+        [
+            ([1.0, 0.0, 0.0], 0.0),
+            ([0.75, 0.25, 0.0], 0.0),  # an outcome exactly at the floor is absent
+            ([0.5, 0.25, 0.25], 0.0),
+            ([0.5, 0.5, 0.0], 1.0),
+            ([0.25, 0.5, 0.25], 0.0),
+            ([0.5, 0.3, 0.2], 1.0),
+        ],
+    )
+    def test_sigma_counts_outcomes_above_the_floor(self, diag, sigma):
+        policy = NumericPolicy(outcome_floor=0.25)
+        rho = DensityMatrix(np.diag(diag), policy=policy)
+        pset = z_projector_set(3)
+        probs, got = reading_distribution(rho, pset, policy=policy)
+        assert got == sigma
+        assert probs.tobytes() == born_probabilities(rho, pset, policy=policy).tobytes()
+
+    def test_generic_distribution_books_one_nat(self):
+        _, sigma = reading_distribution(DensityMatrix(np.diag([0.3, 0.7])), z_projector_set())
+        assert sigma == 1.0
+
+    def test_event_read_is_the_checked_selection_step(self, rng):
+        pset = z_projector_set(3)
+        dephased = nonselective_measure(random_density(rng, 3), pset)
+        checked = event_read(dephased, pset, 11, EntropyLedger(), "m", "r")
+        unchecked = select_outcome(
+            dephased, pset, stream_generator(11, 0), EntropyLedger(), "m", "r"
+        )
+        assert checked.label == unchecked.label
+        assert checked.state.matrix.tobytes() == unchecked.state.matrix.tobytes()
+        assert checked.ledger == unchecked.ledger
 
 
 class TestEntropyLedger:

@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import random_unitary
-from meterwork import scheme
+from meterwork import scheme, superselection
 from meterwork.errors import SchemeConstraintError
 from meterwork.jarzynski import DriveSchedule, delta_F, tpm_sample
 from meterwork.linalg import DensityMatrix, Operator, partial_trace
@@ -21,6 +22,7 @@ from meterwork.scheme import (
     SYSTEM,
     SchemeConfig,
     apply_barrier_drive,
+    apply_event_coupling,
     apply_event_reading,
     apply_meter_entangling,
     apply_nonselective_measurement,
@@ -36,7 +38,7 @@ from meterwork.scheme import (
     verify_unitary_roundtrips,
 )
 from meterwork.streams import stream_generator
-from meterwork.superselection import energy_sectors
+from meterwork.superselection import dephase, energy_sectors
 
 
 @pytest.fixture(scope="module")
@@ -543,3 +545,60 @@ class TestWidePointers:
             return indices, np.array(floats).tobytes(), entries
 
         assert key(manual) == key(result.records[0])
+
+
+@pytest.fixture
+def dephase_calls(monkeypatch):
+    """Every call of `superselection.dephase`, from whichever module bound it."""
+    calls = []
+    original = superselection.dephase
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("meterwork") and getattr(module, "dephase", None) is original:
+            monkeypatch.setattr(module, "dephase", counted)
+    return calls
+
+
+_WIDE = PointerModel(8)
+
+
+class TestOneReadingPath:
+    def test_stepwise_run_dephases_each_reading_once(self, dephase_calls):
+        ctx = build_context(SchemeConfig(nsm_pointer=_WIDE, event_pointer=_WIDE))
+        dephase_calls.clear()
+        run_single(ctx, stream_generator(7, 0), keep_states=False)
+        # two energy readings, the site-cell and the meter-cell dephase
+        assert len(dephase_calls) == 4
+
+    def test_roundtrip_replay_dephases_each_reading_once(self, dephase_calls):
+        verify_unitary_roundtrips(SchemeConfig(nsm_pointer=_WIDE, event_pointer=_WIDE), 7)
+        assert len(dephase_calls) == 3
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SchemeConfig(),
+            SchemeConfig(nsm_pointer=_WIDE, event_pointer=_WIDE),
+            SchemeConfig(eigenstate_prep=True),
+        ],
+        ids=["default", "pointer-8", "eigenstate-prep"],
+    )
+    def test_event_coupling_is_dephased_in_the_meter_outcomes(self, cfg):
+        # the event reading draws on this state without re-checking it
+        ctx = build_context(cfg)
+        tables = scheme._BranchTables(ctx)
+        entangled = {
+            id(b["states"]["after_entangle"]): b["states"]["after_entangle"]
+            for row in tables.branches
+            for b in row
+            if b is not None
+        }
+        assert entangled
+        for state in entangled.values():
+            ready = apply_event_coupling(ctx, state)
+            again = dephase(ready, ctx.meter_outcome_set, policy=ctx.policy)
+            assert ready.matrix.tobytes() == again.matrix.tobytes()
