@@ -104,11 +104,25 @@ _ROWS_PER_BLOCK = 1024
 
 def _cells(column: np.ndarray) -> tuple[str, list]:
     """Format spec and Python values for one block of one column:
-    %d for integers, %.17g for floats."""
+    %d for integers, %.17g for floats.
+
+    A float block with at most half of its values distinct (bit patterns,
+    so -0.0 and 0.0 and NaN payloads stay apart) renders each distinct
+    value once and returns the texts; on a block of mostly distinct values
+    that dedupe costs more than it saves.
+    """
     kind = column.dtype.kind
     if kind in "iu":
         return "%d", column.tolist()
     if kind == "f":
+        bits = column.view(f"i{column.itemsize}")
+        ordered = np.sort(bits)
+        first = np.ones(bits.size, dtype=bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        distinct = ordered[first]
+        if 2 * distinct.size <= bits.size:
+            text = np.array([f17(x) for x in distinct.view(column.dtype).tolist()], dtype=object)
+            return "%s", text[np.searchsorted(distinct, bits)].tolist()
         return "%.17g", column.tolist()
     raise TypeError(f"cannot write a column of dtype {column.dtype}")
 
@@ -579,6 +593,7 @@ _COMMANDS = {
 
 
 _DOMAIN_ERRORS = (
+    ArithmeticError,
     CapacityError,
     CoherentInputError,
     CommensurabilityError,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -137,9 +138,16 @@ class DriveSchedule:
         ]
 
     def total_propagator(self) -> np.ndarray:
+        """Product of the step propagators, later steps to the left; built
+        on the first call and returned read-only from then on."""
+        return self._total_propagator
+
+    @cached_property
+    def _total_propagator(self) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)
         for step in self.step_propagators():
             u = step @ u
+        u.setflags(write=False)
         return u
 
 
@@ -218,6 +226,14 @@ class JarzynskiReport:
         return out
 
 
+def _check_beta(beta: float, *, zero_ok: bool = False) -> None:
+    """Raise ValueError unless beta is finite and positive (or zero, where
+    `zero_ok`: the infinite-temperature limit)."""
+    if not (math.isfinite(beta) and (beta > 0.0 or (zero_ok and beta == 0.0))):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"beta must be {sign} and finite, got {beta!r}")
+
+
 def thermal_state(
     h: Operator,
     beta: float,
@@ -227,8 +243,7 @@ def thermal_state(
     """Gibbs state exp(-beta h)/Z."""
     if not h.is_hermitian(policy):
         raise ValueError("thermal state needs a hermitian hamiltonian")
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    _check_beta(beta, zero_ok=True)
 
     def gibbs_weights(w: np.ndarray) -> np.ndarray:
         weights = np.exp(-beta * (w - w.min()))
@@ -264,8 +279,7 @@ def _log_partition(h: Operator, beta: float) -> float:
 
 def delta_F(h_initial: Operator, h_final: Operator, beta: float) -> float:
     """Equilibrium free-energy difference -(1/beta) ln(Z_final / Z_initial)."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    _check_beta(beta)
     for h in (h_initial, h_final):
         if not h.is_hermitian():
             raise ValueError("free energy needs hermitian hamiltonians")
@@ -317,8 +331,7 @@ def tpm_sample(
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    _check_beta(beta, zero_ok=True)
     init, fin, p_init, cond = _sector_tables(schedule, beta, policy=policy)
     e_init = np.array([s.energy for s in init])
     e_fin = np.array([s.energy for s in fin])
@@ -350,8 +363,7 @@ def jarzynski_exact(
     which unitarity collapses to exp(-beta dF) up to rounding for any step
     count.
     """
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    _check_beta(beta, zero_ok=True)
     init = energy_sectors(schedule.initial_hamiltonian(), policy=policy)
     fin = energy_sectors(schedule.final_hamiltonian(), policy=policy)
     log_z0 = _log_partition(schedule.initial_hamiltonian(), beta)
@@ -383,8 +395,7 @@ def jarzynski_time_ordered(
     left, and traces against the initial thermal state. Independent of
     `jarzynski_exact` as a code path; the two agree to rounding.
     """
-    if beta < 0.0:
-        raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    _check_beta(beta, zero_ok=True)
     n = schedule.n_steps
     dim = schedule.dim
     cumulative = [np.eye(dim, dtype=complex)]
@@ -474,8 +485,7 @@ def modified_jarzynski_check(
     """
     if not len(samples):
         raise ValueError("cannot check the equality on an empty sample set")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    _check_beta(beta)
     works = _works_array(samples)
     mean, se, exact, passed = _equality_verdict(-beta * works + sigma_total, beta, delta_f)
     mean_work, se_work = _mean_and_se(works)

@@ -149,6 +149,32 @@ class Ket:
         return f"Ket(dim={self.dim})"
 
 
+def _check_flags(
+    m: np.ndarray,
+    hermitian: bool | None,
+    unitary: bool | None,
+    projector: bool | None,
+    policy: NumericPolicy,
+) -> None:
+    """Raise ValueError unless m has each structure flagged True, within
+    the policy's tolerances. A projector flag needs the hermitian one."""
+    # On a diagonal matrix the off-diagonal entries of m - m^dag and of
+    # m @ m - m are zero, so both deviations are read off the diagonal.
+    d = np.diagonal(m) if hermitian is True and _is_diagonal(m) else None
+    if hermitian is True:
+        dev = _max_abs(m - m.conj().T) if d is None else _max_abs(d - d.conj())
+        if dev > policy.hermitian_tol:
+            raise ValueError(f"hermitian assertion fails by {dev:.3e}")
+    if unitary is True:
+        dev = _max_abs(m.conj().T @ m - np.eye(m.shape[0]))
+        if dev > policy.unitary_tol:
+            raise ValueError(f"unitary assertion fails by {dev:.3e}")
+    if projector is True:
+        dev = _max_abs(m @ m - m) if d is None else _max_abs(d * d - d)
+        if dev > policy.projector_tol:
+            raise ValueError(f"projector assertion fails by {dev:.3e}")
+
+
 class Operator:
     """Dense operator with tri-state structure flags.
 
@@ -171,21 +197,7 @@ class Operator:
         m = _as_square(matrix).copy()
         if projector is True:
             hermitian = True
-        # On a diagonal matrix the off-diagonal entries of m - m^dag and of
-        # m @ m - m are zero, so both deviations are read off the diagonal.
-        d = np.diagonal(m) if hermitian is True and _is_diagonal(m) else None
-        if hermitian is True:
-            dev = _max_abs(m - m.conj().T) if d is None else _max_abs(d - d.conj())
-            if dev > policy.hermitian_tol:
-                raise ValueError(f"hermitian assertion fails by {dev:.3e}")
-        if unitary is True:
-            dev = _max_abs(m.conj().T @ m - np.eye(m.shape[0]))
-            if dev > policy.unitary_tol:
-                raise ValueError(f"unitary assertion fails by {dev:.3e}")
-        if projector is True:
-            dev = _max_abs(m @ m - m) if d is None else _max_abs(d * d - d)
-            if dev > policy.projector_tol:
-                raise ValueError(f"projector assertion fails by {dev:.3e}")
+        _check_flags(m, hermitian, unitary, projector, policy)
         m.setflags(write=False)
         self.matrix = m
         self.dim = int(m.shape[0])
@@ -624,18 +636,16 @@ def embed_operator(
     full composite space, tensoring identities on the rest.
 
     The named factors need not be adjacent; index permutation handles the
-    general case.
+    general case. The flags of `op` are checked under `policy` at its own
+    dimension and carried over: op (x) I under a basis permutation is
+    hermitian, unitary or a projector exactly when op is.
     """
+    _check_flags(op.matrix, op.hermitian, op.unitary, op.projector, policy)
     rest_dim, perm = _embedding(space, acting_on, op.dim)
     big = np.kron(op.matrix, np.eye(rest_dim))
-    lifted = big[np.ix_(perm, perm)]
-    return Operator(
-        lifted,
-        hermitian=op.hermitian,
-        unitary=op.unitary,
-        projector=op.projector,
-        policy=policy,
-    )
+    lifted = Operator(big[np.ix_(perm, perm)])
+    lifted.hermitian, lifted.unitary, lifted.projector = op.hermitian, op.unitary, op.projector
+    return lifted
 
 
 def _embedding(

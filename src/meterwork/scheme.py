@@ -41,6 +41,7 @@ from .errors import SchemeConstraintError
 from .jarzynski import (
     DriveSchedule,
     JarzynskiReport,
+    _check_beta,
     delta_F,
     jarzynski_equality_check,
     modified_jarzynski_check,
@@ -203,8 +204,7 @@ class SchemeConfig:
     eigenstate_prep: bool = False
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        _check_beta(self.beta)
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         if self.meter_dim < self.s0_dim:

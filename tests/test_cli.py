@@ -244,6 +244,20 @@ class TestJarzynskiCommand:
         report = read_json(out / "jarzynski_report.json")
         assert abs(report["exact_evaluation"] - report["exact_value"]) <= 1e-8
 
+    def test_drive_propagators_are_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = DriveSchedule.step_propagators
+
+        def counted(schedule):
+            calls.append(schedule)
+            return original(schedule)
+
+        monkeypatch.setattr(DriveSchedule, "step_propagators", counted)
+        argv = ["jarzynski", "--scenario", "driven-qubit", "--samples", "200",
+                "--output", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
 
 class TestSchemeCommand:
     def test_default_run_passes(self, tmp_path):
@@ -448,6 +462,40 @@ class TestColumnWriter:
         assert text == (tmp_path / "dicts.json").read_text()
         assert '"x": "inf"' in text and '"x": "-inf"' in text and '"x": "nan"' in text
 
+    def test_repeating_block_renders_each_bit_pattern_as_format_17g(self, tmp_path):
+        # NaNs of two payloads and both signs, beside the signed zeros
+        nans = np.array(
+            [0x7FF8000000000001, 0xFFF8000000000002, 0x7FF8000000000000, 0xFFF8000000000000],
+            dtype=np.uint64,
+        ).view(np.float64)
+        floats = np.tile(np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324], nans]), 300)
+        assert cli._cells(floats[:1024])[0] == "%s"  # the block repeats
+        path = tmp_path / "cells.csv"
+        write_csv(path, ["x"], [floats])
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [format(x, ".17g") for x in floats.tolist()]
+        assert rows[:9] == ["-0", "0", "inf", "-inf", "4.9406564584124654e-324"] + ["nan"] * 4
+
+    @pytest.mark.parametrize("distinct, spec", [(512, "%s"), (513, "%.17g")])
+    def test_blocks_either_side_of_half_distinct_render_alike(self, tmp_path, distinct, spec):
+        values = np.arange(distinct) / 7.0 - 20.0
+        floats = np.resize(values, 2048)
+        assert cli._cells(floats[:1024])[0] == spec
+        path = tmp_path / "half.csv"
+        write_csv(path, ["x"], [floats])
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [format(x, ".17g") for x in floats.tolist()]
+
+    def test_json_block_repeating_inf_stays_quoted(self, tmp_path):
+        infs = np.resize([math.inf, 0.5], 3000)
+        finite = np.resize([0.25, -0.0], 3000)
+        path = tmp_path / "inf.json"
+        write_json_records(path, ["x", "y"], [infs, finite])
+        records = read_json(path)
+        assert [r["x"] for r in records] == ["inf", 0.5] * 1500
+        assert [r["y"] for r in records] == [0.25, -0.0] * 1500
+        assert '"x": "inf",\n    "y": 0.25' in path.read_text()
+
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
             write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
@@ -530,6 +578,34 @@ class TestDomainErrors:
         assert report["passed"] is False
         assert report["error"]["type"] == "ValueError"
         assert "outcome_floor must lie in [0, 1), got -1" in report["error"]["message"]
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jarzynski", "--beta", "nan"],
+            ["jarzynski", "--beta", "inf"],
+            ["scheme", "--beta", "nan"],
+            ["scheme", "--beta", "inf"],
+        ],
+    )
+    def test_non_finite_beta_is_named(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--samples", "10", "--output", str(out)]) == 2
+        message = f"beta must be positive and finite, got {argv[-1]}"
+        assert message in capsys.readouterr().err
+        report = read_json(out / cli._SUMMARY_FILES[argv[0]])
+        assert report["passed"] is False
+        assert report["error"] == {"type": "ValueError", "message": message}
+
+    def test_overflow_writes_failure_summary(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["jarzynski", "--samples", "10", "--beta", "1e300", "--output", str(out)]
+        assert main(argv) == 2
+        assert "OverflowError" in capsys.readouterr().err
+        report = read_json(out / "jarzynski_report.json")
+        assert report["passed"] is False
+        assert report["error"]["type"] == "OverflowError"
 
 
 class TestReproducibility:

@@ -439,3 +439,44 @@ class TestDriveScheduleValidation:
     def test_lambda_grid_spacing(self):
         sched = driven_qubit_schedule(n_steps=4)
         np.testing.assert_allclose(sched.lambdas, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
+
+    def test_total_propagator_is_built_once_read_only_and_equal_to_the_step_loop(self):
+        sched = driven_qubit_schedule(n_steps=30)
+        loop = np.eye(2, dtype=complex)
+        for step in sched.step_propagators():
+            loop = step @ loop
+        u = sched.total_propagator()
+        assert sched.total_propagator() is u
+        assert not u.flags.writeable
+        np.testing.assert_array_equal(u.view(np.uint8), loop.view(np.uint8))
+
+
+class TestBetaDomain:
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_beta_rejected(self, beta):
+        sched = driven_qubit_schedule(n_steps=4)
+        h = sched.initial_hamiltonian()
+        positive = rf"beta must be positive and finite, got {beta!r}"
+        nonnegative = rf"beta must be nonnegative and finite, got {beta!r}"
+        with pytest.raises(ValueError, match=positive):
+            delta_F(h, h, beta)
+        with pytest.raises(ValueError, match=positive):
+            modified_jarzynski_check(np.zeros(3), beta, 0.0)
+        with pytest.raises(ValueError, match=nonnegative):
+            thermal_state(h, beta)
+        with pytest.raises(ValueError, match=nonnegative):
+            tpm_sample(sched, beta, 10, seed=1)
+        with pytest.raises(ValueError, match=nonnegative):
+            jarzynski_exact(sched, beta)
+        with pytest.raises(ValueError, match=nonnegative):
+            jarzynski_time_ordered(sched, beta)
+
+    def test_zero_beta_stays_legal_where_it_was(self):
+        sched = driven_qubit_schedule(n_steps=4)
+        np.testing.assert_allclose(thermal_state(sched.initial_hamiltonian(), 0.0).matrix,
+                                   np.eye(2) / 2, atol=1e-15)
+        assert len(tpm_sample(sched, 0.0, 10, seed=1)) == 10
+        assert jarzynski_exact(sched, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert jarzynski_time_ordered(sched, 0.0) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="positive and finite, got 0.0"):
+            delta_F(sched.initial_hamiltonian(), sched.final_hamiltonian(), 0.0)

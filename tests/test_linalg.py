@@ -33,6 +33,8 @@ from meterwork.linalg import (
     tensor,
     tensor_kets,
 )
+from meterwork import linalg
+from meterwork.measurement import PointerModel
 from meterwork.numeric import DEFAULT_POLICY, NumericPolicy
 from meterwork.scheme import SchemeConfig, build_context
 
@@ -441,6 +443,47 @@ class TestEmbedOperator:
         joint = DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix))
         emb = embed_operator(op, space, ("b",))
         assert expectation(emb, joint) == pytest.approx(expectation(op, rho_b), abs=1e-12)
+
+
+    def test_factor_is_rechecked_under_the_given_policy(self):
+        hadamard = Operator(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2), unitary=True)
+        space = CompositeSpace([("a", 2), ("b", 3)])
+        with pytest.raises(ValueError, match="unitary assertion"):
+            embed_operator(hadamard, space, ("a",), policy=NumericPolicy(unitary_tol=1e-30))
+
+    @pytest.mark.parametrize(
+        "matrix, flags",
+        [
+            (np.kron(SX, SX), {"hermitian": True}),
+            (np.kron(SX, np.diag([1.0, 1j])), {"unitary": True}),
+            (np.diag([1.0, 0.0, 1.0, 0.0]), {"projector": True}),
+            (np.kron(SX, SX), {"hermitian": True, "unitary": True, "projector": False}),
+            (np.kron(SX, SX), {}),
+        ],
+    )
+    def test_lifted_flags_equal_the_factor_flags(self, matrix, flags):
+        op = Operator(matrix, **flags)
+        space = CompositeSpace([("a", 2), ("b", 3), ("c", 2)])
+        lifted = embed_operator(op, space, ("a", "c"))
+        assert (lifted.hermitian, lifted.unitary, lifted.projector) == (
+            op.hermitian, op.unitary, op.projector
+        )
+        assert not lifted.matrix.flags.writeable
+
+    def test_build_context_checks_no_flags_at_full_dimension(self, monkeypatch):
+        checked = []
+        original = linalg._check_flags
+
+        def recorded(m, hermitian, unitary, projector, policy):
+            if True in (hermitian, unitary, projector):
+                checked.append(m.shape[0])
+            return original(m, hermitian, unitary, projector, policy)
+
+        monkeypatch.setattr(linalg, "_check_flags", recorded)
+        pointer = PointerModel(8)
+        ctx = build_context(SchemeConfig(n_samples=1, nsm_pointer=pointer, event_pointer=pointer))
+        assert ctx.space.total_dim == 256
+        assert checked and max(checked) < 256
 
 
 class TestProjectorSet:

@@ -487,6 +487,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive"):
             szilard_schedule(j_final=0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -2.0])
+    def test_beta_must_be_positive_and_finite(self, beta):
+        with pytest.raises(ValueError, match=rf"beta must be positive and finite, got {beta!r}"):
+            SchemeConfig(beta=beta)
+
     def test_site_observable_values(self):
         obs = site_observable(2)
         np.testing.assert_array_equal(np.diagonal(obs.matrix).real, [1.0, -1.0])
