@@ -456,6 +456,7 @@ def jarzynski_equality_check(
     """
     if not len(samples):
         raise ValueError("cannot check the equality on an empty sample set")
+    _check_beta(beta)
     works = _works_array(samples)
     mean, se, exact, passed = _equality_verdict(-beta * works, beta, delta_f)
     mean_work, _ = _mean_and_se(works)

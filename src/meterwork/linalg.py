@@ -1,16 +1,28 @@
-"""Dense complex linear algebra over small labeled Hilbert spaces.
+"""Complex linear algebra over small labeled Hilbert spaces.
 
 Value types (`Ket`, `Operator`, `DensityMatrix`, `CompositeSpace`,
 `ProjectorSet`) are immutable after construction and validate their
-structural invariants against a `NumericPolicy`. The one exception is the
-dense ``projectors`` of a `ProjectorSet` given as a basis partition, which
-are built on first access and then kept. Density matrices may be
+structural invariants against a `NumericPolicy`. Density matrices may be
 subnormalized: `trace_weight` is 1 for conventional ensembles and
 ``exp(-sigma)`` for ensembles redefined by an entropy production ``sigma``
 (which may be negative, so weights above 1 are legal).
 
-Operations are pure functions. Apart from that cache nothing here mutates
-shared state, and threads racing to fill it build equal projectors, so all
+States are dense matrices. Two kinds of operator keep a smaller form and
+build their dense matrices only on first access, then keep them:
+
+* a `ProjectorSet` given as a basis partition keeps its ``sector_of``
+  array; dephasing, collapse and Born reading mask indices with it;
+* an operator lifted by `embed_operator` (and each projector of a family
+  lifted by `ProjectorSet.embedded`) keeps its `Lift`: the local matrix L,
+  the dimension of the untouched factors and the basis permutation. Its
+  structure is read off L. When the named factors lead the space the lift
+  is L (x) I, and `conjugate`, `collapse`, `superselection.dephase` and
+  `measurement.born_probabilities` contract L with the state reshaped to
+  (l, rest, l, rest) instead of multiplying by the d x d lift. A lift whose
+  L is a permutation conjugates by gathering rows and columns.
+
+Operations are pure functions. Apart from those caches nothing here mutates
+shared state, and threads racing to fill one build equal matrices, so all
 values are safe to share across threads.
 """
 
@@ -57,16 +69,19 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
-def _index_support(m: np.ndarray) -> np.ndarray | None:
-    """Boolean support of a diagonal matrix whose entries are exactly 0 or 1,
-    or None for any other matrix."""
+def _index_support(op: "Operator") -> np.ndarray | None:
+    """Boolean support of an operator whose matrix is diagonal with entries
+    exactly 0 or 1, or None for any other operator. A lift is read off its
+    local matrix."""
+    lift = op.lift
+    m = op.matrix if lift is None else lift.local
     if not _is_diagonal(m):
         return None
     d = np.diagonal(m)
     support = d == 1
     if not np.all(support | (d == 0)):
         return None
-    return support
+    return support if lift is None else lift.lifted_diagonal(support)
 
 
 def _lowest_eigenvalue(m: np.ndarray) -> float:
@@ -95,6 +110,18 @@ def _permutation_of(u: np.ndarray) -> np.ndarray | None:
     if one_per_row and np.all(u[rows, cols] == 1) and np.array_equal(np.sort(cols), rows):
         return cols
     return None
+
+
+def _operator_permutation(u: "Operator") -> np.ndarray | None:
+    """`_permutation_of(u.matrix)`, read off the local matrix of a lift."""
+    lift = u.lift
+    if lift is None:
+        return _permutation_of(u.matrix)
+    local = _permutation_of(lift.local)
+    if local is None:
+        return None
+    big = (local[:, None] * lift.rest_dim + np.arange(lift.rest_dim)).ravel()
+    return big if lift.perm is None else np.argsort(lift.perm)[big[lift.perm]]
 
 
 def _restrict(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -175,15 +202,63 @@ def _check_flags(
             raise ValueError(f"projector assertion fails by {dev:.3e}")
 
 
+class Lift:
+    """``local (x) I_rest`` on a composite space, with the basis indices of
+    the (named factors, rest) order taken to the space's order by ``perm``.
+    ``perm`` is None when the named factors lead the space, and the lift is
+    then ``local (x) I_rest`` itself.
+
+    ``left`` and ``right`` multiply by the lift of leading factors without
+    forming it. They contract the smallest core with ``local == core (x)
+    I_q``, which drops only products by exact zeros of ``local``, and add
+    each entry's products in index order, as the dense product does.
+    """
+
+    __slots__ = ("local", "rest_dim", "perm", "_core", "_core_rest")
+
+    def __init__(self, local: np.ndarray, rest_dim: int, perm: np.ndarray | None):
+        self.local, self.rest_dim, self.perm = local, rest_dim, perm
+        n = local.shape[0]
+        q = next(
+            q for q in range(n, 0, -1)
+            if n % q == 0 and np.array_equal(local, np.kron(local[::q, ::q], np.eye(q)))
+        )
+        self._core, self._core_rest = local[::q, ::q], q * rest_dim
+
+    def dense(self) -> np.ndarray:
+        m = np.kron(self.local, np.eye(self.rest_dim))
+        return m if self.perm is None else m[np.ix_(self.perm, self.perm)]
+
+    def lifted_diagonal(self, local_diagonal: np.ndarray) -> np.ndarray:
+        """Diagonal of the lift of a diagonal local matrix."""
+        diag = np.repeat(local_diagonal, self.rest_dim)
+        return diag if self.perm is None else diag[self.perm]
+
+    def left(self, m: np.ndarray) -> np.ndarray:
+        """lift @ m."""
+        x = m.reshape(self._core.shape[0], -1)
+        return np.einsum("ab,by->ay", self._core, x).reshape(m.shape)
+
+    def right(self, m: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
+        """m @ lift, or m @ lift^dag with `adjoint`."""
+        k = self._core.conj().T if adjoint else self._core
+        d = m.shape[0]
+        m3 = m.reshape(d, k.shape[0], self._core_rest)
+        return np.einsum("xbj,bc->xcj", m3, k).reshape(d, d)
+
+
 class Operator:
-    """Dense operator with tri-state structure flags.
+    """Operator with tri-state structure flags.
 
     Each of ``hermitian``, ``unitary``, ``projector`` is True (asserted and
     validated at construction), False (asserted absent), or None (unchecked).
     A projector assertion implies the hermitian one.
+
+    ``lift`` is set on an operator lifted by `embed_operator`; its dense
+    ``matrix`` is then built on first access and kept.
     """
 
-    __slots__ = ("matrix", "dim", "hermitian", "unitary", "projector")
+    __slots__ = ("_matrix", "lift", "dim", "hermitian", "unitary", "projector")
 
     def __init__(
         self,
@@ -199,11 +274,20 @@ class Operator:
             hermitian = True
         _check_flags(m, hermitian, unitary, projector, policy)
         m.setflags(write=False)
-        self.matrix = m
+        self._matrix = m
+        self.lift = None
         self.dim = int(m.shape[0])
         self.hermitian = hermitian
         self.unitary = unitary
         self.projector = projector
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = self.lift.dense()
+            m.setflags(write=False)
+            self._matrix = m
+        return self._matrix
 
     @classmethod
     def identity(cls, dim: int) -> "Operator":
@@ -348,6 +432,8 @@ class ProjectorSet:
     A partition may be given as its ``sector_of`` integer array in place of
     the projectors, one sector per label. Its dense ``projectors``, the 0/1
     diagonals in sector order, are then built on first access and kept.
+    Projectors lifted from one family onto one space share one embedding,
+    and the family is checked at the dimension of their local matrices.
     """
 
     __slots__ = ("_projectors", "labels", "dim", "sector_of")
@@ -376,11 +462,7 @@ class ProjectorSet:
                     # revalidate unflagged input rather than trusting the caller
                     Operator(p.matrix, projector=True, policy=policy)
             sector_of = _partition_of(projs)
-        if sector_of is None:
-            total = sum(p.matrix for p in projs)
-            dev = _max_abs(total - np.eye(dim))
-        else:
-            dev = 0.0  # 0/1 diagonals covering each index once sum to I exactly
+        dev = 0.0 if sector_of is not None else _completeness_deviation(projs)
         if dev > policy.completeness_tol:
             raise ValueError(f"projectors do not sum to identity: deviation {dev:.3e}")
         if labels is None:
@@ -441,12 +523,27 @@ def _checked_sector_of(sector_of: np.ndarray, labels: Sequence | None) -> np.nda
     return out
 
 
+def _completeness_deviation(projs: Sequence[Operator]) -> float:
+    """Largest entry of |sum of the projectors - I|. Lifts that share one
+    embedding sum to the lift of their local sum, with the same entries, so
+    their local matrices are summed instead."""
+    first = projs[0].lift
+    shared = first is not None and all(
+        p.lift is not None
+        and p.lift.rest_dim == first.rest_dim
+        and np.array_equal(p.lift.perm, first.perm)  # None equals only None
+        for p in projs
+    )
+    total = sum(p.lift.local if shared else p.matrix for p in projs)
+    return _max_abs(total - np.eye(total.shape[0]))
+
+
 def _partition_of(projs: Sequence[Operator]) -> np.ndarray | None:
     """Sector index of every basis index when the projectors partition the
     computational basis, else None."""
     supports = []
     for p in projs:
-        support = _index_support(p.matrix)
+        support = _index_support(p)
         if support is None:
             return None
         supports.append(support)
@@ -539,25 +636,33 @@ def _hermitian_function(m: np.ndarray, f) -> np.ndarray:
 
 def conjugate(
     state: DensityMatrix,
-    u: np.ndarray,
+    u: Operator | np.ndarray,
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> DensityMatrix:
-    """u rho u^dag for a unitary matrix u.
+    """u rho u^dag for a unitary u, an `Operator` or a matrix.
 
     Trace drift is asserted against the preservation tolerance and then
     snapped away, so long conjugation chains keep their weight exactly.
     A permutation matrix (one entry exactly 1 per row and column, the rest
     0) conjugates by gathering rows and columns, with the same bits as the
-    matrix products.
+    matrix products. Any other lift L (x) I onto leading factors contracts
+    L with the state and builds no d x d matrix.
     """
-    perm = _permutation_of(u) if u.shape == state.matrix.shape else None
-    if perm is None:
-        m = u @ state.matrix @ u.conj().T
-    else:
+    if not isinstance(u, Operator):
+        u = Operator(u)
+    if u.dim != state.dim:
+        raise ValueError(f"dimension mismatch: unitary {u.dim}, state {state.dim}")
+    perm = _operator_permutation(u)
+    lift = _leading_lift(u)
+    if perm is not None:
         # the one product term per entry is copied exactly; adding +0.0
         # turns -0.0 parts into +0.0 as the zero-initialized matmul sums do
         m = state.matrix[np.ix_(perm, perm)] + 0.0
+    elif lift is not None:
+        m = lift.right(lift.left(state.matrix), adjoint=True)
+    else:
+        m = u.matrix @ state.matrix @ u.matrix.conj().T
     m = 0.5 * (m + m.conj().T)
     tr = float(np.trace(m).real)
     if abs(tr - state.trace_weight) > policy.preservation_tol:
@@ -579,13 +684,30 @@ def collapse(
     Onto a 0/1 diagonal projector this is the rows and columns of its
     support, with the same bits as the matrix products.
     """
-    support = _index_support(projector.matrix)
+    support = _index_support(projector)
     if support is None:
-        m = projector.matrix @ state.matrix @ projector.matrix
+        m = _sandwich(projector, state.matrix)
     else:
         m = _restrict(state.matrix, np.outer(support, support))
     m = 0.5 * (m + m.conj().T)
     return DensityMatrix(m / np.trace(m).real, 1.0, policy=policy)
+
+
+def _leading_lift(op: Operator) -> Lift | None:
+    """The lift of an operator L (x) I onto the leading factors, else None."""
+    return op.lift if op.lift is not None and op.lift.perm is None else None
+
+
+def _sandwich(p: Operator, m: np.ndarray) -> np.ndarray:
+    """p @ m @ p, contracted through L for a lift L (x) I."""
+    lift = _leading_lift(p)
+    return p.matrix @ m @ p.matrix if lift is None else lift.right(lift.left(m))
+
+
+def _left_product(p: Operator, m: np.ndarray) -> np.ndarray:
+    """p @ m, contracted through L for a lift L (x) I."""
+    lift = _leading_lift(p)
+    return p.matrix @ m if lift is None else lift.left(m)
 
 
 def evolve(state, h: Operator, duration: float, *, policy: NumericPolicy = DEFAULT_POLICY):
@@ -638,12 +760,16 @@ def embed_operator(
     The named factors need not be adjacent; index permutation handles the
     general case. The flags of `op` are checked under `policy` at its own
     dimension and carried over: op (x) I under a basis permutation is
-    hermitian, unitary or a projector exactly when op is.
+    hermitian, unitary or a projector exactly when op is. The result keeps
+    op's matrix as its `Lift` and builds its dense matrix on first access.
     """
     _check_flags(op.matrix, op.hermitian, op.unitary, op.projector, policy)
     rest_dim, perm = _embedding(space, acting_on, op.dim)
-    big = np.kron(op.matrix, np.eye(rest_dim))
-    lifted = Operator(big[np.ix_(perm, perm)])
+    lifted = Operator.__new__(Operator)
+    leads = np.array_equal(perm, np.arange(perm.size))
+    lifted._matrix = None
+    lifted.lift = Lift(op.matrix, rest_dim, None if leads else perm)
+    lifted.dim = op.dim * rest_dim
     lifted.hermitian, lifted.unitary, lifted.projector = op.hermitian, op.unitary, op.projector
     return lifted
 

@@ -33,7 +33,16 @@ from .errors import (
     DegenerateDistributionError,
     SupportError,
 )
-from .linalg import DensityMatrix, Ket, Operator, ProjectorSet, _restrict, collapse, tensor
+from .linalg import (
+    DensityMatrix,
+    Ket,
+    Operator,
+    ProjectorSet,
+    _left_product,
+    _restrict,
+    collapse,
+    tensor,
+)
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import cdf_of, draw_indices, stream_generator
 from .superselection import dephase
@@ -304,12 +313,17 @@ def born_probabilities(
 
     For a partition of the computational basis each trace is the sum of the
     full-length diagonal with the other sectors' entries zeroed, which keeps
-    the summation order, and so the bits, of the trace of the product.
+    the summation order, and so the bits, of the trace of the product. A
+    projector lifted onto leading factors forms its product with rho from
+    its local matrix (see `linalg.Lift`).
     """
     sector_of = outcome_projectors.sector_of
     if sector_of is None:
         raw = np.array(
-            [float(np.trace(p.matrix @ rho.matrix).real) for p in outcome_projectors.projectors]
+            [
+                float(np.trace(_left_product(p, rho.matrix)).real)
+                for p in outcome_projectors.projectors
+            ]
         )
     else:
         diag = np.diagonal(rho.matrix)

@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import SchemeConstraintError
+from .errors import CapacityError, SchemeConstraintError
 from .jarzynski import (
     DriveSchedule,
     JarzynskiReport,
@@ -53,6 +53,7 @@ from .linalg import (
     Ket,
     Operator,
     ProjectorSet,
+    _restrict,
     collapse,
     conjugate,
     embed_operator,
@@ -236,7 +237,11 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class SchemeContext:
-    """Precomputed operators of one configuration (all immutable)."""
+    """Precomputed operators of one configuration (all immutable).
+
+    The unitaries are lifts of their local matrices (`linalg.Lift`); each
+    builds its dense matrix only when something reads it.
+    """
 
     config: SchemeConfig
     space: CompositeSpace
@@ -245,12 +250,11 @@ class SchemeContext:
     h_final: Operator
     initial_pset: ProjectorSet
     final_pset: ProjectorSet
-    barrier_unitary: np.ndarray
-    nsm_unitary: np.ndarray
+    barrier_unitary: Operator
+    nsm_unitary: Operator
     nsm_dephase_set: ProjectorSet
-    entangler_full: np.ndarray
-    event_unitary_m: np.ndarray
-    event_unitary: np.ndarray
+    entangler_full: Operator
+    event_unitary: Operator
     event_dephase_set: ProjectorSet
     meter_outcome_set: ProjectorSet
     meter_ready: Ket
@@ -261,6 +265,8 @@ class SchemeContext:
 
 
 def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) -> SchemeContext:
+    """The operators of one configuration. Raises `CapacityError` before
+    building any of them when the total dimension exceeds ``policy.max_dim``."""
     cfg = config
     space = CompositeSpace(
         [
@@ -270,6 +276,10 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
             (POINTER, cfg.event_pointer.pointer_dim),
         ]
     )
+    if space.total_dim > policy.max_dim:
+        raise CapacityError(
+            f"scheme dimension {space.total_dim} ({space!r}) exceeds budget {policy.max_dim}"
+        )
     obs = site_observable(cfg.s0_dim)
     aprime_dim = cfg.nsm_pointer.pointer_dim
     h0 = Operator(
@@ -292,24 +302,28 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
         space,
         (SYSTEM,),
         policy=policy,
-    ).matrix
+    )
     nsm_u = embed_operator(
         pointer_coupling_unitary(obs, cfg.nsm_pointer, policy=policy),
         space,
         (SYSTEM, APPARATUS),
         policy=policy,
-    ).matrix
+    )
 
     site_cells = list(product(range(cfg.s0_dim), range(aprime_dim)))
     nsm_dephase = ProjectorSet.basis(len(site_cells), site_cells).embedded(
         space, (SYSTEM, APPARATUS)
     )
 
-    entangler_full = embed_operator(cfg.entangler, space, (SYSTEM, METER), policy=policy).matrix
+    entangler_full = embed_operator(cfg.entangler, space, (SYSTEM, METER), policy=policy)
 
     meter_obs = Operator.from_diagonal(np.arange(cfg.meter_dim, dtype=float))
-    event_u_m = pointer_coupling_unitary(meter_obs, cfg.event_pointer, policy=policy)
-    event_u = embed_operator(event_u_m, space, (METER, POINTER), policy=policy).matrix
+    event_u = embed_operator(
+        pointer_coupling_unitary(meter_obs, cfg.event_pointer, policy=policy),
+        space,
+        (METER, POINTER),
+        policy=policy,
+    )
 
     meter_cells = list(product(range(cfg.meter_dim), range(cfg.event_pointer.pointer_dim)))
     event_dephase = ProjectorSet.basis(len(meter_cells), meter_cells).embedded(
@@ -329,7 +343,6 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
         nsm_unitary=nsm_u,
         nsm_dephase_set=nsm_dephase,
         entangler_full=entangler_full,
-        event_unitary_m=event_u_m.matrix,
         event_unitary=event_u,
         event_dephase_set=event_dephase,
         meter_outcome_set=meter_outcomes,
@@ -778,11 +791,14 @@ def verify_unitary_roundtrips(
         """Worst branch deviation of (undone M marginal vs ready, S branch vs
         its pre-entangle branch)."""
         worst = 0.0
-        for k, proj in enumerate(site_set.projectors):
-            p = float(np.trace(proj.matrix @ state_full.matrix).real)
+        diag = np.diagonal(state_full.matrix)
+        for k in range(len(site_set)):
+            # the masked sums and entries of P rho and P rho P, bit for bit
+            support = site_set.sector_of == k
+            p = float(_restrict(diag, support).sum().real)
             if p <= floor:
                 continue
-            branch = proj.matrix @ state_full.matrix @ proj.matrix / p
+            branch = _restrict(state_full.matrix, np.outer(support, support)) / p
             branch = 0.5 * (branch + branch.conj().T)
             branch_dm = DensityMatrix(branch, 1.0, policy=policy)
             m_branch = partial_trace(branch_dm, ctx.space, (METER, POINTER), policy=policy)
@@ -799,7 +815,8 @@ def verify_unitary_roundtrips(
     dev_b = branch_roundtrip(after_iv, undo_b)
 
     after_v_unitary = conjugate(after_iv, ctx.event_unitary, policy=policy)
-    undo_c = [np.kron(v.conj().T, np.eye(pdim)) @ ctx.event_unitary_m.conj().T for v in blocks]
+    event_local = ctx.event_unitary.lift.local
+    undo_c = [np.kron(v.conj().T, np.eye(pdim)) @ event_local.conj().T for v in blocks]
     dev_c = branch_roundtrip(after_v_unitary, undo_c)
 
     n0, collapsed, _ = apply_event_reading(ctx, after_iv, rng, ledger)

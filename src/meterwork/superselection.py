@@ -14,7 +14,15 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import DensityMatrix, Operator, ProjectorSet, _restrict
+from .errors import CapacityError
+from .linalg import (
+    DensityMatrix,
+    Operator,
+    ProjectorSet,
+    _completeness_deviation,
+    _restrict,
+    _sandwich,
+)
 from .numeric import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -86,7 +94,7 @@ def build_planck_basis(
         raise ValueError(f"cell widths must be positive, got {widths}")
     dim = q_levels * p_levels
     if dim > policy.max_dim:
-        raise ValueError(f"cell basis dimension {dim} exceeds budget {policy.max_dim}")
+        raise CapacityError(f"cell basis dimension {dim} exceeds budget {policy.max_dim}")
     labels = list(product(range(q_levels), range(p_levels)))
     pset = ProjectorSet.basis(dim, labels)
     cells = tuple(PlanckCell(qi, pi, proj) for (qi, pi), proj in zip(labels, pset.projectors))
@@ -104,22 +112,20 @@ def dephase(
     Trace-preserving and idempotent; sector populations are untouched.
     A partition of the computational basis (``sectors.sector_of``) keeps
     the entries whose row and column share a sector, with the same bits
-    as the projector sum.
+    as the projector sum. Projectors lifted onto leading factors are
+    contracted through their local matrices (see `linalg.Lift`).
     """
     if sectors.dim != rho.dim:
         raise ValueError(f"sector dimension {sectors.dim} != state dimension {rho.dim}")
     sector_of = sectors.sector_of
-    if sector_of is None:
-        total = sum(p.matrix for p in sectors.projectors)
-        dev = float(np.max(np.abs(total - np.eye(rho.dim))))
-    else:
-        dev = 0.0  # 0/1 diagonals covering each index once sum to I exactly
+    # 0/1 diagonals covering each index once sum to I exactly
+    dev = 0.0 if sector_of is not None else _completeness_deviation(sectors.projectors)
     if dev > policy.completeness_tol:
         raise ValueError(f"projector set incomplete: deviation {dev:.3e}")
     if sector_of is None:
         out = np.zeros_like(rho.matrix)
         for p in sectors.projectors:
-            out += p.matrix @ rho.matrix @ p.matrix
+            out += _sandwich(p, rho.matrix)
     else:
         out = _restrict(rho.matrix, sector_of[:, None] == sector_of[None, :])
     out = 0.5 * (out + out.conj().T)

@@ -90,6 +90,44 @@ def dense_conjugate(rho: DensityMatrix, u: np.ndarray) -> np.ndarray:
     return m
 
 
+def factored_conjugate(rho: DensityMatrix, local: np.ndarray, rest_dim: int) -> np.ndarray:
+    """u rho u^dag for u = local (x) I_rest_dim, contracted on rho reshaped
+    to (l, rest, l, rest): rows first, then columns, each entry's products
+    summed in index order. Hermitized and snapped like `dense_conjugate`."""
+    l, d = local.shape[0], rho.dim
+    m = np.einsum("ab,bjck->ajck", local, rho.matrix.reshape(l, rest_dim, l, rest_dim))
+    m = np.einsum("ajbk,cb->ajck", m, local.conj()).reshape(d, d)
+    m = 0.5 * (m + m.conj().T)
+    m *= rho.trace_weight / float(np.trace(m).real)
+    return m
+
+
+def dense_lift_context(ctx):
+    """`ctx` with the energy families and the barrier drive as dense d x d
+    operators, which every step multiplies as full matrices."""
+    from dataclasses import replace
+
+    from meterwork.linalg import ProjectorSet
+
+    def dense_family(pset):
+        projs = [Operator(p.matrix, projector=True) for p in pset.projectors]
+        return ProjectorSet(projs, pset.labels)
+
+    return replace(
+        ctx,
+        initial_pset=dense_family(ctx.initial_pset),
+        final_pset=dense_family(ctx.final_pset),
+        barrier_unitary=np.array(ctx.barrier_unitary.matrix),
+    )
+
+
+def ulps_apart(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> float:
+    """Largest |a - b| in units of the spacing of floats at `scale`, or at
+    each entry's own magnitude when no scale is given."""
+    mag = np.maximum(np.abs(a), np.abs(b)) if scale is None else scale
+    return float(np.max(np.abs(a - b) / np.spacing(np.maximum(mag, np.finfo(float).tiny))))
+
+
 def dense_lowest_eigenvalue(m: np.ndarray) -> float:
     """Lowest eigenvalue of the full matrix, which the support-block PSD
     check must give the same verdict as."""

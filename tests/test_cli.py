@@ -566,6 +566,17 @@ class TestDomainErrors:
         assert report["error"]["type"] == "SchemeConstraintError"
         assert "initial energy sector 1" in report["error"]["message"]
 
+    def test_dimension_over_budget_writes_failure_summary(self, tmp_path, capsys):
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("policy_max_dim = 8\nsamples = 20\n")
+        out = tmp_path / "o"
+        assert main(["scheme", "--config", str(cfg), "--output", str(out)]) == 2
+        assert "CapacityError" in capsys.readouterr().err
+        report = read_json(out / "scheme_summary.json")
+        assert report["passed"] is False
+        assert report["error"]["type"] == "CapacityError"
+        assert "exceeds budget 8" in report["error"]["message"]
+
     def test_negative_outcome_floor_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "floor.cfg"
         cfg.write_text("policy_outcome_floor = -1\neigenstate_prep = true\nsamples = 50\n")

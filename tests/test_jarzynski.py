@@ -462,6 +462,8 @@ class TestBetaDomain:
             delta_F(h, h, beta)
         with pytest.raises(ValueError, match=positive):
             modified_jarzynski_check(np.zeros(3), beta, 0.0)
+        with pytest.raises(ValueError, match=positive):
+            jarzynski_equality_check(np.zeros(3), beta, 0.0)
         with pytest.raises(ValueError, match=nonnegative):
             thermal_state(h, beta)
         with pytest.raises(ValueError, match=nonnegative):

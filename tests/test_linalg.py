@@ -7,9 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_born,
     dense_collapse,
     dense_conjugate,
+    dense_dephase,
     dense_lowest_eigenvalue,
+    factored_conjugate,
     index_partition,
     random_density,
     random_hermitian,
@@ -34,9 +37,10 @@ from meterwork.linalg import (
     tensor_kets,
 )
 from meterwork import linalg
-from meterwork.measurement import PointerModel
+from meterwork.measurement import PointerModel, born_probabilities
 from meterwork.numeric import DEFAULT_POLICY, NumericPolicy
 from meterwork.scheme import SchemeConfig, build_context
+from meterwork.superselection import dephase, energy_sectors, sector_projector_set
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -201,10 +205,10 @@ class TestConjugate:
     @pytest.mark.parametrize("name", ["nsm_unitary", "entangler_full", "event_unitary"])
     def test_scheme_permutations_match_products_bitwise(self, scheme_ctx, name, rng):
         u = getattr(scheme_ctx, name)
-        assert _permutation_of(u) is not None
+        assert u.lift is not None and _permutation_of(u.lift.local) is not None
         for _ in range(5):
-            rho = state_with_signed_zeros(rng, u.shape[0])
-            assert conjugate(rho, u).matrix.tobytes() == dense_conjugate(rho, u).tobytes()
+            rho = state_with_signed_zeros(rng, u.dim)
+            assert conjugate(rho, u).matrix.tobytes() == dense_conjugate(rho, u.matrix).tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 64))
     def test_random_permutations_match_products_bitwise(self, seed, dim):
@@ -233,11 +237,27 @@ class TestConjugate:
             rho = state_with_signed_zeros(rng, 4)
             assert conjugate(rho, u).matrix.tobytes() == dense_conjugate(rho, u).tobytes()
 
-    def test_barrier_unitary_takes_the_dense_path(self, scheme_ctx, rng):
-        u = scheme_ctx.barrier_unitary
+    def test_dense_barrier_matrix_takes_the_dense_path(self, scheme_ctx, rng):
+        # the barrier's numbers as a plain matrix: not a lift, not a permutation
+        u = np.array(scheme_ctx.barrier_unitary.matrix)
         assert _permutation_of(u) is None
         rho = state_with_signed_zeros(rng, u.shape[0])
         assert conjugate(rho, u).matrix.tobytes() == dense_conjugate(rho, u).tobytes()
+
+    @pytest.mark.parametrize("pointer_dim", [4, 8])
+    def test_barrier_lift_is_contracted_through_its_factor(self, pointer_dim, rng):
+        pointer = PointerModel(pointer_dim)
+        ctx = build_context(SchemeConfig(n_samples=1, nsm_pointer=pointer, event_pointer=pointer))
+        u = ctx.barrier_unitary
+        assert u.lift.perm is None and u.lift.local.shape == (2, 2)
+        states = (state_with_signed_zeros(rng, u.dim), random_density(rng, u.dim))
+        outs = [conjugate(rho, u).matrix for rho in states]
+        assert u._matrix is None
+        for rho, out in zip(states, outs):
+            ref = factored_conjugate(rho, u.lift.local, u.lift.rest_dim)
+            assert out.tobytes() == ref.tobytes()
+            dense = dense_conjugate(rho, u.matrix)
+            assert np.max(np.abs(out - dense)) <= 4 * np.spacing(np.max(np.abs(dense)))
 
     def test_trace_check_kept_on_the_permutation_path(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]))
@@ -486,6 +506,92 @@ class TestEmbedOperator:
         assert checked and max(checked) < 256
 
 
+class TestLift:
+    SPACE = CompositeSpace([("a", 2), ("b", 3), ("c", 2)])
+
+    @pytest.mark.parametrize("acting", [("a",), ("a", "b"), ("b",), ("c", "a")])
+    def test_dense_matrix_built_on_first_access(self, acting, rng):
+        n = int(np.prod([self.SPACE.dim_of(label) for label in acting]))
+        op = Operator(random_hermitian(rng, n), hermitian=True)
+        lifted = embed_operator(op, self.SPACE, acting)
+        assert lifted._matrix is None and lifted.dim == 12
+        assert (lifted.lift.perm is None) == (acting[0] == "a" and len(acting) < 3)
+        built = lifted.matrix
+        assert built is lifted.matrix and not built.flags.writeable
+        rest_dim, perm = linalg._embedding(self.SPACE, acting, n)
+        oracle = np.kron(op.matrix, np.eye(rest_dim))[np.ix_(perm, perm)]
+        assert built.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("acting", [("a",), ("a", "b"), ("b",), ("c", "a")])
+    def test_permutation_read_off_the_factor(self, acting, rng):
+        n = int(np.prod([self.SPACE.dim_of(label) for label in acting]))
+        u = Operator(np.eye(n)[rng.permutation(n)], unitary=True)
+        lifted = embed_operator(u, self.SPACE, acting)
+        perm = linalg._operator_permutation(lifted)
+        assert lifted._matrix is None
+        assert np.array_equal(perm, _permutation_of(lifted.matrix))
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_contraction_skips_only_the_identity_factor(self, q, rng):
+        # local = core (x) I_q: the products dropped are exactly those by zeros
+        core = random_hermitian(rng, 2)
+        local = np.kron(core, np.eye(q))
+        lift = linalg.Lift(local, 4, None)
+        assert lift._core.shape == (2, 2) and lift._core_rest == 4 * q
+        d = local.shape[0] * 4
+        m = random_density(rng, d).matrix
+        full = np.einsum("ab,by->ay", local, m.reshape(local.shape[0], -1)).reshape(d, d)
+        assert lift.left(m).tobytes() == full.tobytes()
+        full = np.einsum("xbj,bc->xcj", m.reshape(d, local.shape[0], 4), local).reshape(d, d)
+        assert lift.right(m).tobytes() == full.tobytes()
+        np.testing.assert_allclose(lift.left(m), lift.dense() @ m, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            lift.right(m, adjoint=True), m @ lift.dense().conj().T, rtol=0, atol=1e-14
+        )
+
+    def test_lifted_family_is_checked_at_the_factor_dimension(self, rng):
+        h = Operator(random_hermitian(rng, 2), hermitian=True)
+        local = sector_projector_set(energy_sectors(h))
+        lifted = local.embedded(self.SPACE, ("a",))
+        assert lifted.sector_of is None
+        assert all(p.lift is not None and p._matrix is None for p in lifted.projectors)
+        half = embed_operator(local.projectors[0], self.SPACE, ("a",))
+        with pytest.raises(ValueError, match="identity"):
+            ProjectorSet((half,))
+
+    def test_lifts_of_different_embeddings_are_summed_dense(self):
+        # P (x) I on "a" plus (I - P) (x) I on "c": each lift is a projector,
+        # the two do not sum to I, and their local matrices do
+        p = Operator(np.diag([1.0, 0.0]), projector=True)
+        q = Operator(np.diag([0.0, 1.0]), projector=True)
+        pair = (embed_operator(p, self.SPACE, ("a",)), embed_operator(q, self.SPACE, ("c",)))
+        with pytest.raises(ValueError, match="identity"):
+            ProjectorSet(pair)
+
+    @pytest.mark.parametrize("acting", [("a", "b"), ("b", "c")])
+    def test_energy_family_steps_match_the_products(self, acting, rng):
+        h = Operator(random_hermitian(rng, 6), hermitian=True)
+        local = sector_projector_set(energy_sectors(h))
+        lifted = local.embedded(self.SPACE, acting)
+        rho = random_density(rng, 12)
+        dephased = dephase(rho, lifted).matrix
+        probs = born_probabilities(rho, lifted)
+        collapsed = collapse(rho, lifted.projectors[0]).matrix
+        leading = lifted.projectors[0].lift.perm is None
+        assert leading == (acting == ("a", "b"))
+        assert all(p._matrix is None for p in lifted.projectors) == leading
+        projs = lifted.projectors
+        for out, ref in (
+            (dephased, dense_dephase(rho.matrix, projs)),
+            (probs, dense_born(rho, projs)),
+            (collapsed, dense_collapse(rho.matrix, projs[0])),
+        ):
+            if leading:
+                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
+            else:
+                assert out.tobytes() == ref.tobytes()
+
+
 class TestProjectorSet:
     def test_incomplete_rejected(self):
         p = Operator(np.diag([1.0, 0.0]), projector=True)
@@ -567,8 +673,9 @@ class TestCollapse:
         gen = np.random.default_rng(seed)
         space = CompositeSpace([("S", 2), ("A", 3), ("M", 2), ("P", 2)])
         pset = ProjectorSet.basis(4).embedded(space, ("S", "M"))
+        lifts = [embed_operator(p, space, ("S", "M")) for p in ProjectorSet.basis(4).projectors]
         for rho in (random_density(gen, 24), state_with_signed_zeros(gen, 24)):
-            for p in pset.projectors:
+            for p in (*pset.projectors, *lifts):
                 if float(np.trace(p.matrix @ rho.matrix).real) <= 1e-12:
                     continue
                 out = collapse(rho, p)

@@ -4,9 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import random_unitary
+from helpers import dense_lift_context, random_unitary, ulps_apart
 from meterwork import scheme, superselection
-from meterwork.errors import SchemeConstraintError
+from meterwork.errors import CapacityError, SchemeConstraintError
 from meterwork.jarzynski import DriveSchedule, delta_F, tpm_sample
 from meterwork.linalg import DensityMatrix, Operator, partial_trace
 from meterwork.measurement import EntropyLedger, PointerModel
@@ -607,3 +607,72 @@ class TestOneReadingPath:
             ready = apply_event_coupling(ctx, state)
             again = dephase(ready, ctx.meter_outcome_set, policy=ctx.policy)
             assert ready.matrix.tobytes() == again.matrix.tobytes()
+
+
+_TABLES = ("p_init", "p_event", "cdf_init", "cdf_event", "cdf_final")
+
+
+def _factored_and_dense_tables(cfg):
+    factored = scheme._BranchTables(build_context(cfg))
+    dense = scheme._BranchTables(dense_lift_context(build_context(cfg)))
+    pairs = [
+        (branch["states"], dense.branches[i][m]["states"])
+        for i, row in enumerate(factored.branches)
+        for m, branch in enumerate(row)
+        if branch is not None
+    ]
+    assert pairs
+    return factored, dense, pairs
+
+
+class TestFactoredLifts:
+    """The energy families and the barrier drive are lifts L (x) I of the
+    leading factors: the table path contracts L and builds no d x d lift."""
+
+    def test_wide_tables_equal_the_dense_reference_bitwise(self):
+        cfg = SchemeConfig(nsm_pointer=_WIDE, event_pointer=_WIDE)
+        factored, dense, pairs = _factored_and_dense_tables(cfg)
+        for name in _TABLES:
+            assert getattr(factored, name).tobytes() == getattr(dense, name).tobytes(), name
+        for states, ref in pairs:
+            for stage in states:
+                assert states[stage].matrix.tobytes() == ref[stage].matrix.tobytes(), stage
+
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 5.0])
+    def test_default_tables_within_ulps_of_the_dense_reference(self, beta):
+        # at dim 64 the dense products sum some entries in another order
+        factored, dense, pairs = _factored_and_dense_tables(SchemeConfig(beta=beta))
+        for name in _TABLES:
+            assert ulps_apart(getattr(factored, name), getattr(dense, name)) <= 4, name
+        for states, ref in pairs:
+            for stage in states:
+                a, b = states[stage].matrix, ref[stage].matrix
+                assert ulps_apart(a, b, scale=np.max(np.abs(b))) <= 4, stage
+
+    def test_branch_tables_leave_the_lifts_unbuilt(self):
+        ctx = build_context(SchemeConfig(nsm_pointer=_WIDE, event_pointer=_WIDE))
+        assert ctx.space.total_dim == 256
+        scheme._BranchTables(ctx)
+        lifts = [*ctx.initial_pset.projectors, *ctx.final_pset.projectors, ctx.barrier_unitary]
+        for op in lifts:
+            assert op.lift is not None and op.lift.perm is None
+            assert op._matrix is None
+        for op in (ctx.nsm_unitary, ctx.entangler_full, ctx.event_unitary):
+            assert op._matrix is None  # permutations gather without it
+
+
+class TestDimensionBudget:
+    def test_context_over_budget_is_refused_before_building(self, monkeypatch):
+        def no_lift(*args, **kwargs):
+            raise AssertionError("an operator was lifted")
+
+        monkeypatch.setattr(scheme, "embed_operator", no_lift)
+        with pytest.raises(CapacityError, match="dimension 64 .* exceeds budget 8"):
+            build_context(SchemeConfig(), policy=NumericPolicy(max_dim=8))
+
+    def test_context_at_budget_is_built(self):
+        ctx = build_context(SchemeConfig(), policy=NumericPolicy(max_dim=64))
+        assert ctx.space.total_dim == 64
+
+    def test_default_budget_is_the_widest_tested_context(self):
+        assert NumericPolicy().max_dim == 576

@@ -12,7 +12,7 @@ from helpers import (
     random_unitary,
     state_with_signed_zeros,
 )
-from meterwork.errors import CoherentInputError
+from meterwork.errors import CapacityError, CoherentInputError
 from meterwork.linalg import CompositeSpace, DensityMatrix, Ket, Operator, ProjectorSet
 from meterwork.measurement import EntropyLedger, born_probabilities, event_read
 from meterwork.numeric import NumericPolicy
@@ -50,6 +50,10 @@ class TestPlanckBasis:
             for q in projs[i + 1 :]:
                 assert np.max(np.abs(p @ q)) == 0.0  # mutually orthogonal
         np.testing.assert_array_equal(sum(projs), np.eye(4))
+
+    def test_cell_basis_over_budget_is_a_capacity_error(self):
+        with pytest.raises(CapacityError, match="dimension 12 exceeds budget 8"):
+            build_planck_basis(3, 4, policy=NumericPolicy(max_dim=8))
 
     def test_nonpositive_widths_rejected(self):
         with pytest.raises(ValueError, match="widths"):
