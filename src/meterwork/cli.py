@@ -426,7 +426,8 @@ def _jsonl_row(specs) -> str:
 
 
 # <W_total> - <W_drive> is 3 kT up to the rounding of two means; the bound
-# is relative so that it holds at any temperature.
+# is relative so that it holds at any temperature. A nonzero target inside
+# its own bound cannot be told from 0, so its check fails.
 _WORK_GAP_RTOL = 1e-12
 
 
@@ -460,7 +461,9 @@ def cmd_scheme(settings: dict) -> int:
     per_run = {party: total / n for party, total in result.ledger_totals.items()}
     conservation = sum(result.ledger_totals.values())
     gap_target = result.sigma_total * kT
-    gap_ok = abs(result.work_gap - gap_target) <= _WORK_GAP_RTOL * max(1.0, abs(gap_target))
+    gap_bound = _WORK_GAP_RTOL * max(1.0, abs(gap_target))
+    gap_resolved = gap_target == 0.0 or abs(gap_target) > gap_bound
+    gap_ok = gap_resolved and abs(result.work_gap - gap_target) <= gap_bound
     ledger_ok = abs(conservation) == 0.0
     checks = {
         "original_passed": result.original_report.passed,

@@ -430,11 +430,17 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def _equality_verdict(exponents: np.ndarray, beta: float, delta_f: float) -> tuple:
-    """Mean and SE of exp(exponents), exp(-beta dF), and whether they agree."""
-    mean, se = _mean_and_se(np.exp(exponents))
+    """Mean and SE of exp(exponents), exp(-beta dF), and whether they agree.
+
+    They never agree when the target or every sample weight has underflowed
+    to 0: such a comparison says nothing about the equality.
+    """
+    weights = np.exp(exponents)
+    mean, se = _mean_and_se(weights)
     exact = math.exp(-beta * delta_f)
     rounding = _ROUNDING * (1.0 + float(np.max(np.abs(exponents))) + abs(beta * delta_f))
-    return mean, se, exact, abs(mean - exact) <= 3.0 * se + rounding * max(abs(mean), abs(exact))
+    agree = abs(mean - exact) <= 3.0 * se + rounding * max(abs(mean), abs(exact))
+    return mean, se, exact, agree and exact > 0.0 and bool(np.any(weights))
 
 
 def _works_array(samples) -> np.ndarray:
@@ -452,7 +458,8 @@ def jarzynski_equality_check(
     """Compare the sample mean of exp(-beta W) against exp(-beta dF).
 
     Accepts WorkSamples or a plain array of work values. Passes when
-    the deviation is within three standard errors, plus the scaled `_ROUNDING`.
+    the deviation is within three standard errors, plus the scaled `_ROUNDING`,
+    unless the target or every sample weight has underflowed to 0.
     """
     if not len(samples):
         raise ValueError("cannot check the equality on an empty sample set")

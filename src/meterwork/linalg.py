@@ -7,19 +7,23 @@ subnormalized: `trace_weight` is 1 for conventional ensembles and
 ``exp(-sigma)`` for ensembles redefined by an entropy production ``sigma``
 (which may be negative, so weights above 1 are legal).
 
-States are dense matrices. Two kinds of operator keep a smaller form and
-build their dense matrices only on first access, then keep them:
+States are dense matrices. A value's structure is declared where it is
+built and never scanned for in its matrices afterwards. Two kinds of value
+keep a smaller form and build their dense matrices only on first access,
+then keep them:
 
-* a `ProjectorSet` given as a basis partition keeps its ``sector_of``
-  array; dephasing, collapse and Born reading mask indices with it;
+* a `ProjectorSet` built from a ``sector_of`` array (`ProjectorSet.basis`,
+  `ProjectorSet.embedded` of such a family, or ``ProjectorSet(sector_of,
+  labels)``) is a partition of the computational basis, and its kernels
+  mask indices with that array;
 * an operator lifted by `embed_operator` (and each projector of a family
   lifted by `ProjectorSet.embedded`) keeps its `Lift`: the local matrix L,
-  the dimension of the untouched factors and the basis permutation. Its
-  structure is read off L. When the named factors lead the space the lift
-  is L (x) I, and `conjugate`, `collapse`, `superselection.dephase` and
-  `measurement.born_probabilities` contract L with the state reshaped to
+  the dimension of the untouched factors and the basis permutation. When
+  the named factors lead the space the lift is L (x) I, and `conjugate` and
+  the `ProjectorSet` kernels contract L with the state reshaped to
   (l, rest, l, rest) instead of multiplying by the d x d lift. A lift whose
-  L is a permutation conjugates by gathering rows and columns.
+  L is a permutation conjugates by gathering rows and columns; whether L is
+  one is the only structure read off a matrix, and only off L.
 
 Operations are pure functions. Apart from those caches nothing here mutates
 shared state, and threads racing to fill one build equal matrices, so all
@@ -69,21 +73,6 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
-def _index_support(op: "Operator") -> np.ndarray | None:
-    """Boolean support of an operator whose matrix is diagonal with entries
-    exactly 0 or 1, or None for any other operator. A lift is read off its
-    local matrix."""
-    lift = op.lift
-    m = op.matrix if lift is None else lift.local
-    if not _is_diagonal(m):
-        return None
-    d = np.diagonal(m)
-    support = d == 1
-    if not np.all(support | (d == 0)):
-        return None
-    return support if lift is None else lift.lifted_diagonal(support)
-
-
 def _lowest_eigenvalue(m: np.ndarray) -> float:
     """Lowest eigenvalue of a hermitian m, or of its support block.
 
@@ -113,11 +102,10 @@ def _permutation_of(u: np.ndarray) -> np.ndarray | None:
 
 
 def _operator_permutation(u: "Operator") -> np.ndarray | None:
-    """`_permutation_of(u.matrix)`, read off the local matrix of a lift."""
+    """`_permutation_of(u.matrix)` for a lift, read off its local matrix;
+    None for an operator that is not a lift."""
     lift = u.lift
-    if lift is None:
-        return _permutation_of(u.matrix)
-    local = _permutation_of(lift.local)
+    local = None if lift is None else _permutation_of(lift.local)
     if local is None:
         return None
     big = (local[:, None] * lift.rest_dim + np.arange(lift.rest_dim)).ravel()
@@ -228,11 +216,6 @@ class Lift:
     def dense(self) -> np.ndarray:
         m = np.kron(self.local, np.eye(self.rest_dim))
         return m if self.perm is None else m[np.ix_(self.perm, self.perm)]
-
-    def lifted_diagonal(self, local_diagonal: np.ndarray) -> np.ndarray:
-        """Diagonal of the lift of a diagonal local matrix."""
-        diag = np.repeat(local_diagonal, self.rest_dim)
-        return diag if self.perm is None else diag[self.perm]
 
     def left(self, m: np.ndarray) -> np.ndarray:
         """lift @ m."""
@@ -417,26 +400,33 @@ class CompositeSpace:
 
 
 class ProjectorSet:
-    """Complete family of orthogonal projectors with outcome labels.
+    """Complete family of orthogonal projectors P_k with outcome labels.
 
     Completeness (projectors summing to the identity) is validated at
-    construction; orthogonality follows from completeness plus idempotence.
+    construction and kept as ``completeness_deviation``; orthogonality
+    follows from completeness plus idempotence.
 
-    ``sector_of`` is set when the family partitions the computational basis:
-    every projector is diagonal with entries exactly 0 or 1, and each index
-    lies in exactly one of them. It is the read-only array mapping each
-    basis index to the position of its projector, and dephasing, collapse
-    and Born reading then work by index masking. It is None for any other
-    family, such as the energy sectors of a non-diagonal Hamiltonian.
+    How the family is applied is declared by how it is built:
 
-    A partition may be given as its ``sector_of`` integer array in place of
-    the projectors, one sector per label. Its dense ``projectors``, the 0/1
-    diagonals in sector order, are then built on first access and kept.
-    Projectors lifted from one family onto one space share one embedding,
-    and the family is checked at the dimension of their local matrices.
+    * a partition of the computational basis is given as its ``sector_of``
+      integer array in place of the projectors, one sector per label, and
+      keeps it as a read-only array (`basis`, `embedded` of a partition, or
+      ``ProjectorSet(sector_of, labels)``). Its dense ``projectors``, the
+      0/1 diagonals in sector order, are built on first access and kept;
+    * projectors that are all lifts L_k (x) I onto leading factors
+      (`embed_operator`, or `embedded` of a family that is not a partition)
+      are contracted through L_k (see `Lift`);
+    * any other family is multiplied as dense matrices.
+
+    ``sector_of`` is None for the last two. `sandwich`, `pinch` and
+    `traces` are the family's kernels; each chooses once between the three.
+    A partition masks indices, which gives the bits of the products with
+    its 0/1 diagonals. Projectors lifted from one family onto one space
+    share one embedding, and the family is checked at the dimension of
+    their local matrices.
     """
 
-    __slots__ = ("_projectors", "labels", "dim", "sector_of")
+    __slots__ = ("_projectors", "labels", "dim", "sector_of", "completeness_deviation", "_lifts")
 
     def __init__(
         self,
@@ -446,10 +436,11 @@ class ProjectorSet:
         policy: NumericPolicy = DEFAULT_POLICY,
     ):
         if isinstance(projectors, np.ndarray):
-            projs = None
+            projs, lifts = None, None
             sector_of = _checked_sector_of(projectors, labels)
             dim = sector_of.size
             n = len(labels) if labels is not None else int(sector_of.max()) + 1
+            dev = 0.0  # 0/1 diagonals covering each index once sum to I exactly
         else:
             projs = tuple(projectors)
             if not projs:
@@ -461,8 +452,10 @@ class ProjectorSet:
                 if p.projector is not True:
                     # revalidate unflagged input rather than trusting the caller
                     Operator(p.matrix, projector=True, policy=policy)
-            sector_of = _partition_of(projs)
-        dev = 0.0 if sector_of is not None else _completeness_deviation(projs)
+            sector_of = None
+            lifts = tuple(_leading_lift(p) for p in projs)
+            lifts = None if None in lifts else lifts
+            dev = _completeness_deviation(projs)
         if dev > policy.completeness_tol:
             raise ValueError(f"projectors do not sum to identity: deviation {dev:.3e}")
         if labels is None:
@@ -474,9 +467,11 @@ class ProjectorSet:
             if len(set(labels)) != len(labels):
                 raise ValueError(f"outcome labels must be unique, got {labels}")
         self._projectors = projs
+        self._lifts = lifts
         self.labels = labels
         self.dim = dim
         self.sector_of = sector_of
+        self.completeness_deviation = dev
 
     @property
     def projectors(self) -> tuple[Operator, ...]:
@@ -502,6 +497,44 @@ class ProjectorSet:
             return ProjectorSet(lifted, self.labels)
         rest_dim, perm = _embedding(space, acting_on, self.dim)
         return ProjectorSet(np.repeat(self.sector_of, rest_dim)[perm], self.labels)
+
+    def sandwich(self, m: np.ndarray, k: int) -> np.ndarray:
+        """P_k @ m @ P_k."""
+        if self.sector_of is not None:
+            keep = self.sector_of == k
+            return _restrict(m, np.outer(keep, keep))
+        if self._lifts is not None:
+            lift = self._lifts[k]
+            return lift.right(lift.left(m))
+        p = self.projectors[k].matrix
+        return p @ m @ p
+
+    def pinch(self, m: np.ndarray) -> np.ndarray:
+        """sum_k P_k @ m @ P_k, added in projector order."""
+        if self.sector_of is not None:
+            return _restrict(m, self.sector_of[:, None] == self.sector_of[None, :])
+        out = np.zeros_like(m)
+        if self._lifts is not None:
+            for lift in self._lifts:
+                out += lift.right(lift.left(m))
+        else:
+            for p in self.projectors:
+                out += p.matrix @ m @ p.matrix
+        return out
+
+    def traces(self, m: np.ndarray) -> np.ndarray:
+        """Real parts of tr(P_k @ m), in projector order. For a partition
+        each is the sum of the full-length diagonal with the other sectors'
+        entries zeroed, which keeps the summation order of the product's
+        trace."""
+        if self.sector_of is not None:
+            diag = np.diagonal(m)
+            return np.array(
+                [float(_restrict(diag, self.sector_of == k).sum().real) for k in range(len(self))]
+            )
+        if self._lifts is not None:
+            return np.array([float(np.trace(lift.left(m)).real) for lift in self._lifts])
+        return np.array([float(np.trace(p.matrix @ m).real) for p in self.projectors])
 
     def __repr__(self) -> str:
         return f"ProjectorSet(n={len(self)}, dim={self.dim})"
@@ -536,23 +569,6 @@ def _completeness_deviation(projs: Sequence[Operator]) -> float:
     )
     total = sum(p.lift.local if shared else p.matrix for p in projs)
     return _max_abs(total - np.eye(total.shape[0]))
-
-
-def _partition_of(projs: Sequence[Operator]) -> np.ndarray | None:
-    """Sector index of every basis index when the projectors partition the
-    computational basis, else None."""
-    supports = []
-    for p in projs:
-        support = _index_support(p)
-        if support is None:
-            return None
-        supports.append(support)
-    member = np.array(supports)
-    if not np.all(np.count_nonzero(member, axis=0) == 1):
-        return None
-    sector_of = np.argmax(member, axis=0)
-    sector_of.setflags(write=False)
-    return sector_of
 
 
 def tensor(a: Operator, b: Operator, *, policy: NumericPolicy = DEFAULT_POLICY) -> Operator:
@@ -644,10 +660,11 @@ def conjugate(
 
     Trace drift is asserted against the preservation tolerance and then
     snapped away, so long conjugation chains keep their weight exactly.
-    A permutation matrix (one entry exactly 1 per row and column, the rest
-    0) conjugates by gathering rows and columns, with the same bits as the
-    matrix products. Any other lift L (x) I onto leading factors contracts
-    L with the state and builds no d x d matrix.
+    A lift whose local matrix is a permutation (one entry exactly 1 per row
+    and column, the rest 0) conjugates by gathering rows and columns, with
+    the same bits as the matrix products. Any other lift L (x) I onto
+    leading factors contracts L with the state and builds no d x d matrix.
+    Every other `u` is multiplied as a dense matrix.
     """
     if not isinstance(u, Operator):
         u = Operator(u)
@@ -675,20 +692,17 @@ def conjugate(
 
 def collapse(
     state: DensityMatrix,
-    projector: Operator,
+    outcomes: ProjectorSet,
+    k: int,
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> DensityMatrix:
-    """Unit-trace post-measurement state P rho P / tr(P rho P).
-
-    Onto a 0/1 diagonal projector this is the rows and columns of its
-    support, with the same bits as the matrix products.
-    """
-    support = _index_support(projector)
-    if support is None:
-        m = _sandwich(projector, state.matrix)
-    else:
-        m = _restrict(state.matrix, np.outer(support, support))
+    """Unit-trace post-measurement state P_k rho P_k / tr(P_k rho P_k) for
+    outcome k of `outcomes` (the Lueders update), through
+    `ProjectorSet.sandwich`."""
+    if not 0 <= k < len(outcomes):
+        raise IndexError(f"outcome {k} outside a family of {len(outcomes)}")
+    m = outcomes.sandwich(state.matrix, k)
     m = 0.5 * (m + m.conj().T)
     return DensityMatrix(m / np.trace(m).real, 1.0, policy=policy)
 
@@ -696,18 +710,6 @@ def collapse(
 def _leading_lift(op: Operator) -> Lift | None:
     """The lift of an operator L (x) I onto the leading factors, else None."""
     return op.lift if op.lift is not None and op.lift.perm is None else None
-
-
-def _sandwich(p: Operator, m: np.ndarray) -> np.ndarray:
-    """p @ m @ p, contracted through L for a lift L (x) I."""
-    lift = _leading_lift(p)
-    return p.matrix @ m @ p.matrix if lift is None else lift.right(lift.left(m))
-
-
-def _left_product(p: Operator, m: np.ndarray) -> np.ndarray:
-    """p @ m, contracted through L for a lift L (x) I."""
-    lift = _leading_lift(p)
-    return p.matrix @ m if lift is None else lift.left(m)
 
 
 def evolve(state, h: Operator, duration: float, *, policy: NumericPolicy = DEFAULT_POLICY):

@@ -38,8 +38,6 @@ from .linalg import (
     Ket,
     Operator,
     ProjectorSet,
-    _left_product,
-    _restrict,
     collapse,
     tensor,
 )
@@ -309,30 +307,9 @@ def born_probabilities(
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
-    """Outcome distribution tr[P(y) rho] / trace_weight, in projector order.
-
-    For a partition of the computational basis each trace is the sum of the
-    full-length diagonal with the other sectors' entries zeroed, which keeps
-    the summation order, and so the bits, of the trace of the product. A
-    projector lifted onto leading factors forms its product with rho from
-    its local matrix (see `linalg.Lift`).
-    """
-    sector_of = outcome_projectors.sector_of
-    if sector_of is None:
-        raw = np.array(
-            [
-                float(np.trace(_left_product(p, rho.matrix)).real)
-                for p in outcome_projectors.projectors
-            ]
-        )
-    else:
-        diag = np.diagonal(rho.matrix)
-        raw = np.array(
-            [
-                float(_restrict(diag, sector_of == k).sum().real)
-                for k in range(len(outcome_projectors))
-            ]
-        )
+    """Outcome distribution tr[P(y) rho] / trace_weight, in projector order,
+    from `ProjectorSet.traces`."""
+    raw = outcome_projectors.traces(rho.matrix)
     if np.all(raw < policy.outcome_floor):
         raise DegenerateDistributionError("every outcome probability is numerically zero")
     return np.clip(raw, 0.0, None) / rho.trace_weight
@@ -372,7 +349,7 @@ def select_outcome(
     outcome family: inverse-CDF draw in projector order, collapse, ledger pair."""
     probs, sigma = reading_distribution(rho, outcome_projectors, policy=policy)
     idx = int(draw_indices(cdf_of(probs), rng.random()))
-    state = collapse(rho, outcome_projectors.projectors[idx], policy=policy)
+    state = collapse(rho, outcome_projectors, idx, policy=policy)
     new_ledger = ledger.with_pair(reader_label, measured_label, sigma, cause)
     return EventReadResult(outcome_projectors.labels[idx], state, new_ledger)
 

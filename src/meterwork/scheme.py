@@ -53,7 +53,6 @@ from .linalg import (
     Ket,
     Operator,
     ProjectorSet,
-    _restrict,
     collapse,
     conjugate,
     embed_operator,
@@ -361,8 +360,8 @@ def prepare_initial_state(ctx: SchemeContext) -> DensityMatrix:
     cfg = ctx.config
     rho_sa = thermal_state(ctx.h_initial, cfg.beta, policy=ctx.policy)
     if cfg.eigenstate_prep:
-        ground = energy_sectors(ctx.h_initial, policy=ctx.policy)[0].projector
-        rho_sa = collapse(rho_sa, ground, policy=ctx.policy)
+        sectors = sector_projector_set(energy_sectors(ctx.h_initial, policy=ctx.policy))
+        rho_sa = collapse(rho_sa, sectors, 0, policy=ctx.policy)
     meter = np.outer(ctx.meter_ready.amplitudes, ctx.meter_ready.amplitudes.conj())
     pointer = np.outer(ctx.pointer_ready.amplitudes, ctx.pointer_ready.amplitudes.conj())
     full = np.kron(rho_sa.matrix, np.kron(meter, pointer))
@@ -597,7 +596,7 @@ class _BranchTables:
         for i in range(n_i):
             if self.p_init[i] <= floor:
                 continue
-            state_i = collapse(dephased0, ctx.initial_pset.projectors[i], policy=policy)
+            state_i = collapse(dephased0, ctx.initial_pset, i, policy=policy)
             state_b = apply_barrier_drive(ctx, state_i)
             state_n = apply_nonselective_measurement(ctx, state_b)
             state_e = apply_meter_entangling(ctx, state_n)
@@ -608,7 +607,7 @@ class _BranchTables:
             for m_idx in range(n_m):
                 if q[m_idx] <= floor:
                     continue
-                state_v = collapse(ready, ctx.meter_outcome_set.projectors[m_idx], policy=policy)
+                state_v = collapse(ready, ctx.meter_outcome_set, m_idx, policy=policy)
                 deph_f = nonselective_measure(state_v, ctx.final_pset, policy=policy)
                 r, s3 = reading_distribution(deph_f, ctx.final_pset, policy=policy)
                 self.cdf_final[i, m_idx] = cdf_of(r)
@@ -791,14 +790,10 @@ def verify_unitary_roundtrips(
         """Worst branch deviation of (undone M marginal vs ready, S branch vs
         its pre-entangle branch)."""
         worst = 0.0
-        diag = np.diagonal(state_full.matrix)
-        for k in range(len(site_set)):
-            # the masked sums and entries of P rho and P rho P, bit for bit
-            support = site_set.sector_of == k
-            p = float(_restrict(diag, support).sum().real)
+        for k, p in enumerate(site_set.traces(state_full.matrix)):
             if p <= floor:
                 continue
-            branch = _restrict(state_full.matrix, np.outer(support, support)) / p
+            branch = site_set.sandwich(state_full.matrix, k) / p
             branch = 0.5 * (branch + branch.conj().T)
             branch_dm = DensityMatrix(branch, 1.0, policy=policy)
             m_branch = partial_trace(branch_dm, ctx.space, (METER, POINTER), policy=policy)
@@ -806,7 +801,7 @@ def verify_unitary_roundtrips(
             worst = max(worst, float(np.max(np.abs(undone - m_ready))))
 
             s_branch = partial_trace(branch_dm, ctx.space, (SYSTEM, APPARATUS), policy=policy)
-            ref = collapse(s_marg, site_sa.projectors[k], policy=policy).matrix
+            ref = collapse(s_marg, site_sa, k, policy=policy).matrix
             worst = max(worst, float(np.max(np.abs(s_branch.matrix - ref))))
         return worst
 
@@ -824,7 +819,7 @@ def verify_unitary_roundtrips(
     undone = undo_c[n0] @ m_after.matrix @ undo_c[n0].conj().T
     dev_d = float(np.max(np.abs(undone - m_ready)))
     s_after = partial_trace(collapsed, ctx.space, (SYSTEM, APPARATUS), policy=policy)
-    ref = collapse(s_marg, site_sa.projectors[n0], policy=policy).matrix
+    ref = collapse(s_marg, site_sa, n0, policy=policy).matrix
     dev_d = max(dev_d, float(np.max(np.abs(s_after.matrix - ref))))
 
     stages = tuple(

@@ -15,14 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import CapacityError
-from .linalg import (
-    DensityMatrix,
-    Operator,
-    ProjectorSet,
-    _completeness_deviation,
-    _restrict,
-    _sandwich,
-)
+from .linalg import DensityMatrix, Operator, ProjectorSet
 from .numeric import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -76,7 +69,7 @@ class PlanckCellBasis:
 
     def projector_set(self) -> ProjectorSet:
         labels = tuple((cell.q_index, cell.p_index) for cell in self.cells)
-        return ProjectorSet(tuple(cell.projector for cell in self.cells), labels)
+        return ProjectorSet.basis(self.dim, labels)
 
 
 def build_planck_basis(
@@ -110,24 +103,15 @@ def dephase(
     """Remove coherence between sectors: rho -> sum_y P(y) rho P(y).
 
     Trace-preserving and idempotent; sector populations are untouched.
-    A partition of the computational basis (``sectors.sector_of``) keeps
-    the entries whose row and column share a sector, with the same bits
-    as the projector sum. Projectors lifted onto leading factors are
-    contracted through their local matrices (see `linalg.Lift`).
+    The sum is `ProjectorSet.pinch`, which masks the indices of a partition
+    and contracts lifts through their local matrices.
     """
     if sectors.dim != rho.dim:
         raise ValueError(f"sector dimension {sectors.dim} != state dimension {rho.dim}")
-    sector_of = sectors.sector_of
-    # 0/1 diagonals covering each index once sum to I exactly
-    dev = 0.0 if sector_of is not None else _completeness_deviation(sectors.projectors)
+    dev = sectors.completeness_deviation
     if dev > policy.completeness_tol:
         raise ValueError(f"projector set incomplete: deviation {dev:.3e}")
-    if sector_of is None:
-        out = np.zeros_like(rho.matrix)
-        for p in sectors.projectors:
-            out += _sandwich(p, rho.matrix)
-    else:
-        out = _restrict(rho.matrix, sector_of[:, None] == sector_of[None, :])
+    out = sectors.pinch(rho.matrix)
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out, rho.trace_weight, policy=policy)
 

@@ -326,6 +326,23 @@ class TestSchemeCommand:
         assert summary["checks"]["work_gap_identity"] is True
         assert code == 0
 
+    def test_extreme_beta_verdicts_fail(self, tmp_path, capsys):
+        # every exp(-beta W) and exp(-beta dF) underflows to 0, and the
+        # work-gap target 2e-300 lies far inside its bound of 1e-12
+        out = tmp_path / "o"
+        code = main(["scheme", "--beta", "1e300", "--samples", "10", "--output", str(out)])
+        summary = read_json(out / "scheme_summary.json")
+        assert summary["work_gap_target"] == 2e-300
+        checks = summary["checks"]
+        assert checks["original_passed"] is False
+        assert checks["modified_passed"] is False
+        assert checks["work_gap_identity"] is False
+        assert summary["passed"] is False
+        assert code == 1
+        printed = capsys.readouterr().out
+        assert "(target 2.0000000000000001e-300) [FAIL]" in printed
+        assert "original: mean=0 target=0 se=0 [FAIL]" in printed
+
     def test_summary_csv_columns(self, tmp_path):
         out = tmp_path / "o"
         main(["scheme", "--samples", "20", "--output", str(out)])

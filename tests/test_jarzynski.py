@@ -325,6 +325,32 @@ class TestZeroVarianceVerdicts:
         assert not report.inequality_ok
 
 
+class TestUnderflowedVerdicts:
+    """An estimate or a target that exp has rounded to 0 carries no
+    information about the equality, so its verdict must not pass."""
+
+    def test_every_weight_and_the_target_underflowed(self):
+        works = np.array([1.0, 1.0, 2.0])
+        report = jarzynski_equality_check(works, 1e300, 1.0)
+        assert (report.estimator_mean, report.exact_value) == (0.0, 0.0)
+        assert not report.passed
+        modified = modified_jarzynski_check(works, 1e300, 1.0, sigma_total=2.0)
+        assert (modified.estimator_mean, modified.exact_value) == (0.0, 0.0)
+        assert not modified.passed
+
+    def test_target_underflowed_below_a_noisy_estimate(self):
+        # one weight of 1 among 0s: 3 SE covers the whole mean
+        works = np.array([0.0] + [1000.0] * 9)
+        report = jarzynski_equality_check(works, 1.0, 800.0)
+        assert report.exact_value == 0.0 and report.estimator_mean == 0.1
+        assert not report.passed
+
+    def test_every_weight_underflowed_against_a_subnormal_target(self):
+        report = jarzynski_equality_check(np.full(4, 1000.0), 1.0, 744.0)
+        assert report.estimator_mean == 0.0 and 0.0 < report.exact_value < 1e-300
+        assert not report.passed
+
+
 class TestModifiedCheck:
     def test_injected_accounting_cancels(self):
         beta = 1.0

@@ -576,7 +576,7 @@ class TestLift:
         rho = random_density(rng, 12)
         dephased = dephase(rho, lifted).matrix
         probs = born_probabilities(rho, lifted)
-        collapsed = collapse(rho, lifted.projectors[0]).matrix
+        collapsed = collapse(rho, lifted, 0).matrix
         leading = lifted.projectors[0].lift.perm is None
         assert leading == (acting == ("a", "b"))
         assert all(p._matrix is None for p in lifted.projectors) == leading
@@ -649,6 +649,12 @@ class TestProjectorSet:
             lifted.sector_of,
         )
 
+    def test_dense_projectors_are_not_scanned_for_a_partition(self):
+        # 0/1 diagonals given as matrices are a dense family; only a
+        # sector_of array declares a partition
+        pset = ProjectorSet([Operator(np.diag(np.eye(3)[k]), projector=True) for k in range(3)])
+        assert pset.sector_of is None and pset.completeness_deviation == 0.0
+
     def test_basis_matches_unit_diagonals(self):
         for k, p in enumerate(ProjectorSet.basis(4).projectors):
             m = np.zeros((4, 4))
@@ -660,12 +666,13 @@ class TestCollapse:
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3, 8, 16, 33]))
     def test_index_projector_bitwise(self, seed, dim):
         gen = np.random.default_rng(seed)
-        _, projs = index_partition(gen, dim)
+        sector_of, projs = index_partition(gen, dim)
+        pset = ProjectorSet(sector_of, range(len(projs)))
         for rho in (random_density(gen, dim), state_with_signed_zeros(gen, dim)):
-            for p in projs:
+            for k, p in enumerate(projs):
                 if float(np.trace(p.matrix @ rho.matrix).real) <= 1e-12:
                     continue
-                out = collapse(rho, p)
+                out = collapse(rho, pset, k)
                 assert out.matrix.tobytes() == dense_collapse(rho.matrix, p).tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -675,16 +682,29 @@ class TestCollapse:
         pset = ProjectorSet.basis(4).embedded(space, ("S", "M"))
         lifts = [embed_operator(p, space, ("S", "M")) for p in ProjectorSet.basis(4).projectors]
         for rho in (random_density(gen, 24), state_with_signed_zeros(gen, 24)):
-            for p in (*pset.projectors, *lifts):
-                if float(np.trace(p.matrix @ rho.matrix).real) <= 1e-12:
-                    continue
-                out = collapse(rho, p)
-                assert out.matrix.tobytes() == dense_collapse(rho.matrix, p).tobytes()
+            for family in (pset, ProjectorSet(lifts)):
+                for k, p in enumerate(family.projectors):
+                    if float(np.trace(p.matrix @ rho.matrix).real) <= 1e-12:
+                        continue
+                    out = collapse(rho, family, k)
+                    assert out.matrix.tobytes() == dense_collapse(rho.matrix, p).tobytes()
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_outcome_outside_the_family_rejected(self, dense, k, rng):
+        pset = ProjectorSet.basis(3)
+        if dense:
+            pset = ProjectorSet(pset.projectors)
+        with pytest.raises(IndexError, match=f"outcome {k} outside a family of 3"):
+            collapse(random_density(rng, 3), pset, k)
 
     def test_non_diagonal_projector_stays_dense(self, rng):
-        p = Operator(np.full((2, 2), 0.5), projector=True)
+        plus = np.full((2, 2), 0.5)
+        pset = ProjectorSet([Operator(m, projector=True) for m in (plus, np.eye(2) - plus)])
+        assert pset.sector_of is None
         rho = random_density(rng, 2)
-        assert collapse(rho, p).matrix.tobytes() == dense_collapse(rho.matrix, p).tobytes()
+        p = pset.projectors[0]
+        assert collapse(rho, pset, 0).matrix.tobytes() == dense_collapse(rho.matrix, p).tobytes()
 
 
 class TestCompositeSpace:

@@ -522,11 +522,14 @@ def contexts(monkeypatch):
 class TestWidePointers:
     def test_dephase_sets_never_build_dense_projectors(self, contexts):
         pointer = PointerModel(8)
-        run_scheme(SchemeConfig(n_samples=50, seed=3, nsm_pointer=pointer, event_pointer=pointer))
-        (ctx,) = contexts
-        run_single(ctx, stream_generator(3, 0), keep_states=False)
-        for pset in (ctx.nsm_dephase_set, ctx.event_dephase_set):
-            assert pset.sector_of is not None and pset._projectors is None
+        cfg = SchemeConfig(n_samples=50, seed=3, nsm_pointer=pointer, event_pointer=pointer)
+        run_scheme(cfg)
+        run_single(contexts[0], stream_generator(3, 0), keep_states=False)
+        verify_unitary_roundtrips(cfg, 3)
+        assert len(contexts) == 2
+        for ctx in contexts:
+            for pset in (ctx.nsm_dephase_set, ctx.event_dephase_set, ctx.meter_outcome_set):
+                assert pset.sector_of is not None and pset._projectors is None
 
     def test_dim_576_stepwise_run_is_the_first_table_record(self, contexts):
         pointer = PointerModel(12)
@@ -629,8 +632,17 @@ class TestFactoredLifts:
     """The energy families and the barrier drive are lifts L (x) I of the
     leading factors: the table path contracts L and builds no d x d lift."""
 
-    def test_wide_tables_equal_the_dense_reference_bitwise(self):
-        cfg = SchemeConfig(nsm_pointer=_WIDE, event_pointer=_WIDE)
+    @pytest.mark.parametrize(
+        "pointer_dim, eigenstate_prep", [(8, False), (4, True), (8, True)],
+        ids=["dim-256", "eigenstate-prep-dim-64", "eigenstate-prep-dim-256"],
+    )
+    def test_wide_tables_equal_the_dense_reference_bitwise(self, pointer_dim, eigenstate_prep):
+        # eigenstate preparation's energy families are lifts of 0/1 diagonal
+        # cores: one nonzero product per entry, at every dimension
+        pointer = PointerModel(pointer_dim)
+        cfg = SchemeConfig(
+            nsm_pointer=pointer, event_pointer=pointer, eigenstate_prep=eigenstate_prep
+        )
         factored, dense, pairs = _factored_and_dense_tables(cfg)
         for name in _TABLES:
             assert getattr(factored, name).tobytes() == getattr(dense, name).tobytes(), name

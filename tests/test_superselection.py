@@ -60,8 +60,12 @@ class TestPlanckBasis:
             build_planck_basis(2, 2, widths=(0.0, 1.0))
 
     def test_projector_set_roundtrip(self):
-        pset = build_planck_basis(2, 3).projector_set()
-        assert len(pset) == 6 and pset.dim == 6
+        basis = build_planck_basis(2, 3)
+        pset = basis.projector_set()
+        assert len(pset) == 6 and pset.dim == 6 and pset.sector_of is not None
+        assert pset.labels == tuple((c.q_index, c.p_index) for c in basis.cells)
+        for cell, p in zip(basis.cells, pset.projectors):
+            assert p.matrix.tobytes() == cell.projector.matrix.tobytes()
 
 
 def _two_sector_set() -> ProjectorSet:
@@ -143,8 +147,7 @@ class TestIndexSetSectors:
     def test_dephase_and_born_bitwise(self, seed, dim):
         gen = np.random.default_rng(seed)
         sector_of, projs = index_partition(gen, dim)
-        pset = ProjectorSet(projs)
-        assert np.array_equal(pset.sector_of, sector_of)
+        pset = ProjectorSet(sector_of, range(len(projs)))
         for rho in (random_density(gen, dim), state_with_signed_zeros(gen, dim)):
             out = dephase(rho, pset)
             assert out.matrix.tobytes() == dense_dephase(rho.matrix, projs).tobytes()
