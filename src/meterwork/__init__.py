@@ -72,13 +72,6 @@ from .scheme import (
     szilard_schedule,
     verify_unitary_roundtrips,
 )
-from .superselection import (
-    EnergySector,
-    PlanckCellBasis,
-    build_planck_basis,
-    dephase,
-    energy_sectors,
-    sector_projector_set,
-)
+from .superselection import PlanckCellBasis, build_planck_basis, dephase, energy_sectors
 
 __version__ = "0.1.0"

@@ -2,9 +2,11 @@
 
 A drive is a control path lambda_t sampled at t_n = n t_f / N with a
 piecewise-constant propagator per step. Work is the difference of projective
-energy readings at the endpoints; degenerate energy sectors collapse with
-the full sector projector. The heat bath enters only through the thermal
-initial state; the drive itself is strictly unitary.
+energy readings at the endpoints. Each endpoint reading is the
+`energy_sectors` family of its Hamiltonian, a `ProjectorSet` labeled by
+sector energy; degenerate sectors collapse with the full sector projector,
+and the Born overlaps are that family's `traces`. The heat bath enters only
+through the thermal initial state; the drive itself is strictly unitary.
 
 Two independent evaluations of <exp(-beta W)> are provided:
 
@@ -31,10 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DensityMatrix, Operator, _hermitian_function
+from .linalg import DensityMatrix, Operator, ProjectorSet, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import cdf_of, draw_indices, draw_rows, stream_uniforms
-from .superselection import EnergySector, energy_sectors
+from .superselection import energy_sectors
 
 __all__ = [
     "DriveSchedule",
@@ -291,23 +293,24 @@ def _sector_tables(
     beta: float,
     *,
     policy: NumericPolicy,
-) -> tuple[list[EnergySector], list[EnergySector], np.ndarray, np.ndarray]:
+) -> tuple[ProjectorSet, ProjectorSet, np.ndarray, np.ndarray]:
     """Initial sectors, final sectors, Gibbs sector probabilities, and the
     conditional outcome matrix T[i, f] for the full drive propagator."""
     init = energy_sectors(schedule.initial_hamiltonian(), policy=policy)
     fin = energy_sectors(schedule.final_hamiltonian(), policy=policy)
-    energies = np.array([s.energy for s in init])
-    degens = np.array([s.degeneracy for s in init], dtype=float)
+    energies = np.array(init.labels)
+    degens = np.array([np.rint(np.trace(p.matrix).real) for p in init.projectors])
     logw = -beta * energies + np.log(degens)
     p_init = np.exp(logw - _logsumexp(logw))
     p_init /= p_init.sum()
 
     u = schedule.total_propagator()
-    cond = np.empty((len(init), len(fin)))
-    for i, si in enumerate(init):
-        evolved = u @ (si.projector.matrix / si.degeneracy) @ u.conj().T
-        for f, sf in enumerate(fin):
-            cond[i, f] = float(np.trace(sf.projector.matrix @ evolved).real)
+    cond = np.array(
+        [
+            fin.traces(u @ (p.matrix / degen) @ u.conj().T)
+            for p, degen in zip(init.projectors, degens)
+        ]
+    )
     cond = np.clip(cond, 0.0, None)
     cond /= cond.sum(axis=1, keepdims=True)
     return init, fin, p_init, cond
@@ -333,8 +336,8 @@ def tpm_sample(
         raise ValueError(f"need at least one sample, got {n_samples}")
     _check_beta(beta, zero_ok=True)
     init, fin, p_init, cond = _sector_tables(schedule, beta, policy=policy)
-    e_init = np.array([s.energy for s in init])
-    e_fin = np.array([s.energy for s in fin])
+    e_init = np.array(init.labels)
+    e_fin = np.array(fin.labels)
     cdf_init = cdf_of(p_init)
     cdf_rows = np.vstack([cdf_of(row) for row in cond])
 
@@ -369,15 +372,10 @@ def jarzynski_exact(
     log_z0 = _log_partition(schedule.initial_hamiltonian(), beta)
     u = schedule.total_propagator()
     total = 0.0
-    for si in init:
-        conjugated = u @ si.projector.matrix @ u.conj().T
-        for sf in fin:
-            overlap = float(np.trace(sf.projector.matrix @ conjugated).real)
-            total += (
-                math.exp(-beta * si.energy - log_z0)
-                * overlap
-                * math.exp(-beta * (sf.energy - si.energy))
-            )
+    for e_i, p_i in zip(init.labels, init.projectors):
+        overlaps = fin.traces(u @ p_i.matrix @ u.conj().T).tolist()
+        for e_f, overlap in zip(fin.labels, overlaps):
+            total += math.exp(-beta * e_i - log_z0) * overlap * math.exp(-beta * (e_f - e_i))
     return total
 
 

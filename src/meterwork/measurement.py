@@ -105,12 +105,13 @@ class PointerModel:
     ):
         if pointer_dim < 2:
             raise ValueError(f"pointer needs at least two grid points, got {pointer_dim}")
-        if grid_step <= 0.0:
-            raise ValueError(f"grid step must be positive, got {grid_step}")
-        if coupling <= 0.0:
-            raise ValueError(f"coupling must be positive, got {coupling}")
-        if duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {duration}")
+        for name, value in (
+            ("grid step", grid_step),
+            ("coupling", coupling),
+            ("duration", duration),
+        ):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         d = int(pointer_dim)
         self.pointer_dim = d
         self.grid_step = float(grid_step)

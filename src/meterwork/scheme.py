@@ -70,7 +70,7 @@ from .measurement import (
 )
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import cdf_of, draw_indices, draw_rows, stream_generator, stream_uniforms
-from .superselection import dephase, energy_sectors, sector_projector_set
+from .superselection import dephase, energy_sectors
 
 __all__ = [
     "SYSTEM",
@@ -289,12 +289,8 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
         np.kron(cfg.barrier_schedule.final_hamiltonian().matrix, np.eye(aprime_dim)),
         hermitian=True,
     )
-    initial_pset = sector_projector_set(energy_sectors(h0, policy=policy)).embedded(
-        space, (SYSTEM, APPARATUS)
-    )
-    final_pset = sector_projector_set(energy_sectors(hf, policy=policy)).embedded(
-        space, (SYSTEM, APPARATUS)
-    )
+    initial_pset = energy_sectors(h0, policy=policy).embedded(space, (SYSTEM, APPARATUS))
+    final_pset = energy_sectors(hf, policy=policy).embedded(space, (SYSTEM, APPARATUS))
 
     barrier_u = embed_operator(
         Operator(cfg.barrier_schedule.total_propagator(), unitary=True, policy=policy),
@@ -360,7 +356,7 @@ def prepare_initial_state(ctx: SchemeContext) -> DensityMatrix:
     cfg = ctx.config
     rho_sa = thermal_state(ctx.h_initial, cfg.beta, policy=ctx.policy)
     if cfg.eigenstate_prep:
-        sectors = sector_projector_set(energy_sectors(ctx.h_initial, policy=ctx.policy))
+        sectors = energy_sectors(ctx.h_initial, policy=ctx.policy)
         rho_sa = collapse(rho_sa, sectors, 0, policy=ctx.policy)
     meter = np.outer(ctx.meter_ready.amplitudes, ctx.meter_ready.amplitudes.conj())
     pointer = np.outer(ctx.pointer_ready.amplitudes, ctx.pointer_ready.amplitudes.conj())

@@ -1,14 +1,16 @@
 """Coarse-grained cell bases, commuting redefined canonical variables,
 sector dephasing, and degenerate energy sectors.
 
-Cells are an abstract labeled orthonormal basis: the pair of integer indices
-``(q_index, p_index)`` names a sector, and the associated rank-1 projectors
-are what the dynamics consumes. Cell widths are carried as reporting
-metadata only; nothing downstream depends on their product.
+Each projector family is a `ProjectorSet`. Cells are an abstract labeled
+orthonormal basis: a partition of the computational basis into rank-1
+sectors, each labeled by its pair of integer indices ``(q_index, p_index)``.
+Energy sectors are labeled by their mean energy. Cell widths are carried as
+reporting metadata only; nothing downstream depends on their product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -19,13 +21,10 @@ from .linalg import DensityMatrix, Operator, ProjectorSet
 from .numeric import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
-    "PlanckCell",
     "PlanckCellBasis",
-    "EnergySector",
     "build_planck_basis",
     "dephase",
     "energy_sectors",
-    "sector_projector_set",
 ]
 
 RELATIVE_GROUPING_TOL = 1e-8
@@ -36,27 +35,21 @@ ROUNDING_GROUPING_FACTOR = 16.0
 
 
 @dataclass(frozen=True)
-class PlanckCell:
-    q_index: int
-    p_index: int
-    projector: Operator
-
-
-@dataclass(frozen=True)
 class PlanckCellBasis:
-    """Complete orthonormal cell basis for a coarse-grained apparatus."""
+    """Complete orthonormal cell basis for a coarse-grained apparatus: the
+    partition ``cells`` of the computational basis, labeled ``(q, p)``."""
 
-    cells: tuple[PlanckCell, ...]
+    cells: ProjectorSet
     cell_widths: tuple[float, float]
 
     @property
     def dim(self) -> int:
-        return self.cells[0].projector.dim
+        return self.cells.dim
 
     def position_operator(self) -> Operator:
         """Redefined position: q_index * width_q on each cell."""
         dq = self.cell_widths[0]
-        return Operator.from_diagonal([cell.q_index * dq for cell in self.cells])
+        return Operator.from_diagonal([q * dq for q, _ in self.cells.labels])
 
     def momentum_operator(self) -> Operator:
         """Redefined momentum: p_index * width_p on each cell.
@@ -65,11 +58,7 @@ class PlanckCellBasis:
         exactly (entrywise zero commutator, not merely small).
         """
         dp = self.cell_widths[1]
-        return Operator.from_diagonal([cell.p_index * dp for cell in self.cells])
-
-    def projector_set(self) -> ProjectorSet:
-        labels = tuple((cell.q_index, cell.p_index) for cell in self.cells)
-        return ProjectorSet.basis(self.dim, labels)
+        return Operator.from_diagonal([p * dp for _, p in self.cells.labels])
 
 
 def build_planck_basis(
@@ -83,15 +72,13 @@ def build_planck_basis(
     if q_levels <= 0 or p_levels <= 0:
         raise ValueError(f"cell counts must be positive, got {q_levels} x {p_levels}")
     dq, dp = float(widths[0]), float(widths[1])
-    if dq <= 0.0 or dp <= 0.0:
-        raise ValueError(f"cell widths must be positive, got {widths}")
+    if not all(w > 0.0 and math.isfinite(w) for w in (dq, dp)):
+        raise ValueError(f"cell widths must be positive and finite, got {widths}")
     dim = q_levels * p_levels
     if dim > policy.max_dim:
         raise CapacityError(f"cell basis dimension {dim} exceeds budget {policy.max_dim}")
     labels = list(product(range(q_levels), range(p_levels)))
-    pset = ProjectorSet.basis(dim, labels)
-    cells = tuple(PlanckCell(qi, pi, proj) for (qi, pi), proj in zip(labels, pset.projectors))
-    return PlanckCellBasis(cells, (dq, dp))
+    return PlanckCellBasis(ProjectorSet.basis(dim, labels), (dq, dp))
 
 
 def dephase(
@@ -116,28 +103,23 @@ def dephase(
     return DensityMatrix(out, rho.trace_weight, policy=policy)
 
 
-@dataclass(frozen=True)
-class EnergySector:
-    """One (possibly degenerate) eigenvalue cluster of a Hamiltonian."""
-
-    energy: float
-    projector: Operator
-    degeneracy: int
-
-
 def energy_sectors(
     h: Operator,
     grouping_tol: float | None = None,
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
-) -> list[EnergySector]:
+) -> ProjectorSet:
     """Cluster the spectrum of a hermitian operator into degenerate sectors.
 
-    Eigenvalues closer than `grouping_tol` are merged. The default tolerance
-    is 1e-8 relative to the spectral range, floored at the eigensolver's
-    rounding scale 16 * eps * max|E| * dim. A single all-embracing sector is
-    a legal result for flat spectra.
+    Returns the family of sector projectors, labeled by the mean energy of
+    each sector in ascending order; the degeneracy of a sector is the trace
+    of its projector. Eigenvalues closer than `grouping_tol` are merged. The
+    default tolerance is 1e-8 relative to the spectral range, floored at the
+    eigensolver's rounding scale 16 * eps * max|E| * dim. A single
+    all-embracing sector is a legal result for flat spectra.
     """
+    if grouping_tol is not None and not (math.isfinite(grouping_tol) and grouping_tol >= 0.0):
+        raise ValueError(f"grouping_tol must be finite and >= 0, got {grouping_tol!r}")
     if not h.is_hermitian(policy):
         raise ValueError("energy sectors need a hermitian operator")
     w, v = np.linalg.eigh(h.matrix)
@@ -145,27 +127,15 @@ def energy_sectors(
     if grouping_tol is None:
         rounding = float(np.finfo(float).eps * np.max(np.abs(w)) * len(w))
         grouping_tol = max(RELATIVE_GROUPING_TOL * spread, ROUNDING_GROUPING_FACTOR * rounding)
-    sectors: list[EnergySector] = []
+    projectors: list[Operator] = []
+    energies: list[float] = []
     start = 0
     for i in range(1, len(w) + 1):
         if i == len(w) or w[i] - w[i - 1] > grouping_tol:
             block = v[:, start:i]
             proj = block @ block.conj().T
             proj = 0.5 * (proj + proj.conj().T)
-            sectors.append(
-                EnergySector(
-                    energy=float(np.mean(w[start:i])),
-                    projector=Operator(proj, projector=True, policy=policy),
-                    degeneracy=i - start,
-                )
-            )
+            projectors.append(Operator(proj, projector=True, policy=policy))
+            energies.append(float(np.mean(w[start:i])))
             start = i
-    return sectors
-
-
-def sector_projector_set(sectors: list[EnergySector]) -> ProjectorSet:
-    """Projector family of an energy decomposition, labeled by sector energy."""
-    return ProjectorSet(
-        tuple(s.projector for s in sectors),
-        tuple(s.energy for s in sectors),
-    )
+    return ProjectorSet(projectors, energies, policy=policy)

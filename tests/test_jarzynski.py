@@ -142,8 +142,8 @@ class TestTpmSample:
     def test_columns_are_read_only_and_consistent(self):
         sched = driven_qubit_schedule(n_steps=20)
         samples = tpm_sample(sched, 1.0, 3000, seed=6)
-        e_init = np.array([s.energy for s in energy_sectors(sched.initial_hamiltonian())])
-        e_fin = np.array([s.energy for s in energy_sectors(sched.final_hamiltonian())])
+        e_init = np.array(energy_sectors(sched.initial_hamiltonian()).labels)
+        e_fin = np.array(energy_sectors(sched.final_hamiltonian()).labels)
         assert_eq = np.testing.assert_array_equal
         assert_eq(samples.initial_energy, e_init[samples.initial_outcome_index])
         assert_eq(samples.final_energy, e_fin[samples.final_outcome_index])

@@ -40,7 +40,7 @@ from meterwork import linalg
 from meterwork.measurement import PointerModel, born_probabilities
 from meterwork.numeric import DEFAULT_POLICY, NumericPolicy
 from meterwork.scheme import SchemeConfig, build_context
-from meterwork.superselection import dephase, energy_sectors, sector_projector_set
+from meterwork.superselection import dephase, energy_sectors
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -551,7 +551,7 @@ class TestLift:
 
     def test_lifted_family_is_checked_at_the_factor_dimension(self, rng):
         h = Operator(random_hermitian(rng, 2), hermitian=True)
-        local = sector_projector_set(energy_sectors(h))
+        local = energy_sectors(h)
         lifted = local.embedded(self.SPACE, ("a",))
         assert lifted.sector_of is None
         assert all(p.lift is not None and p._matrix is None for p in lifted.projectors)
@@ -571,7 +571,7 @@ class TestLift:
     @pytest.mark.parametrize("acting", [("a", "b"), ("b", "c")])
     def test_energy_family_steps_match_the_products(self, acting, rng):
         h = Operator(random_hermitian(rng, 6), hermitian=True)
-        local = sector_projector_set(energy_sectors(h))
+        local = energy_sectors(h)
         lifted = local.embedded(self.SPACE, acting)
         rho = random_density(rng, 12)
         dephased = dephase(rho, lifted).matrix

@@ -80,6 +80,13 @@ class TestPointerModel:
         with pytest.raises(ValueError):
             PointerModel(4, coupling=-1.0)
 
+    @pytest.mark.parametrize("name", ["grid_step", "coupling", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_non_finite_or_nonpositive_parameters_rejected(self, name, value):
+        message = rf"{name.replace('_', ' ')} must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=message):
+            PointerModel(4, **{name: value})
+
 
 class TestVonNeumannHamiltonian:
     def test_null_coupling(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,12 +18,11 @@ from meterwork.errors import CapacityError, CoherentInputError
 from meterwork.linalg import CompositeSpace, DensityMatrix, Ket, Operator, ProjectorSet
 from meterwork.measurement import EntropyLedger, born_probabilities, event_read
 from meterwork.numeric import NumericPolicy
-from meterwork.superselection import (
-    build_planck_basis,
-    dephase,
-    energy_sectors,
-    sector_projector_set,
-)
+from meterwork.superselection import build_planck_basis, dephase, energy_sectors
+
+
+def _degeneracies(sectors: ProjectorSet) -> list[int]:
+    return [round(float(np.trace(p.matrix).real)) for p in sectors.projectors]
 
 
 class TestPlanckBasis:
@@ -32,18 +33,19 @@ class TestPlanckBasis:
         comm = q @ p - p @ q
         assert np.all(comm == 0.0)
         # bit-identical to summing label * width * cell projector
-        q_sum = sum(c.q_index * 0.5 * c.projector.matrix for c in basis.cells)
-        p_sum = sum(c.p_index * 2.0 * c.projector.matrix for c in basis.cells)
+        cells = basis.cells
+        q_sum = sum(qi * 0.5 * c.matrix for (qi, _), c in zip(cells.labels, cells.projectors))
+        p_sum = sum(pi * 2.0 * c.matrix for (_, pi), c in zip(cells.labels, cells.projectors))
         assert q.tobytes() == q_sum.tobytes()
         assert p.tobytes() == p_sum.tobytes()
 
     def test_single_cell_projector_is_identity(self):
         basis = build_planck_basis(1, 1)
-        assert np.array_equal(basis.cells[0].projector.matrix, np.eye(1))
+        assert np.array_equal(basis.cells.projectors[0].matrix, np.eye(1))
 
     def test_two_by_two_construction(self):
         basis = build_planck_basis(2, 2)
-        projs = [c.projector.matrix for c in basis.cells]
+        projs = [c.matrix for c in basis.cells.projectors]
         assert len(projs) == 4
         for i, p in enumerate(projs):
             assert np.trace(p).real == 1.0  # rank one
@@ -59,13 +61,31 @@ class TestPlanckBasis:
         with pytest.raises(ValueError, match="widths"):
             build_planck_basis(2, 2, widths=(0.0, 1.0))
 
-    def test_projector_set_roundtrip(self):
+    @pytest.mark.parametrize(
+        "widths", [(float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")), (1.0, -math.inf)]
+    )
+    def test_non_finite_widths_rejected(self, widths):
+        with pytest.raises(ValueError, match="cell widths must be positive and finite"):
+            build_planck_basis(2, 2, widths=widths)
+
+    def test_cells_are_a_labeled_partition(self):
         basis = build_planck_basis(2, 3)
-        pset = basis.projector_set()
-        assert len(pset) == 6 and pset.dim == 6 and pset.sector_of is not None
-        assert pset.labels == tuple((c.q_index, c.p_index) for c in basis.cells)
-        for cell, p in zip(basis.cells, pset.projectors):
-            assert p.matrix.tobytes() == cell.projector.matrix.tobytes()
+        cells = basis.cells
+        assert len(cells) == 6 and cells.dim == 6 == basis.dim
+        assert cells.labels == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+        assert list(cells.sector_of) == list(range(6))
+
+    def test_widest_basis_builds_no_dense_projector(self):
+        # dimension 576, the default budget
+        basis = build_planck_basis(24, 24, widths=(0.3, 1.7))
+        cells = basis.cells
+        assert cells.sector_of is not None and cells._projectors is None
+        q = basis.position_operator().matrix
+        p = basis.momentum_operator().matrix
+        assert cells._projectors is None
+        q_labels, p_labels = np.array(cells.labels, dtype=float).T
+        assert q.tobytes() == np.diag((q_labels * 0.3).astype(complex)).tobytes()
+        assert p.tobytes() == np.diag((p_labels * 1.7).astype(complex)).tobytes()
 
 
 def _two_sector_set() -> ProjectorSet:
@@ -172,7 +192,7 @@ class TestIndexSetSectors:
 
     def test_energy_sectors_stay_dense(self, rng):
         h = Operator(random_hermitian(rng, 6), hermitian=True)
-        pset = sector_projector_set(energy_sectors(h))
+        pset = energy_sectors(h)
         assert pset.sector_of is None
         rho = random_density(rng, 6)
         out = dephase(rho, pset)
@@ -226,15 +246,17 @@ class TestIndexSetSectors:
 
 
 class TestEnergySectors:
-    def test_exact_degeneracy(self):
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_exact_degeneracy(self, tol):
         h = Operator.from_diagonal([0.0, 0.0, 1.0])
-        sectors = energy_sectors(h, grouping_tol=1e-9)
-        assert [(s.energy, s.degeneracy) for s in sectors] == [(0.0, 2), (1.0, 1)]
+        sectors = energy_sectors(h, grouping_tol=tol)
+        assert isinstance(sectors, ProjectorSet)
+        assert sectors.labels == (0.0, 1.0) and _degeneracies(sectors) == [2, 1]
 
     def test_identity_single_sector(self):
         sectors = energy_sectors(Operator.identity(4))
-        assert len(sectors) == 1 and sectors[0].degeneracy == 4
-        np.testing.assert_allclose(sectors[0].projector.matrix, np.eye(4), atol=1e-12)
+        assert len(sectors) == 1 and _degeneracies(sectors) == [4]
+        np.testing.assert_allclose(sectors.projectors[0].matrix, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 4, 9, 16])
     def test_rotated_multiple_of_identity_single_sector(self, rng, dim):
@@ -244,8 +266,8 @@ class TestEnergySectors:
             u = random_unitary(rng, dim)
             h = u @ (2.0 * np.eye(dim)) @ u.conj().T
             sectors = energy_sectors(Operator(0.5 * (h + h.conj().T), hermitian=True))
-            assert [s.degeneracy for s in sectors] == [dim]
-            assert abs(sectors[0].energy - 2.0) <= 1e-13
+            assert _degeneracies(sectors) == [dim]
+            assert abs(sectors.labels[0] - 2.0) <= 1e-13
 
     def test_sector_count_matches_reference_eigensolve(self, rng):
         h = random_hermitian(rng, 6)
@@ -256,21 +278,40 @@ class TestEnergySectors:
 
     def test_projectors_commute_with_h(self, rng):
         h = random_hermitian(rng, 5)
-        for s in energy_sectors(Operator(h, hermitian=True)):
-            comm = s.projector.matrix @ h - h @ s.projector.matrix
+        for p in energy_sectors(Operator(h, hermitian=True)).projectors:
+            comm = p.matrix @ h - h @ p.matrix
             assert np.max(np.abs(comm)) <= 1e-10
 
     def test_completeness_and_rank(self, rng):
         h = np.kron(random_hermitian(rng, 2), np.eye(3))  # 3-fold degenerate pairs
         sectors = energy_sectors(Operator(h, hermitian=True))
-        assert all(s.degeneracy == 3 for s in sectors)
-        total = sum(s.projector.matrix for s in sectors)
+        assert _degeneracies(sectors) == [3, 3]
+        total = sum(p.matrix for p in sectors.projectors)
         np.testing.assert_allclose(total, np.eye(6), atol=1e-12)
-        for s in sectors:
-            rank = round(float(np.trace(s.projector.matrix).real))
-            assert rank == s.degeneracy
+        for p in sectors.projectors:
+            assert np.rint(np.trace(p.matrix).real) == 3.0
 
-    def test_sector_projector_set_labels(self):
+    def test_labels_are_sector_energies(self):
         h = Operator.from_diagonal([0.0, 1.0, 1.0])
-        pset = sector_projector_set(energy_sectors(h))
+        pset = energy_sectors(h)
         assert pset.labels == (0.0, 1.0)
+
+    def test_labels_strictly_increase(self, rng):
+        h = np.kron(random_hermitian(rng, 3), np.eye(2))
+        sectors = energy_sectors(Operator(h, hermitian=True))
+        assert _degeneracies(sectors) == [2, 2, 2]
+        assert all(a < b for a, b in zip(sectors.labels, sectors.labels[1:]))
+
+    def test_family_is_built_under_the_callers_policy(self, rng):
+        h = Operator(random_hermitian(rng, 6), hermitian=True)
+        assert energy_sectors(h).completeness_deviation > 0.0  # eigh rounding
+        with pytest.raises(ValueError, match="projectors do not sum to identity"):
+            energy_sectors(h, policy=NumericPolicy(completeness_tol=0.0))
+
+    @pytest.mark.parametrize(
+        ("tol", "shown"), [(float("nan"), "nan"), (-1.0, "-1.0"), (math.inf, "inf")]
+    )
+    def test_nonsensical_grouping_tol_rejected(self, tol, shown):
+        h = Operator.from_diagonal([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=f"grouping_tol must be finite and >= 0, got {shown}"):
+            energy_sectors(h, grouping_tol=tol)
