@@ -254,7 +254,7 @@ def thermal_state(
 
     m = _hermitian_function(h.matrix, gibbs_weights)
     m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(m, 1.0, policy=policy)
+    return DensityMatrix._hermitized(m, 1.0, policy)
 
 
 def _logsumexp(a: np.ndarray) -> float:

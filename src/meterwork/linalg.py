@@ -18,12 +18,12 @@ then keep them:
   mask indices with that array;
 * an operator lifted by `embed_operator` (and each projector of a family
   lifted by `ProjectorSet.embedded`) keeps its `Lift`: the local matrix L,
-  the dimension of the untouched factors and the basis permutation. When
-  the named factors lead the space the lift is L (x) I, and `conjugate` and
-  the `ProjectorSet` kernels contract L with the state reshaped to
-  (l, rest, l, rest) instead of multiplying by the d x d lift. A lift whose
-  L is a permutation conjugates by gathering rows and columns; whether L is
-  one is the only structure read off a matrix, and only off L.
+  the dimension of the untouched factors and the basis permutation.
+
+Only `Operator.left` and `right` choose how an operator multiplies a matrix:
+a lift of a permutation L gathers (L is the only matrix read for structure),
+another lift onto leading factors contracts L, the rest are dense products.
+Channels hand their hermitized results to `DensityMatrix._hermitized`.
 
 Operations are pure functions. Apart from those caches nothing here mutates
 shared state, and threads racing to fill one build equal matrices, so all
@@ -101,15 +101,12 @@ def _permutation_of(u: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _operator_permutation(u: "Operator") -> np.ndarray | None:
-    """`_permutation_of(u.matrix)` for a lift, read off its local matrix;
-    None for an operator that is not a lift."""
-    lift = u.lift
-    local = None if lift is None else _permutation_of(lift.local)
-    if local is None:
-        return None
-    big = (local[:, None] * lift.rest_dim + np.arange(lift.rest_dim)).ravel()
-    return big if lift.perm is None else np.argsort(lift.perm)[big[lift.perm]]
+def _gathered(m: np.ndarray, index: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Rows (or columns) `index` of m, with -0.0 parts made +0.0 as the
+    zero-initialized sums of a matmul make them: a permutation's product."""
+    out = np.take(m, index, axis=axis)
+    out += 0.0
+    return out
 
 
 def _restrict(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -196,13 +193,12 @@ class Lift:
     ``perm`` is None when the named factors lead the space, and the lift is
     then ``local (x) I_rest`` itself.
 
-    ``left`` and ``right`` multiply by the lift of leading factors without
-    forming it. They contract the smallest core with ``local == core (x)
-    I_q``, which drops only products by exact zeros of ``local``, and add
-    each entry's products in index order, as the dense product does.
+    ``gather`` is g with ``lift[i, g[i]] == 1`` when ``local`` is a
+    permutation, else None. ``core`` is the smallest matrix with ``local ==
+    core (x) I_q``; contracting it drops only products by exact zeros.
     """
 
-    __slots__ = ("local", "rest_dim", "perm", "_core", "_core_rest")
+    __slots__ = ("local", "rest_dim", "perm", "gather", "core")
 
     def __init__(self, local: np.ndarray, rest_dim: int, perm: np.ndarray | None):
         self.local, self.rest_dim, self.perm = local, rest_dim, perm
@@ -211,23 +207,17 @@ class Lift:
             q for q in range(n, 0, -1)
             if n % q == 0 and np.array_equal(local, np.kron(local[::q, ::q], np.eye(q)))
         )
-        self._core, self._core_rest = local[::q, ::q], q * rest_dim
+        self.core = local[::q, ::q]
+        g = _permutation_of(local)
+        if g is not None:
+            g = (g[:, None] * rest_dim + np.arange(rest_dim)).ravel()
+            g = g if perm is None else np.argsort(perm)[g[perm]]
+            g.setflags(write=False)
+        self.gather = g
 
     def dense(self) -> np.ndarray:
         m = np.kron(self.local, np.eye(self.rest_dim))
         return m if self.perm is None else m[np.ix_(self.perm, self.perm)]
-
-    def left(self, m: np.ndarray) -> np.ndarray:
-        """lift @ m."""
-        x = m.reshape(self._core.shape[0], -1)
-        return np.einsum("ab,by->ay", self._core, x).reshape(m.shape)
-
-    def right(self, m: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
-        """m @ lift, or m @ lift^dag with `adjoint`."""
-        k = self._core.conj().T if adjoint else self._core
-        d = m.shape[0]
-        m3 = m.reshape(d, k.shape[0], self._core_rest)
-        return np.einsum("xbj,bc->xcj", m3, k).reshape(d, d)
 
 
 class Operator:
@@ -238,7 +228,8 @@ class Operator:
     A projector assertion implies the hermitian one.
 
     ``lift`` is set on an operator lifted by `embed_operator`; its dense
-    ``matrix`` is then built on first access and kept.
+    ``matrix`` is then built on first access and kept. `left` and `right`
+    multiply by the operator through the product its structure allows.
     """
 
     __slots__ = ("_matrix", "lift", "dim", "hermitian", "unitary", "projector")
@@ -282,6 +273,26 @@ class Operator:
         herm = True if np.isrealobj(vals) or _max_abs(vals.imag) == 0.0 else None
         return cls(np.diag(vals.astype(complex)), hermitian=herm)
 
+    def left(self, m: np.ndarray) -> np.ndarray:
+        """self @ m, as a fresh array."""
+        lift = self.lift
+        if lift is not None and lift.gather is not None:
+            return _gathered(m, lift.gather)
+        if lift is not None and lift.perm is None:
+            return np.einsum("ab,by->ay", lift.core, m.reshape(len(lift.core), -1)).reshape(m.shape)
+        return self.matrix @ m
+
+    def right(self, m: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
+        """m @ self, or m @ self^dag with `adjoint`, as a fresh array."""
+        lift = self.lift
+        if lift is not None and lift.gather is not None:
+            # (m @ u)[:, j] is column g^-1[j] of m, (m @ u^dag)[:, j] column g[j]
+            return _gathered(m, lift.gather if adjoint else np.argsort(lift.gather), axis=1)
+        if lift is not None and lift.perm is None:
+            k = lift.core.conj().T if adjoint else lift.core
+            return np.einsum("xbj,bc->xcj", m.reshape(len(m), len(k), -1), k).reshape(m.shape)
+        return m @ (self.matrix.conj().T if adjoint else self.matrix)
+
     def is_hermitian(self, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
         if self.hermitian is not None:
             return self.hermitian
@@ -303,6 +314,8 @@ class DensityMatrix:
     ``trace_weight`` is 1 for conventional ensembles. Redefined ensembles
     carry ``exp(-sigma)``; the measured-side bookkeeping uses negative sigma,
     so weights above 1 occur and are accepted.
+    A matrix from outside is copied and checked to be finite, hermitian
+    and positive semidefinite, with its trace equal to the weight.
     """
 
     __slots__ = ("matrix", "dim", "trace_weight")
@@ -314,10 +327,24 @@ class DensityMatrix:
         *,
         policy: NumericPolicy = DEFAULT_POLICY,
     ):
-        m = _as_square(matrix).copy()
-        dev = _max_abs(m - m.conj().T)
-        if dev > policy.hermitian_tol:
-            raise ValueError(f"density matrix not hermitian: deviation {dev:.3e}")
+        self._adopt(_as_square(matrix).copy(), trace_weight, policy, hermitized=False)
+
+    @classmethod
+    def _hermitized(cls, m: np.ndarray, trace_weight: float, policy: NumericPolicy):
+        """State of a fresh array 0.5 * (x + x^dag), maybe scaled by a real, that
+        no one else holds: its entries (i, j) and (j, i) are one IEEE sum,
+        conjugated, so it is neither copied nor measured for hermiticity."""
+        state = cls.__new__(cls)
+        state._adopt(m, trace_weight, policy, hermitized=True)
+        return state
+
+    def _adopt(self, m: np.ndarray, trace_weight, policy: NumericPolicy, *, hermitized: bool):
+        if not np.isfinite(m).all():  # NaN would pass every comparison below
+            raise ValueError("density matrix has non-finite entries")
+        if not hermitized:
+            dev = _max_abs(m - m.conj().T)
+            if dev > policy.hermitian_tol:
+                raise ValueError(f"density matrix not hermitian: deviation {dev:.3e}")
         lo = _lowest_eigenvalue(m)
         if lo < -policy.psd_tol:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
@@ -327,9 +354,7 @@ class DensityMatrix:
         if trace_weight is None:
             trace_weight = tr.real
         elif abs(tr.real - trace_weight) > policy.trace_tol:
-            raise ValueError(
-                f"trace {tr.real!r} disagrees with trace_weight {trace_weight!r}"
-            )
+            raise ValueError(f"trace {tr.real!r} disagrees with trace_weight {trace_weight!r}")
         if not (trace_weight > 0.0 and math.isfinite(trace_weight)):
             raise ValueError(f"trace_weight must be positive and finite, got {trace_weight!r}")
         m.setflags(write=False)
@@ -413,20 +438,16 @@ class ProjectorSet:
       keeps it as a read-only array (`basis`, `embedded` of a partition, or
       ``ProjectorSet(sector_of, labels)``). Its dense ``projectors``, the
       0/1 diagonals in sector order, are built on first access and kept;
-    * projectors that are all lifts L_k (x) I onto leading factors
-      (`embed_operator`, or `embedded` of a family that is not a partition)
-      are contracted through L_k (see `Lift`);
-    * any other family is multiplied as dense matrices.
+    * any other family is given as `Operator`s, and ``sector_of`` is None.
 
-    ``sector_of`` is None for the last two. `sandwich`, `pinch` and
-    `traces` are the family's kernels; each chooses once between the three.
-    A partition masks indices, which gives the bits of the products with
-    its 0/1 diagonals. Projectors lifted from one family onto one space
-    share one embedding, and the family is checked at the dimension of
-    their local matrices.
+    `sandwich`, `pinch` and `traces` are the family's kernels. A partition
+    masks indices, which gives the bits of the products with its 0/1
+    diagonals; any other family calls `Operator.left` and `Operator.right`.
+    Projectors lifted from one family onto one space share one embedding,
+    and the family is checked at the dimension of their local matrices.
     """
 
-    __slots__ = ("_projectors", "labels", "dim", "sector_of", "completeness_deviation", "_lifts")
+    __slots__ = ("_projectors", "labels", "dim", "sector_of", "completeness_deviation")
 
     def __init__(
         self,
@@ -436,7 +457,7 @@ class ProjectorSet:
         policy: NumericPolicy = DEFAULT_POLICY,
     ):
         if isinstance(projectors, np.ndarray):
-            projs, lifts = None, None
+            projs = None
             sector_of = _checked_sector_of(projectors, labels)
             dim = sector_of.size
             n = len(labels) if labels is not None else int(sector_of.max()) + 1
@@ -453,8 +474,6 @@ class ProjectorSet:
                     # revalidate unflagged input rather than trusting the caller
                     Operator(p.matrix, projector=True, policy=policy)
             sector_of = None
-            lifts = tuple(_leading_lift(p) for p in projs)
-            lifts = None if None in lifts else lifts
             dev = _completeness_deviation(projs)
         if dev > policy.completeness_tol:
             raise ValueError(f"projectors do not sum to identity: deviation {dev:.3e}")
@@ -467,7 +486,6 @@ class ProjectorSet:
             if len(set(labels)) != len(labels):
                 raise ValueError(f"outcome labels must be unique, got {labels}")
         self._projectors = projs
-        self._lifts = lifts
         self.labels = labels
         self.dim = dim
         self.sector_of = sector_of
@@ -503,23 +521,16 @@ class ProjectorSet:
         if self.sector_of is not None:
             keep = self.sector_of == k
             return _restrict(m, np.outer(keep, keep))
-        if self._lifts is not None:
-            lift = self._lifts[k]
-            return lift.right(lift.left(m))
-        p = self.projectors[k].matrix
-        return p @ m @ p
+        p = self.projectors[k]
+        return p.right(p.left(m))
 
     def pinch(self, m: np.ndarray) -> np.ndarray:
         """sum_k P_k @ m @ P_k, added in projector order."""
         if self.sector_of is not None:
             return _restrict(m, self.sector_of[:, None] == self.sector_of[None, :])
         out = np.zeros_like(m)
-        if self._lifts is not None:
-            for lift in self._lifts:
-                out += lift.right(lift.left(m))
-        else:
-            for p in self.projectors:
-                out += p.matrix @ m @ p.matrix
+        for p in self.projectors:
+            out += p.right(p.left(m))
         return out
 
     def traces(self, m: np.ndarray) -> np.ndarray:
@@ -532,9 +543,7 @@ class ProjectorSet:
             return np.array(
                 [float(_restrict(diag, self.sector_of == k).sum().real) for k in range(len(self))]
             )
-        if self._lifts is not None:
-            return np.array([float(np.trace(lift.left(m)).real) for lift in self._lifts])
-        return np.array([float(np.trace(p.matrix @ m).real) for p in self.projectors])
+        return np.array([float(np.trace(p.left(m)).real) for p in self.projectors])
 
     def __repr__(self) -> str:
         return f"ProjectorSet(n={len(self)}, dim={self.dim})"
@@ -627,7 +636,7 @@ def partial_trace(
         )
     reduced = _trace_out(rho.matrix, space.dims, keep_axes)
     reduced = 0.5 * (reduced + reduced.conj().T)
-    return DensityMatrix(reduced, rho.trace_weight, policy=policy)
+    return DensityMatrix._hermitized(reduced, rho.trace_weight, policy)
 
 
 def hermitian_propagator(
@@ -658,28 +667,15 @@ def conjugate(
 ) -> DensityMatrix:
     """u rho u^dag for a unitary u, an `Operator` or a matrix.
 
-    Trace drift is asserted against the preservation tolerance and then
-    snapped away, so long conjugation chains keep their weight exactly.
-    A lift whose local matrix is a permutation (one entry exactly 1 per row
-    and column, the rest 0) conjugates by gathering rows and columns, with
-    the same bits as the matrix products. Any other lift L (x) I onto
-    leading factors contracts L with the state and builds no d x d matrix.
-    Every other `u` is multiplied as a dense matrix.
+    The products are ``u.right(u.left(rho), adjoint=True)``. Trace drift is
+    asserted against the preservation tolerance and then snapped away, so
+    long conjugation chains keep their weight exactly.
     """
     if not isinstance(u, Operator):
         u = Operator(u)
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: unitary {u.dim}, state {state.dim}")
-    perm = _operator_permutation(u)
-    lift = _leading_lift(u)
-    if perm is not None:
-        # the one product term per entry is copied exactly; adding +0.0
-        # turns -0.0 parts into +0.0 as the zero-initialized matmul sums do
-        m = state.matrix[np.ix_(perm, perm)] + 0.0
-    elif lift is not None:
-        m = lift.right(lift.left(state.matrix), adjoint=True)
-    else:
-        m = u.matrix @ state.matrix @ u.matrix.conj().T
+    m = u.right(u.left(state.matrix), adjoint=True)
     m = 0.5 * (m + m.conj().T)
     tr = float(np.trace(m).real)
     if abs(tr - state.trace_weight) > policy.preservation_tol:
@@ -687,7 +683,7 @@ def conjugate(
             f"conjugation broke the trace: {tr!r} vs {state.trace_weight!r}"
         )
     m *= state.trace_weight / tr
-    return DensityMatrix(m, state.trace_weight, policy=policy)
+    return DensityMatrix._hermitized(m, state.trace_weight, policy)
 
 
 def collapse(
@@ -699,17 +695,17 @@ def collapse(
 ) -> DensityMatrix:
     """Unit-trace post-measurement state P_k rho P_k / tr(P_k rho P_k) for
     outcome k of `outcomes` (the Lueders update), through
-    `ProjectorSet.sandwich`."""
+    `ProjectorSet.sandwich`; an outcome of probability 0 is rejected."""
+    if outcomes.dim != state.dim:
+        raise ValueError(f"family dimension {outcomes.dim} != state dimension {state.dim}")
     if not 0 <= k < len(outcomes):
         raise IndexError(f"outcome {k} outside a family of {len(outcomes)}")
     m = outcomes.sandwich(state.matrix, k)
     m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(m / np.trace(m).real, 1.0, policy=policy)
-
-
-def _leading_lift(op: Operator) -> Lift | None:
-    """The lift of an operator L (x) I onto the leading factors, else None."""
-    return op.lift if op.lift is not None and op.lift.perm is None else None
+    p = np.trace(m).real
+    if not p > 0.0:
+        raise ValueError(f"outcome {k} has probability {float(p)!r}; no state to collapse to")
+    return DensityMatrix._hermitized(np.divide(m, p, out=m), 1.0, policy)
 
 
 def evolve(state, h: Operator, duration: float, *, policy: NumericPolicy = DEFAULT_POLICY):

@@ -41,7 +41,7 @@ from .linalg import (
     collapse,
     tensor,
 )
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY, NumericPolicy, require_integer
 from .streams import cdf_of, draw_indices, stream_generator
 from .superselection import dephase
 
@@ -103,8 +103,9 @@ class PointerModel:
         duration: float = 1.0,
         policy: NumericPolicy = DEFAULT_POLICY,
     ):
-        if pointer_dim < 2:
-            raise ValueError(f"pointer needs at least two grid points, got {pointer_dim}")
+        d = require_integer("pointer_dim", pointer_dim)
+        if d < 2:
+            raise ValueError(f"pointer needs at least two grid points, got {d}")
         for name, value in (
             ("grid step", grid_step),
             ("coupling", coupling),
@@ -112,7 +113,6 @@ class PointerModel:
         ):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        d = int(pointer_dim)
         self.pointer_dim = d
         self.grid_step = float(grid_step)
         positions = np.arange(d) * self.grid_step
@@ -377,10 +377,6 @@ def event_read(
     Returns the outcome label, the collapsed unit-trace state, and the
     extended ledger.
     """
-    if outcome_projectors.dim != rho.dim:
-        raise ValueError(
-            f"projector dimension {outcome_projectors.dim} != state dimension {rho.dim}"
-        )
     dephased = dephase(rho, outcome_projectors, policy=policy)
     coherence = float(np.max(np.abs(rho.matrix - dephased.matrix)))
     if coherence > policy.coherence_tol:

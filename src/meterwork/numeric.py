@@ -6,6 +6,7 @@ Internal units are hbar = k_B = 1 throughout the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 
@@ -47,3 +48,10 @@ class NumericPolicy:
 
 
 DEFAULT_POLICY = NumericPolicy()
+
+
+def require_integer(name: str, value) -> int:
+    """`value` as an int; ValueError naming `name` unless it is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -234,9 +234,9 @@ class SchemeConfig:
         Operator(self.entangler.matrix, unitary=True)  # asserted, not trusted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeContext:
-    """Precomputed operators of one configuration (all immutable).
+    """Precomputed operators of one configuration (all immutable, compared by identity).
 
     The unitaries are lifts of their local matrices (`linalg.Lift`); each
     builds its dense matrix only when something reads it.
@@ -256,8 +256,7 @@ class SchemeContext:
     event_unitary: Operator
     event_dephase_set: ProjectorSet
     meter_outcome_set: ProjectorSet
-    meter_ready: Ket
-    pointer_ready: Ket
+    ready: np.ndarray  # read-only meter (x) pointer ready state
     delta_f: float
     kT: float
     policy: NumericPolicy = DEFAULT_POLICY
@@ -325,6 +324,10 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
         space, (METER, POINTER)
     )
     meter_outcomes = ProjectorSet.basis(cfg.meter_dim).embedded(space, (METER,))
+    meter = Ket.basis(cfg.meter_dim, 0).amplitudes
+    pointer = cfg.event_pointer.ready_state().amplitudes
+    ready = np.kron(np.outer(meter, meter.conj()), np.outer(pointer, pointer.conj()))
+    ready.setflags(write=False)
 
     return SchemeContext(
         config=cfg,
@@ -341,8 +344,7 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
         event_unitary=event_u,
         event_dephase_set=event_dephase,
         meter_outcome_set=meter_outcomes,
-        meter_ready=Ket.basis(cfg.meter_dim, 0),
-        pointer_ready=cfg.event_pointer.ready_state(),
+        ready=ready,
         delta_f=delta_F(h0, hf, cfg.beta),
         kT=1.0 / cfg.beta,
         policy=policy,
@@ -358,10 +360,7 @@ def prepare_initial_state(ctx: SchemeContext) -> DensityMatrix:
     if cfg.eigenstate_prep:
         sectors = energy_sectors(ctx.h_initial, policy=ctx.policy)
         rho_sa = collapse(rho_sa, sectors, 0, policy=ctx.policy)
-    meter = np.outer(ctx.meter_ready.amplitudes, ctx.meter_ready.amplitudes.conj())
-    pointer = np.outer(ctx.pointer_ready.amplitudes, ctx.pointer_ready.amplitudes.conj())
-    full = np.kron(rho_sa.matrix, np.kron(meter, pointer))
-    return DensityMatrix(full, 1.0, policy=ctx.policy)
+    return DensityMatrix(np.kron(rho_sa.matrix, ctx.ready), 1.0, policy=ctx.policy)
 
 
 def read_energy(
@@ -375,7 +374,10 @@ def read_energy(
 
     Dephases into the (possibly degenerate) energy sectors, then samples one;
     returns (sector index, energy, collapsed state, extended ledger).
+    ``which`` is "initial" or "final": the Hamiltonian whose sectors are read.
     """
+    if which not in ("initial", "final"):
+        raise ValueError(f"which must be 'initial' or 'final', got {which!r}")
     pset = ctx.initial_pset if which == "initial" else ctx.final_pset
     dephased = nonselective_measure(state, pset, policy=ctx.policy)
     label, collapsed, ledger = select_outcome(
@@ -763,16 +765,12 @@ def verify_unitary_roundtrips(
     state = apply_barrier_drive(ctx, state)
     pre_entangle = apply_nonselective_measurement(ctx, state)
 
-    m_ready = np.kron(
-        np.outer(ctx.meter_ready.amplitudes, ctx.meter_ready.amplitudes.conj()),
-        np.outer(ctx.pointer_ready.amplitudes, ctx.pointer_ready.amplitudes.conj()),
-    )
     s_marg = partial_trace(pre_entangle, ctx.space, (SYSTEM, APPARATUS), policy=policy)
     m_marg = partial_trace(pre_entangle, ctx.space, (METER, POINTER), policy=policy)
     dev_a = float(
         np.max(np.abs(pre_entangle.matrix - np.kron(s_marg.matrix, m_marg.matrix)))
     )
-    dev_a = max(dev_a, float(np.max(np.abs(m_marg.matrix - m_ready))))
+    dev_a = max(dev_a, float(np.max(np.abs(m_marg.matrix - ctx.ready))))
 
     blocks = _branch_unitaries(ctx)
     pdim = ctx.config.event_pointer.pointer_dim
@@ -791,10 +789,10 @@ def verify_unitary_roundtrips(
                 continue
             branch = site_set.sandwich(state_full.matrix, k) / p
             branch = 0.5 * (branch + branch.conj().T)
-            branch_dm = DensityMatrix(branch, 1.0, policy=policy)
+            branch_dm = DensityMatrix._hermitized(branch, 1.0, policy)
             m_branch = partial_trace(branch_dm, ctx.space, (METER, POINTER), policy=policy)
             undone = undo_m[k] @ m_branch.matrix @ undo_m[k].conj().T
-            worst = max(worst, float(np.max(np.abs(undone - m_ready))))
+            worst = max(worst, float(np.max(np.abs(undone - ctx.ready))))
 
             s_branch = partial_trace(branch_dm, ctx.space, (SYSTEM, APPARATUS), policy=policy)
             ref = collapse(s_marg, site_sa, k, policy=policy).matrix
@@ -813,7 +811,7 @@ def verify_unitary_roundtrips(
     n0, collapsed, _ = apply_event_reading(ctx, after_iv, rng, ledger)
     m_after = partial_trace(collapsed, ctx.space, (METER, POINTER), policy=policy)
     undone = undo_c[n0] @ m_after.matrix @ undo_c[n0].conj().T
-    dev_d = float(np.max(np.abs(undone - m_ready)))
+    dev_d = float(np.max(np.abs(undone - ctx.ready)))
     s_after = partial_trace(collapsed, ctx.space, (SYSTEM, APPARATUS), policy=policy)
     ref = collapse(s_marg, site_sa, n0, policy=policy).matrix
     dev_d = max(dev_d, float(np.max(np.abs(s_after.matrix - ref))))

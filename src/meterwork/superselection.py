@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .linalg import DensityMatrix, Operator, ProjectorSet
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY, NumericPolicy, require_integer
 
 __all__ = [
     "PlanckCellBasis",
@@ -69,6 +69,7 @@ def build_planck_basis(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> PlanckCellBasis:
     """Labeled orthonormal cell basis of dimension q_levels * p_levels."""
+    q_levels, p_levels = require_integer("q_levels", q_levels), require_integer("p_levels", p_levels)
     if q_levels <= 0 or p_levels <= 0:
         raise ValueError(f"cell counts must be positive, got {q_levels} x {p_levels}")
     dq, dp = float(widths[0]), float(widths[1])
@@ -91,7 +92,7 @@ def dephase(
 
     Trace-preserving and idempotent; sector populations are untouched.
     The sum is `ProjectorSet.pinch`, which masks the indices of a partition
-    and contracts lifts through their local matrices.
+    and multiplies any other family through `Operator.left` and `right`.
     """
     if sectors.dim != rho.dim:
         raise ValueError(f"sector dimension {sectors.dim} != state dimension {rho.dim}")
@@ -100,7 +101,7 @@ def dephase(
         raise ValueError(f"projector set incomplete: deviation {dev:.3e}")
     out = sectors.pinch(rho.matrix)
     out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, rho.trace_weight, policy=policy)
+    return DensityMatrix._hermitized(out, rho.trace_weight, policy)
 
 
 def energy_sectors(

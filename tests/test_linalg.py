@@ -17,6 +17,7 @@ from helpers import (
     random_density,
     random_hermitian,
     random_ket,
+    random_unitary,
     state_with_signed_zeros,
 )
 from meterwork.errors import CapacityError, NumericalConsistencyError
@@ -185,16 +186,37 @@ class TestDensityMatrix:
             DensityMatrix(m, policy=strict)
 
     @pytest.mark.parametrize(
-        "fill, error, message",
+        "fill, message",
         [
-            (0.0, ValueError, "trace_weight must be positive and finite, got 0.0"),
-            (np.nan, np.linalg.LinAlgError, "Eigenvalues did not converge"),
+            (0.0, "trace_weight must be positive and finite, got 0.0"),
+            (np.nan, "density matrix has non-finite entries"),
         ],
     )
-    def test_all_zero_and_nan_matrices_fail_as_before(self, fill, error, message):
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+    def test_all_zero_and_nan_matrices_are_rejected(self, fill, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
             DensityMatrix(np.full((3, 3), fill, dtype=complex))
-        assert type(info.value) is error
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_one_non_finite_entry_rejected(self, dim, value):
+        m = np.eye(dim, dtype=complex) / dim
+        m[0, dim - 1] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            DensityMatrix(m, 1.0)
+
+    def test_nan_off_diagonal_pair_rejected_at_dim_64(self):
+        m = np.eye(64, dtype=complex) / 64
+        m[0, 1] = m[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            DensityMatrix(m, 1.0)
+
+    def test_input_is_copied(self, rng):
+        m = random_density(rng, 3).matrix.copy()
+        rho = DensityMatrix(m, 1.0)
+        before = rho.matrix.copy()
+        m[0, 0] = 7.0
+        assert rho.matrix.tobytes() == before.tobytes() and not rho.matrix.flags.writeable
 
 
 class TestConjugate:
@@ -527,26 +549,32 @@ class TestLift:
         n = int(np.prod([self.SPACE.dim_of(label) for label in acting]))
         u = Operator(np.eye(n)[rng.permutation(n)], unitary=True)
         lifted = embed_operator(u, self.SPACE, acting)
-        perm = linalg._operator_permutation(lifted)
-        assert lifted._matrix is None
-        assert np.array_equal(perm, _permutation_of(lifted.matrix))
+        gather = lifted.lift.gather
+        assert lifted._matrix is None and not gather.flags.writeable
+        assert np.array_equal(gather, _permutation_of(lifted.matrix))
+
+    def test_no_gather_for_other_factors(self, rng):
+        lifted = embed_operator(Operator(random_hermitian(rng, 2)), self.SPACE, ("a",))
+        assert lifted.lift.gather is None
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_contraction_skips_only_the_identity_factor(self, q, rng):
         # local = core (x) I_q: the products dropped are exactly those by zeros
         core = random_hermitian(rng, 2)
         local = np.kron(core, np.eye(q))
-        lift = linalg.Lift(local, 4, None)
-        assert lift._core.shape == (2, 2) and lift._core_rest == 4 * q
+        space = CompositeSpace([("a", 2 * q), ("r", 4)])
+        op = embed_operator(Operator(local), space, ("a",))
+        assert op.lift.core.shape == (2, 2) and op.lift.perm is None
         d = local.shape[0] * 4
         m = random_density(rng, d).matrix
         full = np.einsum("ab,by->ay", local, m.reshape(local.shape[0], -1)).reshape(d, d)
-        assert lift.left(m).tobytes() == full.tobytes()
+        assert op.left(m).tobytes() == full.tobytes()
         full = np.einsum("xbj,bc->xcj", m.reshape(d, local.shape[0], 4), local).reshape(d, d)
-        assert lift.right(m).tobytes() == full.tobytes()
-        np.testing.assert_allclose(lift.left(m), lift.dense() @ m, rtol=0, atol=1e-14)
+        assert op.right(m).tobytes() == full.tobytes()
+        assert op._matrix is None
+        np.testing.assert_allclose(op.left(m), op.matrix @ m, rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            lift.right(m, adjoint=True), m @ lift.dense().conj().T, rtol=0, atol=1e-14
+            op.right(m, adjoint=True), m @ op.matrix.conj().T, rtol=0, atol=1e-14
         )
 
     def test_lifted_family_is_checked_at_the_factor_dimension(self, rng):
@@ -590,6 +618,81 @@ class TestLift:
                 np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
             else:
                 assert out.tobytes() == ref.tobytes()
+
+
+def _products(u: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
+    return [u @ m, m @ u, m @ u.conj().T]
+
+
+def _applied(op: Operator, m: np.ndarray) -> list[np.ndarray]:
+    return [op.left(m), op.right(m), op.right(m, adjoint=True)]
+
+
+class TestOperatorProducts:
+    """`Operator.left` and `right` against the matrix products."""
+
+    SPACE = CompositeSpace([("a", 2), ("b", 3), ("c", 2)])
+
+    def _states(self, rng):
+        return (state_with_signed_zeros(rng, 12).matrix, random_density(rng, 12).matrix)
+
+    @pytest.mark.parametrize("acting", [("a",), ("a", "b"), ("b",), ("c", "a"), ("b", "c", "a")])
+    def test_permutation_lifts_gather_the_product_bits(self, acting, rng):
+        n = int(np.prod([self.SPACE.dim_of(label) for label in acting]))
+        u = Operator(np.eye(n)[rng.permutation(n)], unitary=True)
+        lifted = embed_operator(u, self.SPACE, acting)
+        states = self._states(rng)
+        outs = [_applied(lifted, m) for m in states]
+        assert lifted._matrix is None
+        for m, applied in zip(states, outs):
+            for out, ref in zip(applied, _products(lifted.matrix, m)):
+                assert out.tobytes() == ref.tobytes() and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("acting", [("a",), ("b", "c")])
+    def test_identity_projector_gathers_the_product_bits(self, acting, rng):
+        n = int(np.prod([self.SPACE.dim_of(label) for label in acting]))
+        family = ProjectorSet((Operator.identity(n),)).embedded(self.SPACE, acting)
+        p = family.projectors[0]
+        assert np.array_equal(p.lift.gather, np.arange(12))
+        for m in self._states(rng):
+            for out, ref in zip(_applied(p, m), _products(p.matrix, m)):
+                assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("acting", [("b",), ("c", "a")])
+    def test_non_leading_lifts_take_the_dense_product(self, acting, rng):
+        n = int(np.prod([self.SPACE.dim_of(label) for label in acting]))
+        lifted = embed_operator(Operator(random_unitary(rng, n)), self.SPACE, acting)
+        assert lifted.lift.perm is not None and lifted.lift.gather is None
+        for m in self._states(rng):
+            for out, ref in zip(_applied(lifted, m), _products(lifted.matrix, m)):
+                assert out.tobytes() == ref.tobytes()
+
+    def test_plain_operators_take_the_dense_product(self, rng):
+        for u in (random_unitary(rng, 12), np.eye(12)[rng.permutation(12)]):
+            op = Operator(u)
+            for m in self._states(rng):
+                for out, ref in zip(_applied(op, m), _products(op.matrix, m)):
+                    assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("acting", [("a",), ("a", "b")])
+    def test_leading_lifts_match_the_einsum_reference(self, acting, rng):
+        n = int(np.prod([self.SPACE.dim_of(label) for label in acting]))
+        local = random_unitary(rng, n)
+        lifted = embed_operator(Operator(local), self.SPACE, acting)
+        states = self._states(rng)
+        outs = [_applied(lifted, m) for m in states]
+        assert lifted._matrix is None
+        for m, applied in zip(states, outs):
+            m4 = m.reshape(n, 12 // n, n, 12 // n)
+            refs = [
+                np.einsum("ab,bjck->ajck", local, m4).reshape(12, 12),
+                np.einsum("ajbk,bc->ajck", m4, local).reshape(12, 12),
+                np.einsum("ajbk,cb->ajck", m4, local.conj()).reshape(12, 12),
+            ]
+            for out, ref in zip(applied, refs):
+                assert out.tobytes() == ref.tobytes()
+            for out, ref in zip(applied, _products(lifted.matrix, m)):
+                np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
 
 
 class TestProjectorSet:
@@ -697,6 +800,23 @@ class TestCollapse:
             pset = ProjectorSet(pset.projectors)
         with pytest.raises(IndexError, match=f"outcome {k} outside a family of 3"):
             collapse(random_density(rng, 3), pset, k)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_zero_probability_outcome_rejected(self, dense):
+        pset = ProjectorSet.basis(2)
+        if dense:
+            pset = ProjectorSet(pset.projectors)
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="outcome 1 has probability 0.0"):
+            collapse(rho, pset, 1)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_family_of_another_dimension_rejected(self, dense, rng):
+        pset = ProjectorSet.basis(2)
+        if dense:
+            pset = ProjectorSet(pset.projectors)
+        with pytest.raises(ValueError, match="family dimension 2 != state dimension 3"):
+            collapse(random_density(rng, 3), pset, 0)
 
     def test_non_diagonal_projector_stays_dense(self, rng):
         plus = np.full((2, 2), 0.5)

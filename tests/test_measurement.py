@@ -80,6 +80,15 @@ class TestPointerModel:
         with pytest.raises(ValueError):
             PointerModel(4, coupling=-1.0)
 
+    @pytest.mark.parametrize("dim", [4.7, 4.0, float("nan"), float("inf"), "4", None])
+    def test_non_integer_pointer_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match=rf"pointer_dim must be an integer, got {dim!r}"):
+            PointerModel(dim)
+
+    def test_numpy_integer_pointer_dim_accepted(self):
+        pm = PointerModel(np.int64(4))
+        assert pm.pointer_dim == 4 and type(pm.pointer_dim) is int
+
     @pytest.mark.parametrize("name", ["grid_step", "coupling", "duration"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
     def test_non_finite_or_nonpositive_parameters_rejected(self, name, value):

@@ -80,6 +80,12 @@ class TestPrepare:
         sectors = energy_sectors(ctx.h_initial)
         assert [np.rint(np.trace(p.matrix).real) for p in sectors.projectors] == [4, 4]
 
+    @pytest.mark.parametrize("which", ["Initial", "INITIAL", "start", ""])
+    def test_unknown_reading_rejected(self, ctx, which):
+        rho = prepare_initial_state(ctx)
+        with pytest.raises(ValueError, match="which must be 'initial' or 'final'"):
+            read_energy(ctx, rho, which, stream_generator(8, 0), EntropyLedger())
+
     def test_sector_collapse_leaves_apparatus_maximally_mixed(self, ctx):
         # the collapsed energy eigenstate is a uniform classical mixture of
         # the apparatus cells contributing to that energy
@@ -671,6 +677,47 @@ class TestFactoredLifts:
             assert op._matrix is None
         for op in (ctx.nsm_unitary, ctx.entangler_full, ctx.event_unitary):
             assert op._matrix is None  # permutations gather without it
+
+
+# the channels that hand their hermitized result to DensityMatrix._hermitized
+_HERMITIZING_SITES = {
+    "conjugate", "collapse", "dephase", "partial_trace", "thermal_state", "branch_roundtrip",
+}
+
+
+class TestHermitizedResults:
+    """Every state built through `DensityMatrix._hermitized` is exactly
+    hermitian, C-ordered and the sole owner of its data."""
+
+    @pytest.mark.parametrize("pointer_dim", [4, 8], ids=["dim-64", "dim-256"])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"eigenstate_prep": True}, {"beta": 0.3}],
+        ids=["default", "eigenstate-prep", "beta-0.3"],
+    )
+    def test_channel_results_are_exactly_hermitian_fresh_arrays(
+        self, monkeypatch, pointer_dim, options
+    ):
+        original = DensityMatrix._hermitized
+        sites = []
+
+        def guarded(cls, m, trace_weight, policy):
+            assert type(m) is np.ndarray and m.dtype == complex
+            assert m.flags.c_contiguous and m.flags.owndata and m.flags.writeable
+            assert np.all(m == m.conj().T)
+            sites.append(sys._getframe(1).f_code.co_name)
+            state = original(m, trace_weight, policy)
+            assert state.matrix is m
+            return state
+
+        monkeypatch.setattr(DensityMatrix, "_hermitized", classmethod(guarded))
+        pointer = PointerModel(pointer_dim)
+        cfg = SchemeConfig(nsm_pointer=pointer, event_pointer=pointer, **options)
+        ctx = build_context(cfg)
+        run_single(ctx, stream_generator(3, 0))
+        scheme._BranchTables(ctx)
+        verify_unitary_roundtrips(cfg, 3)
+        assert set(sites) == _HERMITIZING_SITES
 
 
 class TestDimensionBudget:

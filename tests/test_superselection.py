@@ -57,6 +57,14 @@ class TestPlanckBasis:
         with pytest.raises(CapacityError, match="dimension 12 exceeds budget 8"):
             build_planck_basis(3, 4, policy=NumericPolicy(max_dim=8))
 
+    @pytest.mark.parametrize(
+        "levels, name", [((2.5, 2), "q_levels"), ((2, 2.0), "p_levels"), ((2, float("nan")), "p_levels")]
+    )
+    def test_non_integer_cell_counts_rejected(self, levels, name):
+        value = levels[0] if name == "q_levels" else levels[1]
+        with pytest.raises(ValueError, match=rf"{name} must be an integer, got {value!r}"):
+            build_planck_basis(*levels)
+
     def test_nonpositive_widths_rejected(self):
         with pytest.raises(ValueError, match="widths"):
             build_planck_basis(2, 2, widths=(0.0, 1.0))
