@@ -311,8 +311,8 @@ def cmd_relaxation(settings: dict) -> int:
             ["t", "rho", "sigma"],
             [traj.times, traj.weights, sigma],
         )
-        rho_dt = traj.weight_at(dt)
-        sigma_dt = float(sigma[np.flatnonzero(np.isclose(traj.times, dt))[0]])
+        i = traj.index_of(dt)
+        rho_dt, sigma_dt = float(traj.weights[i]), float(sigma[i])
         summary[name] = {"rho_at_dt": rho_dt, "sigma_at_dt": sigma_dt}
         print(f"{name:<14} {f17(rho_dt):<22} {f17(sigma_dt)}")
     write_json(out / _SUMMARY_FILES["relaxation"], summary)

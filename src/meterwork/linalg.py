@@ -22,7 +22,7 @@ then keep them:
 
 Only `Operator.left` and `right` choose how an operator multiplies a matrix:
 a lift of a permutation L gathers (L is the only matrix read for structure),
-another lift onto leading factors contracts L, the rest are dense products.
+another lift onto leading factors contracts L as given, the rest are dense products.
 Channels hand their hermitized results to `DensityMatrix._hermitized`.
 
 Operations are pure functions. Apart from those caches nothing here mutates
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalConsistencyError
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY, NumericPolicy, require_integer
 
 __all__ = [
     "Ket",
@@ -141,6 +141,8 @@ class Ket:
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "Ket":
+        if not 0 <= require_integer("index", index) < dim:
+            raise ValueError(f"basis index {index} outside [0, {dim})")
         amps = np.zeros(dim, dtype=complex)
         amps[index] = 1.0
         return cls(amps)
@@ -194,20 +196,14 @@ class Lift:
     then ``local (x) I_rest`` itself.
 
     ``gather`` is g with ``lift[i, g[i]] == 1`` when ``local`` is a
-    permutation, else None. ``core`` is the smallest matrix with ``local ==
-    core (x) I_q``; contracting it drops only products by exact zeros.
+    permutation, else None. A lift onto leading factors contracts ``local``
+    whole: an operator known to act on fewer factors is lifted onto those.
     """
 
-    __slots__ = ("local", "rest_dim", "perm", "gather", "core")
+    __slots__ = ("local", "rest_dim", "perm", "gather")
 
     def __init__(self, local: np.ndarray, rest_dim: int, perm: np.ndarray | None):
         self.local, self.rest_dim, self.perm = local, rest_dim, perm
-        n = local.shape[0]
-        q = next(
-            q for q in range(n, 0, -1)
-            if n % q == 0 and np.array_equal(local, np.kron(local[::q, ::q], np.eye(q)))
-        )
-        self.core = local[::q, ::q]
         g = _permutation_of(local)
         if g is not None:
             g = (g[:, None] * rest_dim + np.arange(rest_dim)).ravel()
@@ -279,7 +275,7 @@ class Operator:
         if lift is not None and lift.gather is not None:
             return _gathered(m, lift.gather)
         if lift is not None and lift.perm is None:
-            return np.einsum("ab,by->ay", lift.core, m.reshape(len(lift.core), -1)).reshape(m.shape)
+            return np.einsum("ab,by->ay", lift.local, m.reshape(len(lift.local), -1)).reshape(m.shape)
         return self.matrix @ m
 
     def right(self, m: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
@@ -289,7 +285,7 @@ class Operator:
             # (m @ u)[:, j] is column g^-1[j] of m, (m @ u^dag)[:, j] column g[j]
             return _gathered(m, lift.gather if adjoint else np.argsort(lift.gather), axis=1)
         if lift is not None and lift.perm is None:
-            k = lift.core.conj().T if adjoint else lift.core
+            k = lift.local.conj().T if adjoint else lift.local
             return np.einsum("xbj,bc->xcj", m.reshape(len(m), len(k), -1), k).reshape(m.shape)
         return m @ (self.matrix.conj().T if adjoint else self.matrix)
 

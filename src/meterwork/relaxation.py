@@ -54,12 +54,16 @@ class RelaxationTrajectory:
         self.times.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def weight_at(self, t: float) -> float:
-        """Weight at a grid time (t must lie on the grid)."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid time t (t must lie on the grid)."""
         idx = np.flatnonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-12))
         if idx.size == 0:
             raise ValueError(f"time {t!r} is not on the trajectory grid")
-        return float(self.weights[idx[0]])
+        return int(idx[0])
+
+    def weight_at(self, t: float) -> float:
+        """Weight at a grid time (t must lie on the grid)."""
+        return float(self.weights[self.index_of(t)])
 
 
 def _grid(dt: float, horizon: float, steps: int) -> np.ndarray:

@@ -238,15 +238,13 @@ class SchemeConfig:
 class SchemeContext:
     """Precomputed operators of one configuration (all immutable, compared by identity).
 
-    The unitaries are lifts of their local matrices (`linalg.Lift`); each
-    builds its dense matrix only when something reads it.
+    The unitaries and the energy families (on the system factor) are lifts
+    of their local matrices (`linalg.Lift`), each dense only when read.
     """
 
     config: SchemeConfig
     space: CompositeSpace
-    observable: Operator
     h_initial: Operator
-    h_final: Operator
     initial_pset: ProjectorSet
     final_pset: ProjectorSet
     barrier_unitary: Operator
@@ -288,8 +286,12 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
         np.kron(cfg.barrier_schedule.final_hamiltonian().matrix, np.eye(aprime_dim)),
         hermitian=True,
     )
-    initial_pset = energy_sectors(h0, policy=policy).embedded(space, (SYSTEM, APPARATUS))
-    final_pset = energy_sectors(hf, policy=policy).embedded(space, (SYSTEM, APPARATUS))
+    initial_pset = energy_sectors(
+        cfg.barrier_schedule.initial_hamiltonian(), policy=policy
+    ).embedded(space, (SYSTEM,))
+    final_pset = energy_sectors(
+        cfg.barrier_schedule.final_hamiltonian(), policy=policy
+    ).embedded(space, (SYSTEM,))
 
     barrier_u = embed_operator(
         Operator(cfg.barrier_schedule.total_propagator(), unitary=True, policy=policy),
@@ -332,9 +334,7 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
     return SchemeContext(
         config=cfg,
         space=space,
-        observable=obs,
         h_initial=h0,
-        h_final=hf,
         initial_pset=initial_pset,
         final_pset=final_pset,
         barrier_unitary=barrier_u,
@@ -787,9 +787,7 @@ def verify_unitary_roundtrips(
         for k, p in enumerate(site_set.traces(state_full.matrix)):
             if p <= floor:
                 continue
-            branch = site_set.sandwich(state_full.matrix, k) / p
-            branch = 0.5 * (branch + branch.conj().T)
-            branch_dm = DensityMatrix._hermitized(branch, 1.0, policy)
+            branch_dm = collapse(state_full, site_set, k, policy=policy)
             m_branch = partial_trace(branch_dm, ctx.space, (METER, POINTER), policy=policy)
             undone = undo_m[k] @ m_branch.matrix @ undo_m[k].conj().T
             worst = max(worst, float(np.max(np.abs(undone - ctx.ready))))

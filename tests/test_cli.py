@@ -118,6 +118,17 @@ class TestRelaxationCommand:
             )
         assert vals[0] == vals[1]
 
+    @pytest.mark.parametrize("steps", [100000, 200000])
+    def test_sigma_is_read_at_the_grid_point_of_rho(self, steps, tmp_path):
+        # numpy's default rtol 1e-5 would also match the point one step before dt
+        out = tmp_path / "o"
+        argv = ["relaxation", "--horizon", "1", "--steps", str(steps), "--output", str(out)]
+        assert main(argv) == 0
+        summary = read_json(out / "relaxation_summary.json")
+        assert summary["direct"] == {"rho_at_dt": 0.0, "sigma_at_dt": "inf"}
+        for name in ("statistical", "poisson"):
+            assert summary[name] == {"rho_at_dt": math.exp(-1.0), "sigma_at_dt": 1.0}
+
     def test_csv_columns(self, tmp_path):
         out = tmp_path / "o"
         main(["relaxation", "--output", str(out)])

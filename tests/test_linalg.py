@@ -55,6 +55,20 @@ class TestKet:
         k = Ket.basis(3, 1)
         assert k.amplitudes[1] == 1.0 and k.dim == 3
 
+    @pytest.mark.parametrize("index", [-1, 2, 5])
+    def test_basis_index_outside_the_dimension_is_named(self, index):
+        # numpy indexing would wrap -1 round to the last state and overrun at 5
+        with pytest.raises(ValueError, match=rf"index {index} .*\[0, 2\)"):
+            Ket.basis(2, index)
+
+    @pytest.mark.parametrize("index", [1.0, True, "0"])
+    def test_basis_index_must_be_an_integer(self, index):
+        with pytest.raises(ValueError, match="index must be an integer"):
+            Ket.basis(2, index)
+
+    def test_basis_accepts_numpy_integers(self):
+        assert Ket.basis(3, np.int64(2)).amplitudes[2] == 1.0
+
     def test_immutable(self):
         k = Ket.basis(2, 0)
         with pytest.raises(ValueError):
@@ -558,13 +572,13 @@ class TestLift:
         assert lifted.lift.gather is None
 
     @pytest.mark.parametrize("q", [1, 2, 3])
-    def test_contraction_skips_only_the_identity_factor(self, q, rng):
-        # local = core (x) I_q: the products dropped are exactly those by zeros
+    def test_leading_lift_contracts_its_whole_local_matrix(self, q, rng):
+        # local = core (x) I_q is contracted as given, identity factor and all
         core = random_hermitian(rng, 2)
         local = np.kron(core, np.eye(q))
         space = CompositeSpace([("a", 2 * q), ("r", 4)])
         op = embed_operator(Operator(local), space, ("a",))
-        assert op.lift.core.shape == (2, 2) and op.lift.perm is None
+        assert op.lift.local.shape == local.shape and op.lift.perm is None
         d = local.shape[0] * 4
         m = random_density(rng, d).matrix
         full = np.einsum("ab,by->ay", local, m.reshape(local.shape[0], -1)).reshape(d, d)

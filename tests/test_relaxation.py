@@ -109,6 +109,15 @@ class TestSharedStructure:
         traj = simulate_direct(0.3333, 1.0, 7)
         assert np.any(np.isclose(traj.times, 0.3333))
 
+    def test_index_of_a_fine_grid_is_the_exact_point(self):
+        # on 10^5 steps t = 1 - 1e-5 lies within numpy's default rtol of 1
+        traj = simulate_statistical(1.0, 1.0, 100000)
+        i = traj.index_of(1.0)
+        assert i == len(traj.times) - 1 and traj.times[i] == 1.0
+        assert traj.weight_at(1.0) == traj.weights[i] == math.exp(-1.0)
+        with pytest.raises(ValueError, match="not on the trajectory grid"):
+            traj.index_of(0.123456789)
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             simulate_direct(2.0, 1.0, 10)

@@ -667,6 +667,38 @@ class TestFactoredLifts:
                 a, b = states[stage].matrix, ref[stage].matrix
                 assert ulps_apart(a, b, scale=np.max(np.abs(b))) <= 4, stage
 
+    @pytest.mark.parametrize("pointer_dim", [4, 8], ids=["dim-64", "dim-256"])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"beta": 0.3},
+            {"beta": 5.0},
+            {"eigenstate_prep": True},
+            {"barrier_schedule": szilard_schedule(0.7, 0.3, 1.0, 10)},
+        ],
+        ids=["default", "beta-0.3", "beta-5", "eigenstate-prep", "szilard-0.7-0.3"],
+    )
+    def test_energy_families_are_lifts_on_the_system_factor(self, pointer_dim, options):
+        # the sectors of H (x) I_a lifted onto (system, apparatus) are the
+        # reference: the CLI's drives give its labels, and its 2 x 2 blocks
+        # [::a, ::a] bit for bit, so the contractions read the same matrix
+        pointer = PointerModel(pointer_dim)
+        cfg = SchemeConfig(nsm_pointer=pointer, event_pointer=pointer, **options)
+        ctx = build_context(cfg)
+        drive = cfg.barrier_schedule
+        for pset, h in ((ctx.initial_pset, drive.initial_hamiltonian()),
+                        (ctx.final_pset, drive.final_hamiltonian())):
+            h_sa = Operator(np.kron(h.matrix, np.eye(pointer_dim)), hermitian=True)
+            ref = energy_sectors(h_sa).embedded(ctx.space, (SYSTEM, APPARATUS))
+            assert pset.labels == ref.labels
+            for p, q in zip(pset.projectors, ref.projectors, strict=True):
+                assert p.lift.local.shape == (cfg.s0_dim, cfg.s0_dim) and p.lift.perm is None
+                core = q.lift.local[::pointer_dim, ::pointer_dim]
+                assert p.lift.local.tobytes() == np.ascontiguousarray(core).tobytes()
+                # == on the dense lifts: kron puts -0.0 beside a negative entry
+                assert np.array_equal(p.matrix, q.matrix)
+
     def test_branch_tables_leave_the_lifts_unbuilt(self):
         ctx = build_context(SchemeConfig(nsm_pointer=_WIDE, event_pointer=_WIDE))
         assert ctx.space.total_dim == 256
@@ -681,7 +713,7 @@ class TestFactoredLifts:
 
 # the channels that hand their hermitized result to DensityMatrix._hermitized
 _HERMITIZING_SITES = {
-    "conjugate", "collapse", "dephase", "partial_trace", "thermal_state", "branch_roundtrip",
+    "conjugate", "collapse", "dephase", "partial_trace", "thermal_state",
 }
 
 
