@@ -14,7 +14,9 @@ Two independent evaluations of <exp(-beta W)> are provided:
   pairs with their Born weights;
 * `jarzynski_time_ordered` multiplies the per-step Heisenberg-picture
   factors exp(-beta H_H(t_{n+1})) exp(+beta H_H(t_n)) in time order and
-  traces against the thermal state.
+  traces against the thermal state. Those factors have condition number
+  exp(beta (E_max - E_min)), so it refuses a beta past
+  `TIME_ORDERED_MAX_CONDITION`.
 
 Both return exp(-beta dF) up to float rounding for any unitary drive, and
 agreeing with each other is a structural cross-check of the propagator and
@@ -33,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalConsistencyError
 from .linalg import DensityMatrix, Operator, ProjectorSet, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import cdf_of, draw_indices, draw_rows, stream_uniforms
@@ -47,6 +50,7 @@ __all__ = [
     "tpm_sample",
     "jarzynski_exact",
     "jarzynski_time_ordered",
+    "TIME_ORDERED_MAX_CONDITION",
     "jarzynski_equality_check",
     "modified_jarzynski_check",
 ]
@@ -379,6 +383,14 @@ def jarzynski_exact(
     return total
 
 
+# Largest condition number exp(beta (E_max - E_min)) of the factors that
+# `jarzynski_time_ordered` accepts. Its rounding grows faster than that
+# number: on a 400-step driven qubit (E_max - E_min = 2, exact value 1) it
+# is 1.5e-12 at 3.0e3 (beta 4), 2.7e-10 at 2.2e4 (beta 5), 0.056 at 4.9e8
+# (beta 10), and the result overflows to NaN by 2.4e17 (beta 20).
+TIME_ORDERED_MAX_CONDITION = 1e4
+
+
 def jarzynski_time_ordered(
     schedule: DriveSchedule,
     beta: float,
@@ -392,8 +404,23 @@ def jarzynski_time_ordered(
     exp(-beta H_H(t_{n+1})) exp(+beta H_H(t_n)) with later steps to the
     left, and traces against the initial thermal state. Independent of
     `jarzynski_exact` as a code path; the two agree to rounding.
+
+    Raises `NumericalConsistencyError` when the factors' condition number
+    exp(beta (E_max - E_min)), over every Hamiltonian of the schedule,
+    exceeds `TIME_ORDERED_MAX_CONDITION`; `jarzynski_exact` has no such
+    limit.
     """
     _check_beta(beta, zero_ok=True)
+    spread = max(
+        float(np.ptp(np.linalg.eigvalsh(schedule.hamiltonian_matrix(k))))
+        for k in range(schedule.n_steps + 1)
+    )
+    if beta * spread > math.log(TIME_ORDERED_MAX_CONDITION):
+        raise NumericalConsistencyError(
+            f"beta {beta!r} is past the conditioning bound of the time-ordered product: "
+            f"exp(beta * {spread:.6g}) exceeds {TIME_ORDERED_MAX_CONDITION:g}, "
+            f"so beta must stay at or below {math.log(TIME_ORDERED_MAX_CONDITION) / spread:.6g}"
+        )
     n = schedule.n_steps
     dim = schedule.dim
     cumulative = [np.eye(dim, dtype=complex)]

@@ -7,11 +7,14 @@ subnormalized: `trace_weight` is 1 for conventional ensembles and
 ``exp(-sigma)`` for ensembles redefined by an entropy production ``sigma``
 (which may be negative, so weights above 1 are legal).
 
-States are dense matrices. A value's structure is declared where it is
-built and never scanned for in its matrices afterwards. Two kinds of value
-keep a smaller form and build their dense matrices only on first access,
-then keep them:
+A value's structure is declared where it is built and never scanned for in
+its matrices afterwards. Three kinds of value keep a smaller form and build
+their dense matrices only on first access, then keep them:
 
+* a `DensityMatrix` keeps its ``support``, the sorted basis indices whose
+  rows and columns may hold entries != 0, and its dense ``block`` on them.
+  A matrix from outside has full support; a channel declares the support of
+  its result from how its operator was built;
 * a `ProjectorSet` built from a ``sector_of`` array (`ProjectorSet.basis`,
   `ProjectorSet.embedded` of such a family, or ``ProjectorSet(sector_of,
   labels)``) is a partition of the computational basis, and its kernels
@@ -20,10 +23,14 @@ then keep them:
   lifted by `ProjectorSet.embedded`) keeps its `Lift`: the local matrix L,
   the dimension of the untouched factors and the basis permutation.
 
-Only `Operator.left` and `right` choose how an operator multiplies a matrix:
-a lift of a permutation L gathers (L is the only matrix read for structure),
-another lift onto leading factors contracts L as given, the rest are dense products.
-Channels hand their hermitized results to `DensityMatrix._hermitized`.
+Only `Operator.left` and `right` choose how an operator multiplies a block,
+and each gives the support of its product: a lift of a permutation L
+gathers and maps the indices (L is the only matrix read for structure),
+another lift onto leading factors closes them over those factors and
+contracts L as given, and the rest are dense products over every index.
+Reductions (traces, partial traces) sum the same zero-padded terms in the
+same order as on the d x d matrix, so a block gives the bits of its dense
+matrix. Channels hand their hermitized results to `DensityMatrix._hermitized`.
 
 Operations are pure functions. Apart from those caches nothing here mutates
 shared state, and threads racing to fill one build equal matrices, so all
@@ -73,23 +80,6 @@ def _is_diagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
-def _lowest_eigenvalue(m: np.ndarray) -> float:
-    """Lowest eigenvalue of a hermitian m, or of its support block.
-
-    The support is the set of indices whose row or column holds an entry
-    != 0. The rows and columns outside it are exactly zero and add only
-    0 eigenvalues, so a negative lowest eigenvalue of m is that of the
-    block, and a matrix with no support has 0 as its lowest eigenvalue.
-    """
-    nonzero = m != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    if support.size == m.shape[0]:
-        return float(np.min(np.linalg.eigvalsh(m)))
-    if support.size == 0:
-        return 0.0
-    return float(np.min(np.linalg.eigvalsh(m[np.ix_(support, support)])))
-
-
 def _permutation_of(u: np.ndarray) -> np.ndarray | None:
     """perm with u[i, perm[i]] == 1 when the square matrix u holds exactly
     one nonzero per row and per column and each of them is exactly 1, or
@@ -109,14 +99,78 @@ def _gathered(m: np.ndarray, index: np.ndarray, axis: int = 0) -> np.ndarray:
     return out
 
 
-def _restrict(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Entries of m where the boolean mask `keep` holds, +0.0 elsewhere.
+def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of an integer array with entries in [0, size),
+    and the position of each entry among them: ``np.unique`` with its inverse,
+    read off a mask instead of a sort."""
+    present = np.zeros(size, dtype=bool)
+    present[values] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
 
-    This is what products with 0/1 diagonal projectors give, bit for bit:
-    kept entries are copied exactly, and adding +0.0 turns their -0.0 parts
-    into +0.0 as the zero-initialized sums of a matmul do.
-    """
-    return np.where(keep, m, 0.0) + 0.0
+
+def _positions(index: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Positions of the basis indices `index` in their sorted superset `within`."""
+    at = np.zeros(within[-1] + 1, dtype=int)
+    at[within] = np.arange(within.size)
+    return at[index]
+
+
+def _placed(m: np.ndarray, index: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Block m on the sorted basis indices `index` as a block on their sorted
+    superset `within`, +0.0 off `index`; m itself when the two are equal."""
+    if index.size == within.size:
+        return m
+    at = _positions(index, within)
+    out = np.zeros((within.size, within.size), dtype=complex)
+    out[np.ix_(at, at)] = m
+    return out
+
+
+def _padded_diagonal(m: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
+    """Length-dim diagonal of the d x d matrix of block m on `index`: a sum
+    of it adds the terms of that matrix's trace in the same order."""
+    diag = np.zeros(dim, dtype=complex)
+    diag[index] = np.diagonal(m)
+    return diag
+
+
+def _trace(m: np.ndarray, index: np.ndarray, dim: int) -> complex:
+    """Trace of the d x d matrix of block m on `index`, bit for bit."""
+    return complex(_padded_diagonal(m, index, dim).sum())
+
+
+def _max_abs_difference(
+    a: np.ndarray, a_index: np.ndarray, b: np.ndarray, b_index: np.ndarray, dim: int
+) -> float:
+    """Largest |entry| of the difference of the d x d matrices of blocks a
+    and b on sorted basis indices; entries off both are 0 - 0."""
+    union, _ = _distinct(np.concatenate((a_index, b_index)), dim)
+    return _max_abs(_placed(a, a_index, union) - _placed(b, b_index, union))
+
+
+def _placed_axis(m: np.ndarray, at: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """m with its `axis` placed at the positions `at` of an axis of length
+    `size`, +0.0 elsewhere."""
+    shape = list(m.shape)
+    shape[axis] = size
+    out = np.zeros(shape, dtype=complex)
+    if axis == 0:
+        out[at] = m
+    else:
+        out[:, at] = m
+    return out
+
+
+def _spread(m: np.ndarray, index: np.ndarray, rest_dim: int, n: int, axis: int):
+    """m with its `axis`, on the sorted basis indices `index`, widened to
+    their closure over a leading factor of dimension n (+0.0 where m has no
+    entry), and that closure: every (factor, rest) index whose rest digit
+    occurs in `index`, in order."""
+    rest, pos = _distinct(index % rest_dim, rest_dim)
+    closed = (np.arange(n)[:, None] * rest_dim + rest).ravel()
+    if closed.size == index.size:
+        return m, closed
+    return _placed_axis(m, index // rest_dim * rest.size + pos, closed.size, axis), closed
 
 
 class Ket:
@@ -196,20 +250,23 @@ class Lift:
     then ``local (x) I_rest`` itself.
 
     ``gather`` is g with ``lift[i, g[i]] == 1`` when ``local`` is a
-    permutation, else None. A lift onto leading factors contracts ``local``
-    whole: an operator known to act on fewer factors is lifted onto those.
+    permutation, else None, and ``scatter`` its inverse. A lift onto leading
+    factors contracts ``local`` whole: an operator known to act on fewer
+    factors is lifted onto those.
     """
 
-    __slots__ = ("local", "rest_dim", "perm", "gather")
+    __slots__ = ("local", "rest_dim", "perm", "gather", "scatter")
 
     def __init__(self, local: np.ndarray, rest_dim: int, perm: np.ndarray | None):
         self.local, self.rest_dim, self.perm = local, rest_dim, perm
-        g = _permutation_of(local)
+        g = inv = _permutation_of(local)
         if g is not None:
             g = (g[:, None] * rest_dim + np.arange(rest_dim)).ravel()
             g = g if perm is None else np.argsort(perm)[g[perm]]
+            inv = np.argsort(g)
             g.setflags(write=False)
-        self.gather = g
+            inv.setflags(write=False)
+        self.gather, self.scatter = g, inv
 
     def dense(self) -> np.ndarray:
         m = np.kron(self.local, np.eye(self.rest_dim))
@@ -225,7 +282,8 @@ class Operator:
 
     ``lift`` is set on an operator lifted by `embed_operator`; its dense
     ``matrix`` is then built on first access and kept. `left` and `right`
-    multiply by the operator through the product its structure allows.
+    multiply a block by the operator through the product its structure
+    allows.
     """
 
     __slots__ = ("_matrix", "lift", "dim", "hermitian", "unitary", "projector")
@@ -259,6 +317,13 @@ class Operator:
             self._matrix = m
         return self._matrix
 
+    @property
+    def _dense(self) -> bool:
+        """Whether `left` and `right` multiply by ``matrix`` (no permutation
+        to gather, no factor on leading indices to contract)."""
+        lift = self.lift
+        return lift is None or (lift.gather is None and lift.perm is not None)
+
     @classmethod
     def identity(cls, dim: int) -> "Operator":
         return cls(np.eye(dim), hermitian=True, unitary=True, projector=True)
@@ -269,25 +334,44 @@ class Operator:
         herm = True if np.isrealobj(vals) or _max_abs(vals.imag) == 0.0 else None
         return cls(np.diag(vals.astype(complex)), hermitian=herm)
 
-    def left(self, m: np.ndarray) -> np.ndarray:
-        """self @ m, as a fresh array."""
+    def left(self, m: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """self @ m for a block m whose rows are the sorted basis indices
+        `rows`: the product's rows, as a fresh array, and their basis indices."""
+        if self._dense:
+            if rows.size < self.dim:
+                m = _placed_axis(m, rows, self.dim, 0)
+            return self.matrix @ m, np.arange(self.dim)
         lift = self.lift
-        if lift is not None and lift.gather is not None:
-            return _gathered(m, lift.gather)
-        if lift is not None and lift.perm is None:
-            return np.einsum("ab,by->ay", lift.local, m.reshape(len(lift.local), -1)).reshape(m.shape)
-        return self.matrix @ m
+        if lift.gather is not None:
+            # (u @ m)[i] is row g[i] of m, so row r of m moves to g^-1[r]
+            to = lift.scatter[rows]
+            order = np.argsort(to)
+            return _gathered(m, order), to[order]
+        n = len(lift.local)
+        x, rows = _spread(m, rows, lift.rest_dim, n, 0)
+        out = np.einsum("ab,by->ay", lift.local, x.reshape(n, -1))
+        return out.reshape(rows.size, -1), rows
 
-    def right(self, m: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
-        """m @ self, or m @ self^dag with `adjoint`, as a fresh array."""
+    def right(
+        self, m: np.ndarray, cols: np.ndarray, *, adjoint: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """m @ self, or m @ self^dag with `adjoint`, for a block m whose
+        columns are the sorted basis indices `cols`: the product's columns,
+        as a fresh array, and their basis indices."""
+        if self._dense:
+            if cols.size < self.dim:
+                m = _placed_axis(m, cols, self.dim, 1)
+            return m @ (self.matrix.conj().T if adjoint else self.matrix), np.arange(self.dim)
         lift = self.lift
-        if lift is not None and lift.gather is not None:
+        if lift.gather is not None:
             # (m @ u)[:, j] is column g^-1[j] of m, (m @ u^dag)[:, j] column g[j]
-            return _gathered(m, lift.gather if adjoint else np.argsort(lift.gather), axis=1)
-        if lift is not None and lift.perm is None:
-            k = lift.local.conj().T if adjoint else lift.local
-            return np.einsum("xbj,bc->xcj", m.reshape(len(m), len(k), -1), k).reshape(m.shape)
-        return m @ (self.matrix.conj().T if adjoint else self.matrix)
+            to = (lift.scatter if adjoint else lift.gather)[cols]
+            order = np.argsort(to)
+            return _gathered(m, order, axis=1), to[order]
+        k = lift.local.conj().T if adjoint else lift.local
+        x, cols = _spread(m, cols, lift.rest_dim, len(k), 1)
+        out = np.einsum("xbj,bc->xcj", x.reshape(len(x), len(k), -1), k)
+        return out.reshape(len(x), cols.size), cols
 
     def is_hermitian(self, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
         if self.hermitian is not None:
@@ -310,11 +394,17 @@ class DensityMatrix:
     ``trace_weight`` is 1 for conventional ensembles. Redefined ensembles
     carry ``exp(-sigma)``; the measured-side bookkeeping uses negative sigma,
     so weights above 1 occur and are accepted.
-    A matrix from outside is copied and checked to be finite, hermitian
-    and positive semidefinite, with its trace equal to the weight.
+
+    The state keeps its declared ``support``, the sorted basis indices whose
+    rows and columns may hold entries != 0, and its ``block``, the dense
+    matrix on them; both are read-only. The d x d ``matrix`` is built on
+    first access and kept, with +0.0 off the support. A matrix from outside
+    has full support (its ``matrix`` is its block); it is copied and checked
+    to be finite, hermitian and positive semidefinite, with its trace equal
+    to the weight.
     """
 
-    __slots__ = ("matrix", "dim", "trace_weight")
+    __slots__ = ("block", "support", "_matrix", "dim", "trace_weight")
 
     def __init__(
         self,
@@ -323,28 +413,44 @@ class DensityMatrix:
         *,
         policy: NumericPolicy = DEFAULT_POLICY,
     ):
-        self._adopt(_as_square(matrix).copy(), trace_weight, policy, hermitized=False)
+        m = _as_square(matrix).copy()
+        self._adopt(m, np.arange(len(m)), len(m), trace_weight, policy, hermitized=False)
 
     @classmethod
-    def _hermitized(cls, m: np.ndarray, trace_weight: float, policy: NumericPolicy):
-        """State of a fresh array 0.5 * (x + x^dag), maybe scaled by a real, that
-        no one else holds: its entries (i, j) and (j, i) are one IEEE sum,
-        conjugated, so it is neither copied nor measured for hermiticity."""
+    def _hermitized(
+        cls,
+        m: np.ndarray,
+        trace_weight: float,
+        policy: NumericPolicy,
+        support: np.ndarray | None = None,
+        dim: int | None = None,
+    ):
+        """State whose block is a fresh array that no one else holds and that
+        is hermitian by construction: 0.5 * (x + x^dag), or a state's block
+        times a real number (its hermiticity was settled when that state was
+        built). It is neither copied nor measured for hermiticity. `support` and `dim` place it in
+        a larger space (all indices of its own when None)."""
         state = cls.__new__(cls)
-        state._adopt(m, trace_weight, policy, hermitized=True)
+        if support is None:
+            support, dim = np.arange(len(m)), len(m)
+        state._adopt(m, support, dim, trace_weight, policy, hermitized=True)
         return state
 
-    def _adopt(self, m: np.ndarray, trace_weight, policy: NumericPolicy, *, hermitized: bool):
+    def _adopt(
+        self, m: np.ndarray, support: np.ndarray, dim: int, trace_weight, policy: NumericPolicy,
+        *, hermitized: bool,
+    ):
         if not np.isfinite(m).all():  # NaN would pass every comparison below
             raise ValueError("density matrix has non-finite entries")
         if not hermitized:
             dev = _max_abs(m - m.conj().T)
             if dev > policy.hermitian_tol:
                 raise ValueError(f"density matrix not hermitian: deviation {dev:.3e}")
-        lo = _lowest_eigenvalue(m)
+        # off the support the rows and columns are 0 and add only 0 eigenvalues
+        lo = float(np.min(np.linalg.eigvalsh(m))) if m.size else 0.0
         if lo < -policy.psd_tol:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
-        tr = complex(np.trace(m))
+        tr = _trace(m, support, dim)
         if abs(tr.imag) > policy.trace_tol:
             raise ValueError(f"density matrix trace has imaginary part {tr.imag:.3e}")
         if trace_weight is None:
@@ -354,9 +460,20 @@ class DensityMatrix:
         if not (trace_weight > 0.0 and math.isfinite(trace_weight)):
             raise ValueError(f"trace_weight must be positive and finite, got {trace_weight!r}")
         m.setflags(write=False)
-        self.matrix = m
-        self.dim = int(m.shape[0])
+        support.setflags(write=False)
+        self.block = m
+        self.support = support
+        self._matrix = m if support.size == dim else None
+        self.dim = int(dim)
         self.trace_weight = float(trace_weight)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = _placed(self.block, self.support, np.arange(self.dim))
+            m.setflags(write=False)
+            self._matrix = m
+        return self._matrix
 
     @classmethod
     def from_ket(cls, ket: Ket) -> "DensityMatrix":
@@ -370,10 +487,14 @@ class DensityMatrix:
         """Rescale the statistical weight (used by ensemble redefinitions)."""
         if not (factor > 0.0 and math.isfinite(factor)):
             raise ValueError(f"scale factor must be positive and finite, got {factor!r}")
-        return DensityMatrix(self.matrix * factor, self.trace_weight * factor)
+        return DensityMatrix._hermitized(
+            self.block * factor, self.trace_weight * factor, DEFAULT_POLICY, self.support, self.dim
+        )
 
     def normalized(self) -> "DensityMatrix":
-        return DensityMatrix(self.matrix / self.trace_weight, 1.0)
+        return DensityMatrix._hermitized(
+            self.block / self.trace_weight, 1.0, DEFAULT_POLICY, self.support, self.dim
+        )
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(self.matrix)
@@ -436,9 +557,10 @@ class ProjectorSet:
       0/1 diagonals in sector order, are built on first access and kept;
     * any other family is given as `Operator`s, and ``sector_of`` is None.
 
-    `sandwich`, `pinch` and `traces` are the family's kernels. A partition
-    masks indices, which gives the bits of the products with its 0/1
-    diagonals; any other family calls `Operator.left` and `Operator.right`.
+    `sandwich`, `pinch` and `traces` are the family's kernels; each takes a
+    state's block and support. A partition restricts or masks indices, which
+    gives the bits of the products with its 0/1 diagonals; any other family
+    calls `Operator.left` and `Operator.right`.
     Projectors lifted from one family onto one space share one embedding,
     and the family is checked at the dimension of their local matrices.
     """
@@ -512,37 +634,70 @@ class ProjectorSet:
         rest_dim, perm = _embedding(space, acting_on, self.dim)
         return ProjectorSet(np.repeat(self.sector_of, rest_dim)[perm], self.labels)
 
-    def sandwich(self, m: np.ndarray, k: int) -> np.ndarray:
-        """P_k @ m @ P_k."""
+    def sandwich(
+        self, m: np.ndarray, k: int, support: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """P_k @ m @ P_k for a block m on the sorted basis indices `support`:
+        the product's block and support."""
         if self.sector_of is not None:
-            keep = self.sector_of == k
-            return _restrict(m, np.outer(keep, keep))
-        p = self.projectors[k]
-        return p.right(p.left(m))
+            keep = self.sector_of[support] == k
+            return m[np.ix_(keep, keep)] + 0.0, support[keep]
+        return _sandwiched(self.projectors[k], m, support, adjoint=False)
 
-    def pinch(self, m: np.ndarray) -> np.ndarray:
-        """sum_k P_k @ m @ P_k, added in projector order."""
+    def pinch(self, m: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_k P_k @ m @ P_k, added in projector order, for a block m on
+        `support` as in `sandwich`: the sum's block and support. Each term is
+        added on the union of the supports so far, +0.0 where it has none."""
         if self.sector_of is not None:
-            return _restrict(m, self.sector_of[:, None] == self.sector_of[None, :])
-        out = np.zeros_like(m)
+            sector = self.sector_of[support]
+            return np.where(sector[:, None] == sector[None, :], m, 0.0) + 0.0, support
+        out, union = np.zeros((0, 0), dtype=complex), support[:0]
         for p in self.projectors:
-            out += p.right(p.left(m))
-        return out
+            term, at = _sandwiched(p, m, support, adjoint=False)
+            if not np.array_equal(at, union):
+                grown, _ = _distinct(np.concatenate((union, at)), self.dim)
+                out, union = _placed(out, union, grown), grown
+            out += _placed(term, at, union)
+        return out, union
 
-    def traces(self, m: np.ndarray) -> np.ndarray:
-        """Real parts of tr(P_k @ m), in projector order. For a partition
-        each is the sum of the full-length diagonal with the other sectors'
-        entries zeroed, which keeps the summation order of the product's
-        trace."""
+    def traces(self, m: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+        """Real parts of tr(P_k @ m), in projector order, for a block m on
+        `support` as in `sandwich` (a d x d m when None). Each is the sum of a length-d diagonal
+        (for a partition, with the other sectors' entries zeroed), which keeps
+        the summation order of the d x d product's trace. A projector's
+        product reaches every index of its input, so its rows hold `support`."""
+        support = np.arange(self.dim) if support is None else support
         if self.sector_of is not None:
-            diag = np.diagonal(m)
+            diag = _padded_diagonal(m, support, self.dim)
             return np.array(
-                [float(_restrict(diag, self.sector_of == k).sum().real) for k in range(len(self))]
+                [
+                    float((np.where(self.sector_of == k, diag, 0.0) + 0.0).sum().real)
+                    for k in range(len(self))
+                ]
             )
-        return np.array([float(np.trace(p.left(m)).real) for p in self.projectors])
+        out, full = [], np.arange(self.dim)
+        for p in self.projectors:
+            block, cols = (_placed(m, support, full), full) if p._dense else (m, support)
+            product, rows = p.left(block, cols)
+            if rows.size > cols.size:  # a closure over a factor: keep the rows of cols
+                product = product[_positions(cols, rows)]
+            out.append(_trace(product, cols, self.dim).real)
+        return np.array(out)
 
     def __repr__(self) -> str:
         return f"ProjectorSet(n={len(self)}, dim={self.dim})"
+
+
+def _sandwiched(
+    op: Operator, m: np.ndarray, support: np.ndarray, *, adjoint: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """op @ m @ op^dag with `adjoint`, else op @ m @ op, for a block m on the
+    sorted basis indices `support`: the product's block and support, which
+    `left` and `right` map alike. A dense product takes the d x d matrix."""
+    if op._dense and support.size < op.dim:
+        m, support = _placed(m, support, np.arange(op.dim)), np.arange(op.dim)
+    product, _ = op.left(m, support)
+    return op.right(product, support, adjoint=adjoint)
 
 
 def _checked_sector_of(sector_of: np.ndarray, labels: Sequence | None) -> np.ndarray:
@@ -600,15 +755,34 @@ def tensor_kets(a: Ket, b: Ket) -> Ket:
     return Ket(np.kron(a.amplitudes, b.amplitudes))
 
 
-def _trace_out(mat: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:
-    n = len(dims)
-    arr = mat.reshape(*dims, *dims)
-    n_cur = n
-    for ax in sorted(set(range(n)) - set(keep_axes), reverse=True):
-        arr = np.trace(arr, axis1=ax, axis2=ax + n_cur)
-        n_cur -= 1
-    kept = int(np.prod([dims[a] for a in sorted(keep_axes)])) if keep_axes else 1
-    return arr.reshape(kept, kept)
+def _traced_out(
+    m: np.ndarray, support: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block and support of the trace over the axes not in `keep_axes` of the
+    block m on `support`. Each traced axis, the last first, is summed term
+    by term from +0.0 over its zero-padded length, as the traces of the
+    reshaped d x d matrix sum it, so the bits are that matrix's."""
+    traced = [a for a in range(len(dims)) if a not in keep_axes]
+    digits = np.unravel_index(support, dims)
+    kept_dims = [dims[a] for a in keep_axes]
+    kept_of = np.ravel_multi_index([digits[a] for a in keep_axes], kept_dims)
+    traced_dims = [dims[a] for a in traced]
+    traced_of = (
+        np.ravel_multi_index([digits[a] for a in traced], traced_dims)
+        if traced
+        else np.zeros_like(support)
+    )
+    kept, at = _distinct(kept_of, int(np.prod(kept_dims)))
+    # terms[t, k1, k2] = m[(k1, t), (k2, t)]
+    i, j = np.nonzero(traced_of[:, None] == traced_of[None, :])
+    terms = np.zeros((*traced_dims, kept.size, kept.size), dtype=complex)
+    terms.reshape(-1, kept.size, kept.size)[traced_of[i], at[i], at[j]] = m[i, j]
+    for ax in reversed(range(len(traced))):
+        total = np.zeros(terms.shape[:ax] + terms.shape[ax + 1:], dtype=complex)
+        for t in range(terms.shape[ax]):
+            total += terms[(slice(None),) * ax + (t,)]
+        terms = total
+    return terms, kept
 
 
 def partial_trace(
@@ -620,7 +794,8 @@ def partial_trace(
 ) -> DensityMatrix:
     """Reduced density matrix on the kept subsystems (original order preserved).
 
-    The statistical weight is carried through unchanged.
+    The statistical weight is carried through unchanged. The result's
+    support is the kept part of the indices of ``rho.support``.
     """
     keep_labels = set(keep)
     if not keep_labels:
@@ -630,9 +805,10 @@ def partial_trace(
         raise ValueError(
             f"state dimension {rho.dim} does not match space dimension {space.total_dim}"
         )
-    reduced = _trace_out(rho.matrix, space.dims, keep_axes)
+    reduced, kept = _traced_out(rho.block, rho.support, space.dims, keep_axes)
     reduced = 0.5 * (reduced + reduced.conj().T)
-    return DensityMatrix._hermitized(reduced, rho.trace_weight, policy)
+    kept_dim = int(np.prod([space.dims[a] for a in keep_axes]))
+    return DensityMatrix._hermitized(reduced, rho.trace_weight, policy, kept, kept_dim)
 
 
 def hermitian_propagator(
@@ -663,23 +839,24 @@ def conjugate(
 ) -> DensityMatrix:
     """u rho u^dag for a unitary u, an `Operator` or a matrix.
 
-    The products are ``u.right(u.left(rho), adjoint=True)``. Trace drift is
-    asserted against the preservation tolerance and then snapped away, so
-    long conjugation chains keep their weight exactly.
+    The products are ``u.right(u.left(rho), adjoint=True)`` on the state's
+    block, and they declare the result's support. Trace drift is asserted
+    against the preservation tolerance and then snapped away, so long
+    conjugation chains keep their weight exactly.
     """
     if not isinstance(u, Operator):
         u = Operator(u)
     if u.dim != state.dim:
         raise ValueError(f"dimension mismatch: unitary {u.dim}, state {state.dim}")
-    m = u.right(u.left(state.matrix), adjoint=True)
+    m, support = _sandwiched(u, state.block, state.support, adjoint=True)
     m = 0.5 * (m + m.conj().T)
-    tr = float(np.trace(m).real)
+    tr = _trace(m, support, state.dim).real
     if abs(tr - state.trace_weight) > policy.preservation_tol:
         raise NumericalConsistencyError(
             f"conjugation broke the trace: {tr!r} vs {state.trace_weight!r}"
         )
     m *= state.trace_weight / tr
-    return DensityMatrix._hermitized(m, state.trace_weight, policy)
+    return DensityMatrix._hermitized(m, state.trace_weight, policy, support, state.dim)
 
 
 def collapse(
@@ -696,12 +873,12 @@ def collapse(
         raise ValueError(f"family dimension {outcomes.dim} != state dimension {state.dim}")
     if not 0 <= k < len(outcomes):
         raise IndexError(f"outcome {k} outside a family of {len(outcomes)}")
-    m = outcomes.sandwich(state.matrix, k)
+    m, support = outcomes.sandwich(state.block, k, state.support)
     m = 0.5 * (m + m.conj().T)
-    p = np.trace(m).real
+    p = _trace(m, support, state.dim).real
     if not p > 0.0:
         raise ValueError(f"outcome {k} has probability {float(p)!r}; no state to collapse to")
-    return DensityMatrix._hermitized(np.divide(m, p, out=m), 1.0, policy)
+    return DensityMatrix._hermitized(np.divide(m, p, out=m), 1.0, policy, support, state.dim)
 
 
 def evolve(state, h: Operator, duration: float, *, policy: NumericPolicy = DEFAULT_POLICY):

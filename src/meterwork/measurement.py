@@ -38,6 +38,7 @@ from .linalg import (
     Ket,
     Operator,
     ProjectorSet,
+    _max_abs_difference,
     collapse,
     tensor,
 )
@@ -309,8 +310,8 @@ def born_probabilities(
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Outcome distribution tr[P(y) rho] / trace_weight, in projector order,
-    from `ProjectorSet.traces`."""
-    raw = outcome_projectors.traces(rho.matrix)
+    from `ProjectorSet.traces` on the state's block."""
+    raw = outcome_projectors.traces(rho.block, rho.support)
     if np.all(raw < policy.outcome_floor):
         raise DegenerateDistributionError("every outcome probability is numerically zero")
     return np.clip(raw, 0.0, None) / rho.trace_weight
@@ -378,7 +379,9 @@ def event_read(
     extended ledger.
     """
     dephased = dephase(rho, outcome_projectors, policy=policy)
-    coherence = float(np.max(np.abs(rho.matrix - dephased.matrix)))
+    coherence = _max_abs_difference(
+        rho.block, rho.support, dephased.block, dephased.support, rho.dim
+    )
     if coherence > policy.coherence_tol:
         raise CoherentInputError(
             f"event reading requires a dephased input; off-sector coherence {coherence:.3e}"
@@ -497,7 +500,7 @@ def direct_relaxation_truncation(rho: DensityMatrix) -> np.ndarray:
     Not trace preserving by construction (the whole weight is the deficit);
     returned as a bare matrix since a zero trace is not a valid ensemble.
     """
-    return np.zeros_like(rho.matrix)
+    return np.zeros((rho.dim, rho.dim), dtype=complex)
 
 
 def statistical_relaxation_truncation(rho: DensityMatrix) -> DensityMatrix:

@@ -32,7 +32,7 @@ class NumericPolicy:
     support_tol: float = 1e-10        # support containment for relative entropy
     marginal_tol: float = 1e-12       # marginal-invariance checks in the scheme
     outcome_floor: float = 1e-14      # probability below which an outcome counts as absent
-    max_dim: int = 576                # desk-scale total dimension budget
+    max_dim: int = 1024               # desk-scale total dimension budget
 
     def __post_init__(self):
         for f in fields(self):

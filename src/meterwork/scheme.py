@@ -53,6 +53,7 @@ from .linalg import (
     Ket,
     Operator,
     ProjectorSet,
+    _max_abs_difference,
     collapse,
     conjugate,
     embed_operator,
@@ -354,13 +355,25 @@ def build_context(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLIC
 def prepare_initial_state(ctx: SchemeContext) -> DensityMatrix:
     """Measured side thermal (or its ground sector under eigenstate
     preparation), meter in its ready eigenstate, pointer at the grid origin;
-    the whole state is the product."""
+    the whole state is the product.
+
+    The ready state is |meter 0, pointer origin>, index 0 of meter (x)
+    pointer, so the product's support is the measured side's support at
+    that index, and its block the measured side's block times that entry.
+    """
     cfg = ctx.config
     rho_sa = thermal_state(ctx.h_initial, cfg.beta, policy=ctx.policy)
     if cfg.eigenstate_prep:
         sectors = energy_sectors(ctx.h_initial, policy=ctx.policy)
         rho_sa = collapse(rho_sa, sectors, 0, policy=ctx.policy)
-    return DensityMatrix(np.kron(rho_sa.matrix, ctx.ready), 1.0, policy=ctx.policy)
+    reading_dim = len(ctx.ready)
+    return DensityMatrix._hermitized(
+        rho_sa.block * ctx.ready[0, 0],
+        1.0,
+        ctx.policy,
+        rho_sa.support * reading_dim,
+        rho_sa.dim * reading_dim,
+    )
 
 
 def read_energy(
@@ -767,8 +780,10 @@ def verify_unitary_roundtrips(
 
     s_marg = partial_trace(pre_entangle, ctx.space, (SYSTEM, APPARATUS), policy=policy)
     m_marg = partial_trace(pre_entangle, ctx.space, (METER, POINTER), policy=policy)
-    dev_a = float(
-        np.max(np.abs(pre_entangle.matrix - np.kron(s_marg.matrix, m_marg.matrix)))
+    product_support = (s_marg.support[:, None] * m_marg.dim + m_marg.support).ravel()
+    dev_a = _max_abs_difference(
+        pre_entangle.block, pre_entangle.support,
+        np.kron(s_marg.block, m_marg.block), product_support, pre_entangle.dim,
     )
     dev_a = max(dev_a, float(np.max(np.abs(m_marg.matrix - ctx.ready))))
 
@@ -784,7 +799,7 @@ def verify_unitary_roundtrips(
         """Worst branch deviation of (undone M marginal vs ready, S branch vs
         its pre-entangle branch)."""
         worst = 0.0
-        for k, p in enumerate(site_set.traces(state_full.matrix)):
+        for k, p in enumerate(site_set.traces(state_full.block, state_full.support)):
             if p <= floor:
                 continue
             branch_dm = collapse(state_full, site_set, k, policy=policy)

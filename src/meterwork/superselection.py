@@ -91,17 +91,18 @@ def dephase(
     """Remove coherence between sectors: rho -> sum_y P(y) rho P(y).
 
     Trace-preserving and idempotent; sector populations are untouched.
-    The sum is `ProjectorSet.pinch`, which masks the indices of a partition
-    and multiplies any other family through `Operator.left` and `right`.
+    The sum is `ProjectorSet.pinch` on the state's block, which masks the
+    indices of a partition (keeping the support) and multiplies any other
+    family through `Operator.left` and `right`.
     """
     if sectors.dim != rho.dim:
         raise ValueError(f"sector dimension {sectors.dim} != state dimension {rho.dim}")
     dev = sectors.completeness_deviation
     if dev > policy.completeness_tol:
         raise ValueError(f"projector set incomplete: deviation {dev:.3e}")
-    out = sectors.pinch(rho.matrix)
+    out, support = sectors.pinch(rho.block, rho.support)
     out = 0.5 * (out + out.conj().T)
-    return DensityMatrix._hermitized(out, rho.trace_weight, policy)
+    return DensityMatrix._hermitized(out, rho.trace_weight, policy, support, rho.dim)
 
 
 def energy_sectors(

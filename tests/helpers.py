@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from meterwork.linalg import DensityMatrix, Ket, Operator
+from meterwork.numeric import DEFAULT_POLICY
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -88,6 +89,32 @@ def dense_conjugate(rho: DensityMatrix, u: np.ndarray) -> np.ndarray:
     m = 0.5 * (m + m.conj().T)
     m *= rho.trace_weight / float(np.trace(m).real)
     return m
+
+
+def dense_partial_trace(rho: np.ndarray, dims, keep_axes) -> np.ndarray:
+    """Trace of the d x d matrix over the axes not in `keep_axes`, one
+    np.trace per axis, the last first; hermitized."""
+    n = len(dims)
+    arr = rho.reshape(*dims, *dims)
+    for ax in sorted(set(range(n)) - set(keep_axes), reverse=True):
+        arr = np.trace(arr, axis1=ax, axis2=ax + n)
+        n -= 1
+    kept = int(np.prod([dims[a] for a in keep_axes]))
+    m = arr.reshape(kept, kept)
+    return 0.5 * (m + m.conj().T)
+
+
+def block_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Unit-trace state on a random sorted support of about a third of the
+    dim indices, declared as such, with about half of its block's zero
+    real and imaginary parts made -0.0."""
+    support = np.sort(rng.choice(dim, size=max(1, dim // 3), replace=False))
+    block = np.array(random_density(rng, support.size).matrix)
+    if rng.random() < 0.5:
+        block = block.real.astype(complex)
+    parts = block.view(float)
+    parts[(parts == 0.0) & (rng.random(parts.shape) < 0.5)] = -0.0
+    return DensityMatrix._hermitized(block, 1.0, DEFAULT_POLICY, support, dim)
 
 
 def factored_conjugate(rho: DensityMatrix, local: np.ndarray, rest_dim: int) -> np.ndarray:

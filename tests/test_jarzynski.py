@@ -13,11 +13,13 @@ from meterwork.jarzynski import (
     delta_F,
     jarzynski_equality_check,
     jarzynski_exact,
+    TIME_ORDERED_MAX_CONDITION,
     jarzynski_time_ordered,
     modified_jarzynski_check,
     thermal_state,
     tpm_sample,
 )
+from meterwork.errors import NumericalConsistencyError
 from meterwork.linalg import Operator
 from meterwork.superselection import energy_sectors
 
@@ -213,6 +215,20 @@ class TestJarzynskiExact:
             a = jarzynski_exact(sched, beta)
             b = jarzynski_time_ordered(sched, beta)
             assert abs(a - b) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [10.0, 15.0, 20.0])
+    def test_time_ordered_refuses_beta_past_its_conditioning(self, beta):
+        # the 400-step driven qubit gave 0.944, -5.7e213 and NaN here
+        # (exact value 1), with only numpy RuntimeWarnings
+        sched = driven_qubit_schedule(n_steps=400)
+        bound = math.log(TIME_ORDERED_MAX_CONDITION) / 2.0  # E_max - E_min = 2
+        with pytest.raises(NumericalConsistencyError, match=rf"beta {beta!r} .* {bound:.6g}"):
+            jarzynski_time_ordered(sched, beta)
+
+    def test_time_ordered_holds_up_to_its_conditioning_bound(self):
+        sched = driven_qubit_schedule(n_steps=400)
+        beta = math.log(TIME_ORDERED_MAX_CONDITION) / 2.0
+        assert abs(jarzynski_time_ordered(sched, beta) - jarzynski_exact(sched, beta)) <= 1e-10
 
     def test_time_ordered_on_commuting_drive(self):
         sched = DriveSchedule.constant(qubit_gap(1.0), t_f=1.0, n_steps=7)

@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    block_state,
     dense_born,
     dense_collapse,
     dense_conjugate,
     dense_dephase,
     dense_lowest_eigenvalue,
+    dense_partial_trace,
     factored_conjugate,
     index_partition,
     random_density,
@@ -582,13 +584,14 @@ class TestLift:
         d = local.shape[0] * 4
         m = random_density(rng, d).matrix
         full = np.einsum("ab,by->ay", local, m.reshape(local.shape[0], -1)).reshape(d, d)
-        assert op.left(m).tobytes() == full.tobytes()
+        every = np.arange(d)
+        assert op.left(m, every)[0].tobytes() == full.tobytes()
         full = np.einsum("xbj,bc->xcj", m.reshape(d, local.shape[0], 4), local).reshape(d, d)
-        assert op.right(m).tobytes() == full.tobytes()
+        assert op.right(m, every)[0].tobytes() == full.tobytes()
         assert op._matrix is None
-        np.testing.assert_allclose(op.left(m), op.matrix @ m, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(op.left(m, every)[0], op.matrix @ m, rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            op.right(m, adjoint=True), m @ op.matrix.conj().T, rtol=0, atol=1e-14
+            op.right(m, every, adjoint=True)[0], m @ op.matrix.conj().T, rtol=0, atol=1e-14
         )
 
     def test_lifted_family_is_checked_at_the_factor_dimension(self, rng):
@@ -639,7 +642,11 @@ def _products(u: np.ndarray, m: np.ndarray) -> list[np.ndarray]:
 
 
 def _applied(op: Operator, m: np.ndarray) -> list[np.ndarray]:
-    return [op.left(m), op.right(m), op.right(m, adjoint=True)]
+    """The three products of a full block, each on every index."""
+    every = np.arange(len(m))
+    products = [op.left(m, every), op.right(m, every), op.right(m, every, adjoint=True)]
+    assert all(np.array_equal(index, every) for _, index in products)
+    return [out for out, _ in products]
 
 
 class TestOperatorProducts:
@@ -853,3 +860,74 @@ class TestCompositeSpace:
 def test_tensor_kets():
     out = tensor_kets(Ket.basis(2, 1), Ket.basis(3, 0))
     assert out.amplitudes[3] == 1.0 and out.dim == 6
+
+
+class TestSupportBlocks:
+    """A state declared on part of the basis gives, through every channel,
+    the bits its d x d matrix gives as a full-support state."""
+
+    SPACE = CompositeSpace([("a", 2), ("b", 3), ("c", 2), ("d", 2)])
+
+    def _pair(self, rng):
+        block = block_state(rng, self.SPACE.total_dim)
+        assert block.support.size < block.dim and block._matrix is None
+        return block, DensityMatrix(block.matrix, 1.0)
+
+    def _unitaries(self, rng):
+        perm = np.eye(4)[rng.permutation(4)]
+        return [
+            embed_operator(Operator(random_unitary(rng, 2), unitary=True), self.SPACE, ("a",)),
+            embed_operator(Operator(random_unitary(rng, 6), unitary=True), self.SPACE, ("a", "b")),
+            embed_operator(Operator(perm, unitary=True), self.SPACE, ("d", "a")),
+            embed_operator(Operator(random_unitary(rng, 3), unitary=True), self.SPACE, ("b",)),
+            Operator(random_unitary(rng, 24), unitary=True),
+        ]
+
+    def _families(self, rng):
+        h2 = Operator(random_hermitian(rng, 2), hermitian=True)
+        h6 = Operator(random_hermitian(rng, 6), hermitian=True)
+        return [
+            ProjectorSet.basis(6).embedded(self.SPACE, ("b", "d")),
+            energy_sectors(h2).embedded(self.SPACE, ("a",)),
+            energy_sectors(h6).embedded(self.SPACE, ("a", "b")),
+            energy_sectors(h6).embedded(self.SPACE, ("b", "c")),
+            ProjectorSet(energy_sectors(h2).embedded(self.SPACE, ("a",)).projectors),
+        ]
+
+    @staticmethod
+    def _same(out, ref):
+        assert out.matrix.tobytes() == ref.matrix.tobytes()
+        assert np.all(np.diff(out.support) > 0)
+
+    def test_conjugation(self, rng):
+        for _ in range(4):
+            block, full = self._pair(rng)
+            for u in self._unitaries(rng):
+                self._same(conjugate(block, u), conjugate(full, u))
+
+    def test_readings(self, rng):
+        for _ in range(4):
+            block, full = self._pair(rng)
+            for family in self._families(rng):
+                self._same(dephase(block, family), dephase(full, family))
+                probs = born_probabilities(block, family)
+                assert probs.tobytes() == born_probabilities(full, family).tobytes()
+                for k in np.flatnonzero(probs > 1e-12):
+                    self._same(collapse(block, family, k), collapse(full, family, k))
+
+    @pytest.mark.parametrize("keep", [("a",), ("b", "d"), ("a", "b"), ("c",), ("a", "c", "d")])
+    def test_partial_trace(self, keep, rng):
+        axes = sorted(self.SPACE.axis_of(label) for label in keep)
+        for _ in range(4):
+            for rho in self._pair(rng):
+                out = partial_trace(rho, self.SPACE, keep)
+                ref = dense_partial_trace(rho.matrix, self.SPACE.dims, axes)
+                assert out.matrix.tobytes() == ref.tobytes()
+
+    def test_matrix_is_built_once_with_positive_zeros(self, rng):
+        block, _ = self._pair(rng)
+        m = block.matrix
+        assert block.matrix is m and not m.flags.writeable
+        off = np.ones(m.shape, dtype=bool)
+        off[np.ix_(block.support, block.support)] = False
+        assert not np.any(np.signbit(m.view(float).reshape(*m.shape, 2)[off]))

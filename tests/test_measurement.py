@@ -42,6 +42,7 @@ from meterwork.measurement import (
     work_event_reading,
 )
 from meterwork.numeric import NumericPolicy
+from meterwork.scheme import SchemeConfig, _BranchTables, build_context
 from meterwork.streams import stream_generator
 
 
@@ -362,6 +363,22 @@ class TestRedefineSystem:
         rho = random_density(rng, 2)
         rho_star, _ = redefine_system(rho, [], -1.0)
         assert rho_star.trace_weight == pytest.approx(math.e, abs=1e-14)
+
+    @pytest.mark.parametrize("sigma", [-1.5, 0.0, 1.0, 3.0])
+    def test_block_state_keeps_support_weight_and_bytes(self, sigma):
+        # a collapsed branch state: its block covers 2a of the 64 indices
+        ctx = build_context(SchemeConfig())
+        tables = _BranchTables(ctx)
+        rho = next(b for row in tables.branches for b in row if b)["states"]["after_event"]
+        assert rho.support.size < rho.dim
+        factor = math.exp(-sigma)
+        rho_star, _ = redefine_system(rho, [], sigma)
+        assert np.array_equal(rho_star.support, rho.support) and rho_star.dim == rho.dim
+        assert rho_star.trace_weight == rho.trace_weight * factor
+        assert rho_star.matrix.tobytes() == (rho.matrix * factor).tobytes()
+        back = rho_star.normalized()
+        assert np.array_equal(back.support, rho.support) and back.trace_weight == 1.0
+        assert back.matrix.tobytes() == (rho_star.matrix / rho_star.trace_weight).tobytes()
 
 
 class TestGeneralizedRelativeEntropy:

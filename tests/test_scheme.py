@@ -1,5 +1,7 @@
+import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -544,21 +546,54 @@ class TestWidePointers:
         (ctx,) = contexts
         assert ctx.space.total_dim == 576
         manual = run_single(ctx, stream_generator(5, 0), keep_states=False)
+        assert _record_key(manual) == _record_key(result.records[0])
 
-        def key(r):
-            floats = (
-                r.tpm_initial[1],
-                r.tpm_final[1],
-                r.work_drive,
-                r.work_total,
-                r.work_reading_experimenter,
-                r.work_reading_reader,
-            )
-            entries = [(e.party, e.sigma_nats, e.cause) for e in r.ledger.entries]
-            indices = (r.tpm_initial[0], r.event_outcome, r.tpm_final[0])
-            return indices, np.array(floats).tobytes(), entries
+    def test_dim_1024_stepwise_run_is_the_first_table_record(self, contexts):
+        pointer = PointerModel(16)
+        cfg = SchemeConfig(n_samples=200, seed=5, nsm_pointer=pointer, event_pointer=pointer)
+        result = run_scheme(cfg, policy=NumericPolicy(max_dim=1024))
+        (ctx,) = contexts
+        assert ctx.space.total_dim == 1024
+        manual = run_single(ctx, stream_generator(5, 0), keep_states=False)
+        assert _record_key(manual) == _record_key(result.records[0])
 
-        assert key(manual) == key(result.records[0])
+    def test_branch_states_keep_their_blocks(self):
+        # every scheme state lives on the 2a (system, apparatus) indices of
+        # one meter/pointer record, or fewer
+        ctx = build_context(SchemeConfig(nsm_pointer=_WIDE, event_pointer=_WIDE))
+        assert ctx.space.total_dim == 256
+        tables = scheme._BranchTables(ctx)
+        states = [s for row in tables.branches for b in row if b for s in b["states"].values()]
+        assert states
+        for state in states:
+            assert state._matrix is None and state.support.size <= 2 * _WIDE.pointer_dim
+
+    def test_branch_tables_allocate_no_dense_state(self):
+        pointer = PointerModel(16)
+        cfg = SchemeConfig(nsm_pointer=pointer, event_pointer=pointer)
+        ctx = build_context(cfg, policy=NumericPolicy(max_dim=1024))
+        d = ctx.space.total_dim
+        tracemalloc.start()
+        try:
+            scheme._BranchTables(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * np.dtype(complex).itemsize  # one d x d state
+
+
+def _record_key(r):
+    floats = (
+        r.tpm_initial[1],
+        r.tpm_final[1],
+        r.work_drive,
+        r.work_total,
+        r.work_reading_experimenter,
+        r.work_reading_reader,
+    )
+    entries = [(e.party, e.sigma_nats, e.cause) for e in r.ledger.entries]
+    indices = (r.tpm_initial[0], r.event_outcome, r.tpm_final[0])
+    return indices, np.array(floats).tobytes(), entries
 
 
 @pytest.fixture
@@ -713,13 +748,14 @@ class TestFactoredLifts:
 
 # the channels that hand their hermitized result to DensityMatrix._hermitized
 _HERMITIZING_SITES = {
-    "conjugate", "collapse", "dephase", "partial_trace", "thermal_state",
+    "conjugate", "collapse", "dephase", "partial_trace", "thermal_state", "prepare_initial_state",
 }
 
 
 class TestHermitizedResults:
-    """Every state built through `DensityMatrix._hermitized` is exactly
-    hermitian, C-ordered and the sole owner of its data."""
+    """Every state built through `DensityMatrix._hermitized` keeps as its
+    block an exactly hermitian, C-ordered array that it alone owns, on a
+    sorted support of distinct indices."""
 
     @pytest.mark.parametrize("pointer_dim", [4, 8], ids=["dim-64", "dim-256"])
     @pytest.mark.parametrize(
@@ -733,13 +769,15 @@ class TestHermitizedResults:
         original = DensityMatrix._hermitized
         sites = []
 
-        def guarded(cls, m, trace_weight, policy):
+        def guarded(cls, m, trace_weight, policy, support=None, dim=None):
             assert type(m) is np.ndarray and m.dtype == complex
             assert m.flags.c_contiguous and m.flags.owndata and m.flags.writeable
             assert np.all(m == m.conj().T)
             sites.append(sys._getframe(1).f_code.co_name)
-            state = original(m, trace_weight, policy)
-            assert state.matrix is m
+            state = original(m, trace_weight, policy, support, dim)
+            assert state.block is m
+            assert state.support.size == len(m) and not state.support.flags.writeable
+            assert np.all(np.diff(state.support) > 0) and state.support[-1] < state.dim
             return state
 
         monkeypatch.setattr(DensityMatrix, "_hermitized", classmethod(guarded))
@@ -766,4 +804,52 @@ class TestDimensionBudget:
         assert ctx.space.total_dim == 64
 
     def test_default_budget_is_the_widest_tested_context(self):
-        assert NumericPolicy().max_dim == 576
+        # TestWidePointers runs the scheme at total dimension 1024
+        assert NumericPolicy().max_dim == 1024
+
+
+def _state_digest(cfg: SchemeConfig) -> str:
+    """sha256 over every `_BranchTables` table, every branch state's matrix
+    and the states of four stepwise runs drawn from stream 0."""
+    ctx = build_context(cfg)
+    tables = scheme._BranchTables(ctx)
+    h = hashlib.sha256()
+    for name in (*_TABLES, "e_init", "e_fin", "per_branch", "sigma"):
+        h.update(getattr(tables, name).tobytes())
+    for row in tables.branches:
+        for branch in row:
+            if branch is not None:
+                for stage, state in branch["states"].items():
+                    h.update(stage.encode() + state.matrix.tobytes())
+    rng = stream_generator(cfg.seed, 0)
+    for k in range(4):
+        for stage, state in run_single(ctx, rng, draw_id=k).states.items():
+            h.update(stage.encode() + state.matrix.tobytes())
+    return h.hexdigest()
+
+
+# digests of the dense-state implementation these states must keep, bit for bit
+_STATE_DIGESTS = {
+    "default-dim-64": "145de7acd772024c32fc91a82a8ddd47f9fba6cc928fbf5ec6e3e2b5781a1cdf",
+    "default-dim-256": "e20c31141cdfa00bba815965dc99baf4cd34d31b7fe0f3729e0dc47753875c81",
+    "beta-0.3-dim-64": "7fb54a79502195eae6b626700e5001c82ec17b9ecb20385c13ab54305f1368a0",
+    "beta-0.3-dim-256": "65f339d3ce4c5764c7d8df49aa456e74a5c13b41c109f067dd482554a9f5bea5",
+    "beta-5-dim-64": "9e33664c908218d98dfc8af0920dda3b4ec10c823462a50ddb1f3fcf7f640497",
+    "beta-5-dim-256": "5041682d8d9ede6e48c2f7e652a8b49c444fe93bf7065fa65b6deba76b6d462e",
+    "eigenstate-prep-dim-64": "c92743891aef67cbac3c05c46ce948d4da2a7c59be873446d29f9771ba6452bb",
+    "eigenstate-prep-dim-256": "7b4f3121fd7f07adc0a3c5517062b34ef7d25ef93d06fb7cc86bd5afbb134a0f",
+}
+
+
+class TestStateGate:
+    @pytest.mark.parametrize("pointer_dim", [4, 8], ids=["dim-64", "dim-256"])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"beta": 0.3}, {"beta": 5.0}, {"eigenstate_prep": True}],
+        ids=["default", "beta-0.3", "beta-5", "eigenstate-prep"],
+    )
+    def test_states_and_tables_keep_their_bits(self, request, pointer_dim, options):
+        pointer = PointerModel(pointer_dim)
+        cfg = SchemeConfig(nsm_pointer=pointer, event_pointer=pointer, seed=11, **options)
+        key = request.node.callspec.id
+        assert _state_digest(cfg) == _STATE_DIGESTS[key], key

@@ -84,8 +84,8 @@ class TestPlanckBasis:
         assert list(cells.sector_of) == list(range(6))
 
     def test_widest_basis_builds_no_dense_projector(self):
-        # dimension 576, the default budget
-        basis = build_planck_basis(24, 24, widths=(0.3, 1.7))
+        # dimension 1024, the default budget
+        basis = build_planck_basis(32, 32, widths=(0.3, 1.7))
         cells = basis.cells
         assert cells.sector_of is not None and cells._projectors is None
         q = basis.position_operator().matrix
