@@ -198,10 +198,12 @@ def _coerce(key: str, value: str, template):
         if word not in _BOOL_WORDS:
             raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
         return _BOOL_WORDS[word]
-    if isinstance(template, int):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
+    for kind, name in ((int, "an integer"), (float, "a float")):
+        if isinstance(template, kind):
+            try:
+                return kind(value)
+            except ValueError:
+                raise ValueError(f"config key {key!r}: expected {name}, got {value!r}") from None
     return value
 
 
@@ -472,7 +474,7 @@ def cmd_scheme(settings: dict) -> int:
         "ledger_conserved": ledger_ok,
     }
     if settings["eigenstate_prep"]:
-        # every run produces sigma_total, the sum of its (+sigma) entries
+        # sigma_total is the mean per-run sigma, 0 only if every run books 0 nats
         checks["eigenstate_all_zero"] = result.sigma_total == 0.0
 
     roundtrips = None

@@ -508,20 +508,25 @@ def modified_jarzynski_check(
     samples: WorkSamples | np.ndarray,
     beta: float,
     delta_f: float,
-    sigma_total: float = 3.0,
+    sigma_total: float | np.ndarray = 3.0,
 ) -> JarzynskiReport:
-    """Equality with the counter-factor exp(+sigma_total) for samples whose
-    work already carries the injected event-reading amounts.
+    """Equality with the counter-factor exp(+sigma_total), one value or each
+    sample's own, for samples whose work already carries the injected
+    event-reading amounts. The report keeps the mean <sigma_total>.
 
-    Also reports the inequality <W_total> >= dF + sigma_total k_B T (with
+    Also reports the inequality <W_total> >= dF + <sigma_total> k_B T (with
     k_B T = 1/beta), allowing three standard errors; both add (scaled) `_ROUNDING`.
     """
     if not len(samples):
         raise ValueError("cannot check the equality on an empty sample set")
     _check_beta(beta)
     works = _works_array(samples)
+    if np.ndim(sigma_total) and np.shape(sigma_total) != works.shape:
+        n_sigma = np.size(sigma_total)
+        raise ValueError(f"sigma_total holds {n_sigma} values for {len(works)} samples")
     mean, se, exact, passed = _equality_verdict(-beta * works + sigma_total, beta, delta_f)
     mean_work, se_work = _mean_and_se(works)
+    sigma_total = float(np.mean(sigma_total))
     floor = delta_f + sigma_total / beta
     margin = 3.0 * se_work + _ROUNDING * max(abs(mean_work), abs(floor))
     return JarzynskiReport(

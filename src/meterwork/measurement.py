@@ -456,8 +456,10 @@ def generalized_relative_entropy(
 
 def work_event_reading(temperature: float, sigma: float) -> float:
     """Work k_B T sigma carried by an event reading (k_B = 1)."""
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
     return temperature * sigma
 
 

@@ -460,7 +460,7 @@ def apply_event_reading(
     return int(label), collapsed, ledger
 
 
-# The keys of a run's `states`, in protocol order; table-drawn runs keep all but "final".
+# The keys of a stepwise run's `states`, in protocol order; table-drawn records carry none.
 STAGES = (
     "prepared", "after_tpm_initial", "after_barrier", "after_nonselective", "after_entangle",
     "after_event", "final",
@@ -469,7 +469,7 @@ STAGES = (
 
 @dataclass(frozen=True)
 class SchemeRunRecord:
-    """One protocol run: outcomes, works, entropy pairs, and branch states."""
+    """One protocol run: outcomes, works, entropy pairs, and its states if kept."""
 
     tpm_initial: tuple[int, float]
     tpm_final: tuple[int, float]
@@ -549,7 +549,7 @@ RECORD_COLUMNS = (
 @dataclass(frozen=True, eq=False)
 class SchemeResult:
     """Read-only `RECORD_COLUMNS` of the runs in draw order, both checks and
-    the sums; `branches` as in `_BranchTables`."""
+    the sums (`sigma_total` is the mean per-run sigma); `ledgers` as in `_BranchTables`."""
 
     columns: Mapping[str, np.ndarray]
     original_report: JarzynskiReport
@@ -558,17 +558,14 @@ class SchemeResult:
     sigma_total: float
     ledger_totals: dict[str, float]
     work_gap: float  # <work_total> - <work_drive>; the injected reading work
-    branches: list[list[dict | None]] = field(repr=False)
+    ledgers: list[list[EntropyLedger | None]] = field(repr=False)
 
     @cached_property
     def records(self) -> tuple[SchemeRunRecord, ...]:
-        """Row view: one record per run; a branch's runs share its ledger and states."""
+        """Row view: one record per run, without states; a branch's runs share its ledger."""
         rows = zip(*(c.tolist() for c in self.columns.values()))  # RECORD_COLUMNS order
         return tuple(
-            SchemeRunRecord(
-                (i, e_i), (f, e_f), m, w, w_exp, w_reader, stream_id=s, draw_id=d,
-                **self.branches[i][m],
-            )
+            SchemeRunRecord((i, e_i), (f, e_f), m, w, w_exp, w_reader, self.ledgers[i][m], s, d)
             for s, d, i, e_i, m, f, e_f, w, w_exp, w_reader, *_ in rows
         )
 
@@ -578,9 +575,10 @@ class _BranchTables:
 
     Stage probabilities and collapsed states depend only on the drawn
     outcome indices, so all distinct branches are computed once with the
-    same step functions the stepwise path uses. Branch (i, m) keeps its run
-    values in `per_branch[:, i, m]` and `sigma[i, m]`, its ledger and states
-    in `branches[i][m]`; one pruned by `outcome_floor` keeps its CDF width.
+    same step functions the stepwise path uses. Branch (i, m) keeps what a
+    draw reads: its run values in `per_branch[:, i, m]` and its ledger in
+    `ledgers[i][m]`; one pruned by `outcome_floor` keeps its CDF width and
+    no ledger. Its states are those of the stepwise run that draws (i, m).
     """
 
     def __init__(self, ctx: SchemeContext):
@@ -598,11 +596,10 @@ class _BranchTables:
         self.p_event = np.zeros((n_i, n_m))
         self.cdf_event = np.zeros((n_i, n_m))
         self.cdf_final = np.zeros((n_i, n_m, len(ctx.final_pset)))
-        self.branches: list[list[dict | None]] = [[None] * n_m for _ in range(n_i)]
+        self.ledgers: list[list[EntropyLedger | None]] = [[None] * n_m for _ in range(n_i)]
         # w_exp, w_reader, then the experimenter, reader and measured ledger
         # totals: the order of these five in RECORD_COLUMNS
         self.per_branch = np.zeros((5, n_i, n_m))
-        self.sigma = np.zeros((n_i, n_m))
 
         for i in range(n_i):
             if self.p_init[i] <= floor:
@@ -628,15 +625,13 @@ class _BranchTables:
                     .with_pair(READER, MEASURED, s2, EVENT_READING)
                     .with_pair(EXPERIMENTER, MEASURED, s3, ENERGY_EVENT_READING)
                 )
-                states = dict(zip(STAGES, (prepared, state_i, state_b, state_n, state_e, state_v)))
                 totals = ledger.totals()
                 self.per_branch[:, i, m_idx] = (
                     ctx.kT * (s1 + s3),
                     ctx.kT * s2,
                     *(totals.get(party, 0.0) for party in (EXPERIMENTER, READER, MEASURED)),
                 )
-                self.sigma[i, m_idx] = sum(e.sigma_nats for e in ledger.entries if e.sigma_nats > 0)
-                self.branches[i][m_idx] = dict(ledger=ledger, states=MappingProxyType(states))
+                self.ledgers[i][m_idx] = ledger
 
     def draw(self, seed: int, n: int) -> dict[str, np.ndarray]:
         """`RECORD_COLUMNS` of runs [0, n): three uniforms per run, one row of its stream."""
@@ -653,7 +648,7 @@ class _BranchTables:
                 what, p = f"event outcome {m[j]} after initial sector {i[j]}", p_m[j]
             raise SchemeConstraintError(
                 f"run {j} drew {what} with probability {p:.6g}, at or below outcome_floor "
-                f"{self.floor:g}; a pruned branch has no tabulated states"
+                f"{self.floor:g}; a pruned branch has no tabulated values"
             )
         f = draw_rows(self.cdf_final[i, m], us[:, 2])
 
@@ -673,27 +668,18 @@ def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) 
     """Run the full protocol config.n_samples times and check both equalities.
 
     The original check runs on the drive works; the modified check runs on
-    the total works (drive plus injected reading work) with the counter
-    factor exp(+sigma_total). Sampling is stream-partitioned: the first n
+    the total works (drive plus injected reading work), each with its run's
+    counter factor exp(+sigma). Sampling is stream-partitioned: the first n
     records of a larger run equal a run of n records.
     """
     ctx = build_context(config, policy=policy)
     tables = _BranchTables(ctx)
     columns = tables.draw(config.seed, config.n_samples)
 
-    sigma_totals = set(tables.sigma[columns["initial_sector"], columns["event_outcome"]].tolist())
-    if len(sigma_totals) != 1:
-        raise SchemeConstraintError(
-            f"entropy production differs across runs ({sorted(sigma_totals)}); "
-            "the c-number counter factor is undefined"
-        )
-    sigma_total = sigma_totals.pop()
-
     drive_works, total_works = columns["work_drive"], columns["work_total"]
+    sigma = columns["sigma_experimenter"] + columns["sigma_reader"]
     original = jarzynski_equality_check(drive_works, config.beta, ctx.delta_f)
-    modified = modified_jarzynski_check(
-        total_works, config.beta, ctx.delta_f, sigma_total=sigma_total
-    )
+    modified = modified_jarzynski_check(total_works, config.beta, ctx.delta_f, sigma_total=sigma)
 
     # run by run in draw order: cumsum adds in sequence, np.sum pairwise
     totals = {
@@ -705,10 +691,10 @@ def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) 
         original_report=original,
         modified_report=modified,
         delta_f=ctx.delta_f,
-        sigma_total=sigma_total,
+        sigma_total=modified.sigma_total,
         ledger_totals=totals,
         work_gap=work_gap,
-        branches=tables.branches,
+        ledgers=tables.ledgers,
     )
 
 

@@ -148,6 +148,24 @@ def dense_lift_context(ctx):
     )
 
 
+def branch_states(ctx, tables, i: int, m: int) -> dict:
+    """The states of branch (i, m) of `tables` (a `scheme._BranchTables` of
+    `ctx`), stage by stage: those of the stepwise run whose draws are the
+    midpoints of segment i of the initial CDF and of segment m of the event
+    CDF after it, without the final state."""
+    from types import SimpleNamespace
+
+    from meterwork.scheme import run_single
+
+    def midpoint(cdf, k):
+        return 0.5 * ((cdf[k - 1] if k else 0.0) + cdf[k])
+
+    us = (midpoint(tables.cdf_init, i), midpoint(tables.cdf_event[i], m), 0.5)
+    states = dict(run_single(ctx, SimpleNamespace(random=iter(us).__next__)).states)
+    del states["final"]
+    return states
+
+
 def ulps_apart(a: np.ndarray, b: np.ndarray, scale: float | None = None) -> float:
     """Largest |a - b| in units of the spacing of floats at `scale`, or at
     each entry's own magnitude when no scale is given."""
@@ -241,11 +259,12 @@ def write_reference_records(out, records) -> None:
 
 
 def reference_scheme_sums(records) -> dict:
-    """sigma_total, ledger_totals and work_gap, summed record by record."""
-    sigma_totals = {
+    """sigma_total (the mean of each record's positive ledger entries),
+    ledger_totals and work_gap, summed record by record."""
+    sigma_total = float(np.mean([
         sum((e.sigma_nats for e in r.ledger.entries if e.sigma_nats > 0.0), 0.0)
         for r in records
-    }
+    ]))
     totals: dict[str, float] = {}
     for r in records:
         for party, val in r.ledger.totals().items():
@@ -253,7 +272,7 @@ def reference_scheme_sums(records) -> dict:
     drive_works = np.array([r.work_drive for r in records])
     total_works = np.array([r.work_total for r in records])
     return {
-        "sigma_totals": sigma_totals,
+        "sigma_total": sigma_total,
         "ledger_totals": totals,
         "work_gap": float(np.mean(total_works) - np.mean(drive_works)),
     }

@@ -49,6 +49,18 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("samples = 1.5", "config key 'samples': expected an integer, got '1.5'"),
+         ("beta = fast", "config key 'beta': expected a float, got 'fast'")],
+    )
+    def test_value_that_does_not_parse_names_its_key(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["scheme", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps = 10\ndt = 1.0\n")
@@ -407,7 +419,7 @@ class TestSchemeRecordColumns:
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
         sums = reference_scheme_sums(result.records)
-        assert [float(result.sigma_total).hex()] == [x.hex() for x in sums["sigma_totals"]]
+        assert float(result.sigma_total).hex() == sums["sigma_total"].hex()
         assert [(k, float(v).hex()) for k, v in result.ledger_totals.items()] == [
             (k, v.hex()) for k, v in sums["ledger_totals"].items()
         ]

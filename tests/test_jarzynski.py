@@ -392,6 +392,20 @@ class TestModifiedCheck:
         assert report.work_floor == pytest.approx(0.3 + 3.0 / beta, abs=1e-14)
         assert report.inequality_ok
 
+    def test_per_sample_sigma_gives_each_run_its_counter_factor(self):
+        # runs booking 1 or 3 nats: exp(-beta W_total + sigma) is exp(-beta W_drive)
+        drive = np.array([0.25, -0.5, 0.75, 0.125])  # dyadic: the shifts are exact
+        sigma = np.array([1.0, 3.0, 3.0, 1.0])
+        report = modified_jarzynski_check(drive + sigma, 1.0, 0.0, sigma_total=sigma)
+        plain = jarzynski_equality_check(drive, 1.0, 0.0)
+        assert report.estimator_mean == plain.estimator_mean
+        assert report.sigma_total == 2.0 and report.work_floor == 2.0
+
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_per_sample_sigma_of_another_length_is_rejected(self, length):
+        with pytest.raises(ValueError, match=rf"sigma_total holds {length} values for 4 samples"):
+            modified_jarzynski_check(np.zeros(4), 1.0, 0.0, sigma_total=np.ones(length))
+
     def test_jensen_inequality_on_every_sample_set(self, rng):
         beta = 1.0
         for _ in range(20):

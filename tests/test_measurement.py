@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_density, random_hermitian, random_ket
+from helpers import branch_states, random_density, random_hermitian, random_ket
 from meterwork.errors import (
     CoherentInputError,
     CommensurabilityError,
@@ -369,7 +369,8 @@ class TestRedefineSystem:
         # a collapsed branch state: its block covers 2a of the 64 indices
         ctx = build_context(SchemeConfig())
         tables = _BranchTables(ctx)
-        rho = next(b for row in tables.branches for b in row if b)["states"]["after_event"]
+        i, m = next((i, m) for i, row in enumerate(tables.ledgers) for m, b in enumerate(row) if b)
+        rho = branch_states(ctx, tables, i, m)["after_event"]
         assert rho.support.size < rho.dim
         factor = math.exp(-sigma)
         rho_star, _ = redefine_system(rho, [], sigma)
@@ -421,6 +422,20 @@ class TestWorkEventReading:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature"):
             work_event_reading(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "temperature, sigma, message",
+        [(math.nan, 1.0, "temperature must be positive and finite, got nan"),
+         (math.inf, 1.0, "temperature must be positive and finite, got inf"),
+         (1.0, math.nan, "sigma must be finite, got nan"),
+         (1.0, -math.inf, "sigma must be finite, got -inf")],
+    )
+    def test_non_finite_input_rejected(self, temperature, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            work_event_reading(temperature, sigma)
+
+    def test_sigma_of_either_sign_accepted(self):
+        assert work_event_reading(2.0, -1.0) == -2.0
 
 
 class TestPhaseEquivalenceTrigger:
