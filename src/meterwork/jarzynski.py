@@ -240,6 +240,14 @@ def _check_beta(beta: float, *, zero_ok: bool = False) -> None:
         raise ValueError(f"beta must be {sign} and finite, got {beta!r}")
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise ValueError naming the first non-finite entry of `value`."""
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        first = float(np.ravel(value)[np.argmax(bad)])
+        raise ValueError(f"{name} must be finite, got {first!r}")
+
+
 def thermal_state(
     h: Operator,
     beta: float,
@@ -489,6 +497,7 @@ def jarzynski_equality_check(
     if not len(samples):
         raise ValueError("cannot check the equality on an empty sample set")
     _check_beta(beta)
+    _check_finite("delta_f", delta_f)
     works = _works_array(samples)
     mean, se, exact, passed = _equality_verdict(-beta * works, beta, delta_f)
     mean_work, _ = _mean_and_se(works)
@@ -520,10 +529,12 @@ def modified_jarzynski_check(
     if not len(samples):
         raise ValueError("cannot check the equality on an empty sample set")
     _check_beta(beta)
+    _check_finite("delta_f", delta_f)
     works = _works_array(samples)
     if np.ndim(sigma_total) and np.shape(sigma_total) != works.shape:
         n_sigma = np.size(sigma_total)
         raise ValueError(f"sigma_total holds {n_sigma} values for {len(works)} samples")
+    _check_finite("sigma_total", sigma_total)
     mean, se, exact, passed = _equality_verdict(-beta * works + sigma_total, beta, delta_f)
     mean_work, se_work = _mean_and_se(works)
     sigma_total = float(np.mean(sigma_total))

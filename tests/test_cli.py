@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import meterwork
 from helpers import reference_scheme_sums, write_reference_records
@@ -509,18 +511,21 @@ class TestColumnWriter:
             dtype=np.uint64,
         ).view(np.float64)
         floats = np.tile(np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324], nans]), 300)
-        assert cli._cells(floats[:1024])[0] == "%s"  # the block repeats
+        assert cli._fold([floats])[0] == [True]  # the column repeats
         path = tmp_path / "cells.csv"
         write_csv(path, ["x"], [floats])
         rows = path.read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats.tolist()]
         assert rows[:9] == ["-0", "0", "inf", "-inf", "4.9406564584124654e-324"] + ["nan"] * 4
 
-    @pytest.mark.parametrize("distinct, spec", [(512, "%s"), (513, "%.17g")])
-    def test_blocks_either_side_of_half_distinct_render_alike(self, tmp_path, distinct, spec):
+    @pytest.mark.parametrize("distinct, folds", [(512, True), (513, False)])
+    def test_blocks_either_side_of_half_distinct_render_alike(self, tmp_path, distinct, folds):
         values = np.arange(distinct) / 7.0 - 20.0
         floats = np.resize(values, 2048)
-        assert cli._cells(floats[:1024])[0] == spec
+        assert cli._fold([floats[:1024]])[0] == [folds]
+        write_csv(tmp_path / "block.csv", ["x"], [floats[:1024]])
+        rows = (tmp_path / "block.csv").read_text().splitlines()[1:]
+        assert rows == [format(x, ".17g") for x in floats[:1024].tolist()]
         path = tmp_path / "half.csv"
         write_csv(path, ["x"], [floats])
         rows = path.read_text().splitlines()[1:]
@@ -569,6 +574,130 @@ class TestColumnWriter:
         assert (tmp_path / "c" / "jarzynski_report.json").read_bytes() == (
             tmp_path / "j" / "jarzynski_report.json"
         ).read_bytes()
+
+
+# Row counts around the 1024-row block and the half rule, and distinct
+# counts per column: one value, two (the signed zeros, for floats), four
+# (the zeros and two NaN payloads), exactly n/2, n/2 + 1 and all distinct.
+ROW_COUNTS = [0, 1, 1023, 1024, 1025, 5000]
+DISTINCT = {"one": 1, "two": 2, "few": 4, "half": None, "half+1": None, "all": None}
+NAN_PAYLOADS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000002, 0x7FF8000000000000, 0xFFF8000000000000],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+def _distinct_values(rng, kind: str, k: int) -> np.ndarray:
+    """k values of one kind with distinct bit patterns. Floats start with
+    the signed zeros and two NaN payloads, so a column of a few distinct
+    values holds exactly the patterns that compare equal or unordered."""
+    if kind == "i":
+        drawn = rng.integers(-(2**62), 2**62, size=2 * k + 8)
+    else:
+        drawn = np.concatenate([
+            [-0.0, 0.0], NAN_PAYLOADS[:2], [math.inf, -math.inf, 5e-324], NAN_PAYLOADS[2:],
+            rng.normal(size=k) * 10.0 ** rng.integers(-5, 5, k),
+            rng.integers(0, 2**64, size=k + 8, dtype=np.uint64).view(np.float64),
+        ])
+    _, first = np.unique(drawn.view(np.int64), return_index=True)
+    return drawn[np.sort(first)][:k]
+
+
+def _column(rng, kind: str, n: int, distinct: str) -> np.ndarray:
+    k = DISTINCT[distinct] or {"half": n // 2, "half+1": n // 2 + 1, "all": n}[distinct]
+    k = min(max(k, 1), n)
+    if not n:
+        return np.zeros(0, dtype=np.int64 if kind == "i" else np.float64)
+    values = _distinct_values(rng, kind, k)
+    return values[rng.permutation(np.resize(np.arange(k), n))]
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Equal texts; on a difference, name the first line that differs (a
+    full diff of thousands of rows takes minutes)."""
+    if got != want:
+        pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        at, line = next(((i, p) for i, p in enumerate(pairs) if p[0] != p[1]), (None, None))
+        raise AssertionError(f"texts differ at line {at}: {line} ({len(got)} vs {len(want)} chars)")
+
+
+def _cell_17g(x) -> str:
+    return str(x) if isinstance(x, int) else format(x, ".17g")
+
+
+@st.composite
+def _columns(draw, max_columns: int = 4):
+    n = draw(st.sampled_from(ROW_COUNTS))
+    kinds = draw(st.lists(st.sampled_from("if"), min_size=1, max_size=max_columns))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    return [_column(rng, kind, n, draw(st.sampled_from(list(DISTINCT)))) for kind in kinds]
+
+
+class TestRowTemplates:
+    """The writers against a cell-by-cell reference, whatever `_fold` folds."""
+
+    @given(columns=_columns())
+    def test_csv_matches_cell_by_cell(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        header = [f"c{j}" for j in range(len(columns))]
+        write_csv(path, header, columns)
+        rows = zip(*(c.tolist() for c in columns))
+        want = "".join(",".join(map(_cell_17g, row)) + "\n" for row in rows)
+        _assert_same_text(path.read_text(), ",".join(header) + "\n" + want)
+
+    @given(columns=_columns())
+    def test_json_records_match_write_json(self, tmp_path_factory, columns):
+        if not len(columns[0]):
+            return  # write_json_records writes a non-empty array
+        path = tmp_path_factory.mktemp("json") / "x.json"
+        keys = [f"c{j}" for j in range(len(columns))]
+        write_json_records(path, keys, columns)
+        records = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
+        _assert_same_text(path.read_text(), cli._json_render(records) + "\n")
+
+    @given(columns=_columns(max_columns=len(cli.RECORD_COLUMNS)))
+    def test_jsonl_layout_matches_cell_by_cell(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("jsonl") / "x.jsonl"
+        with open(path, "w") as fh:
+            cli._write_rows(fh, cli._jsonl_row, columns)
+        want = "".join(
+            "{" + ", ".join(
+                f'"{k}": {x}' if isinstance(x, int) else f'"{k}": "{format(x, ".17g")}"'
+                for k, x in zip(cli.RECORD_COLUMNS, row)
+            ) + "}\n"
+            for row in zip(*(c.tolist() for c in columns))
+        )
+        _assert_same_text(path.read_text(), want)
+
+    @pytest.mark.parametrize("n", [1026, 5000])
+    @pytest.mark.parametrize("where", ["free", "folded"])
+    def test_json_non_finite_in_one_block_renders_alike_in_every_block(
+        self, tmp_path, n, where
+    ):
+        rng = np.random.default_rng(n)
+        finite = {"free": rng.normal(size=n), "folded": np.resize([0.25, -0.0, 1.5], n)}[where]
+        column = finite.copy()
+        column[1024] = math.inf  # the second block alone holds non-finite values
+        column[min(n, 2048) - 1] = math.nan
+        ints = np.arange(n, dtype=np.int64)
+        assert cli._fold([column, ints])[0] == [where == "folded", False]
+        path = tmp_path / "x.json"
+        write_json_records(path, ["x", "k"], [column, ints])
+        records = [{"x": x, "k": k} for x, k in zip(column.tolist(), ints.tolist())]
+        _assert_same_text(path.read_text(), cli._json_render(records) + "\n")
+        text = path.read_text()
+        assert '"x": "inf"' in text and '"x": "nan"' in text
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 5000])
+    def test_combination_past_half_leaves_the_column_free(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        few, half = _column(rng, "f", n, "few"), _column(rng, "i", n, "half")
+        assert cli._fold([half])[0] == [True]  # alone it folds
+        assert 2 * len(set(zip(few.view(np.int64).tolist(), half.tolist()))) > n
+        assert cli._fold([few, half])[0] == [True, False]
+        write_csv(tmp_path / "x.csv", ["f", "h"], [few, half])
+        want = "".join(f"{_cell_17g(x)},{k}\n" for x, k in zip(few.tolist(), half.tolist()))
+        _assert_same_text((tmp_path / "x.csv").read_text(), "f,h\n" + want)
 
 
 class TestDomainErrors:
@@ -646,6 +775,16 @@ class TestDomainErrors:
         message = f"beta must be positive and finite, got {argv[-1]}"
         assert message in capsys.readouterr().err
         report = read_json(out / cli._SUMMARY_FILES[argv[0]])
+        assert report["passed"] is False
+        assert report["error"] == {"type": "ValueError", "message": message}
+
+    def test_non_finite_delta_f_override_is_named(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["jarzynski", "--samples", "10", "--delta-f", "inf", "--output", str(out)]
+        assert main(argv) == 2
+        message = "delta_f must be finite, got inf"
+        assert message in capsys.readouterr().err
+        report = read_json(out / "jarzynski_report.json")
         assert report["passed"] is False
         assert report["error"] == {"type": "ValueError", "message": message}
 

@@ -538,3 +538,24 @@ class TestBetaDomain:
         assert jarzynski_time_ordered(sched, 0.0) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="positive and finite, got 0.0"):
             delta_F(sched.initial_hamiltonian(), sched.final_hamiltonian(), 0.0)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("sigma, named", [
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (np.array([0.0, math.inf, 0.0]), "inf"),
+        (np.array([1.0, 2.0, -math.inf]), "-inf"),
+        (np.array([math.nan, 0.0, 0.0]), "nan"),
+    ])
+    def test_non_finite_sigma_total_is_named(self, sigma, named):
+        with pytest.raises(ValueError, match=rf"^sigma_total must be finite, got {named}$"):
+            modified_jarzynski_check(np.zeros(3), 1.0, 0.0, sigma_total=sigma)
+
+    @pytest.mark.parametrize("delta_f", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_f_is_named(self, delta_f):
+        message = rf"^delta_f must be finite, got {delta_f!r}$"
+        with pytest.raises(ValueError, match=message):
+            jarzynski_equality_check(np.zeros(3), 1.0, delta_f)
+        with pytest.raises(ValueError, match=message):
+            modified_jarzynski_check(np.zeros(3), 1.0, delta_f)
