@@ -19,7 +19,6 @@ from meterwork.jarzynski import (
     jarzynski_time_ordered,
     tpm_sample,
 )
-from meterwork.linalg import Operator
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -27,8 +26,9 @@ BETA = 1.0
 
 
 def driven(n_steps: int) -> DriveSchedule:
-    def h_at(lam: float) -> Operator:
-        return Operator((1.0 - lam) * SZ + lam * SX, hermitian=True)
+    def h_at(lams: np.ndarray) -> np.ndarray:
+        lams = lams[:, None, None]
+        return (1.0 - lams) * SZ + lams * SX
 
     return DriveSchedule.linear(h_at, t_f=1.0, n_steps=n_steps)
 

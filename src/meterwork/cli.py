@@ -394,6 +394,16 @@ def _pauli_x() -> Operator:
     return Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), hermitian=True)
 
 
+def _interpolation(h_initial: Operator, h_final: Operator):
+    """Map of a control grid to its stack (1 - lambda) h_initial + lambda h_final."""
+
+    def hamiltonians_at(lams: np.ndarray) -> np.ndarray:
+        lams = lams[:, None, None]
+        return (1.0 - lams) * h_initial.matrix + lams * h_final.matrix
+
+    return hamiltonians_at
+
+
 def _scenario_schedule(settings: dict) -> DriveSchedule:
     name = settings["scenario"]
     steps = settings["steps"]
@@ -407,13 +417,7 @@ def _scenario_schedule(settings: dict) -> DriveSchedule:
             Operator.from_diagonal(np.array([0.0, 2.0])),
         )
     if name == "driven-qubit":
-        sz, sx = _pauli_z(), _pauli_x()
-
-        def h_at(lam: float) -> Operator:
-            return Operator(
-                (1.0 - lam) * sz.matrix + lam * sx.matrix, hermitian=True
-            )
-
+        h_at = _interpolation(_pauli_z(), _pauli_x())
         return DriveSchedule.linear(h_at, t_f=1.0, n_steps=steps or 400)
     if name == "custom":
         if not settings["schedule_file"]:
@@ -421,14 +425,10 @@ def _scenario_schedule(settings: dict) -> DriveSchedule:
         drive = json.loads(Path(settings["schedule_file"]).read_text())
         h_i = Operator(np.array(drive["h_initial"], dtype=complex), hermitian=True)
         h_f = Operator(np.array(drive["h_final"], dtype=complex), hermitian=True)
-
-        def h_interp(lam: float) -> Operator:
-            return Operator(
-                (1.0 - lam) * h_i.matrix + lam * h_f.matrix, hermitian=True
-            )
-
         return DriveSchedule.linear(
-            h_interp, t_f=float(drive["t_f"]), n_steps=steps or int(drive["n_steps"])
+            _interpolation(h_i, h_f),
+            t_f=float(drive["t_f"]),
+            n_steps=steps or int(drive["n_steps"]),
         )
     raise ValueError(f"unknown scenario {name!r}")
 

@@ -58,16 +58,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DriveSchedule:
-    """Control path lambda_{t_0..t_N} with its Hamiltonian map.
+    """Control path lambda_{t_0..t_N} and its Hamiltonians, as one stack.
 
-    All Hamiltonians along the path are validated hermitian with a common
-    dimension at construction, and cached.
+    ``hamiltonians_at`` maps the whole control grid, an (N+1,) array, to
+    the (N+1, d, d) stack of its Hamiltonians, and is called once. The
+    stack is copied, checked to be finite and hermitian within the default
+    policy's ``hermitian_tol`` (an error names the first control value
+    that fails), and kept read-only as ``hamiltonians``; every reader
+    works on it.
     """
 
-    hamiltonian_at: Callable[[float], Operator]
+    hamiltonians_at: Callable[[np.ndarray], np.ndarray]
     lambdas: np.ndarray
     t_f: float
-    _h_matrices: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    hamiltonians: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lams = np.asarray(self.lambdas, dtype=float)
@@ -77,25 +81,26 @@ class DriveSchedule:
             raise ValueError(f"t_f must be finite and nonnegative, got {self.t_f!r}")
         lams.setflags(write=False)
         object.__setattr__(self, "lambdas", lams)
-        mats = []
-        dim = None
-        for lam in lams:
-            h = self.hamiltonian_at(float(lam))
-            if not h.is_hermitian():
-                raise ValueError(f"hamiltonian at control value {lam!r} is not hermitian")
-            if dim is None:
-                dim = h.dim
-            elif h.dim != dim:
-                raise ValueError(
-                    f"hamiltonian dimension changed along the path: {h.dim} != {dim}"
-                )
-            mats.append(h.matrix)
-        object.__setattr__(self, "_h_matrices", tuple(mats))
+        h = np.array(self.hamiltonians_at(lams), dtype=complex)
+        if h.ndim != 3 or h.shape[0] != lams.size or h.shape[1] != h.shape[2]:
+            raise ValueError(
+                f"hamiltonian stack has shape {h.shape}, expected ({lams.size}, d, d)"
+            )
+        finite = np.isfinite(h).all(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # inf - inf: those steps fail as non-finite
+            dev = np.abs(h - h.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        bad = ~finite | (dev > DEFAULT_POLICY.hermitian_tol)
+        if bad.any():
+            n = int(np.argmax(bad))
+            problem = "is not hermitian" if finite[n] else "has non-finite entries"
+            raise ValueError(f"hamiltonian at control value {float(lams[n])!r} {problem}")
+        h.setflags(write=False)
+        object.__setattr__(self, "hamiltonians", h)
 
     @classmethod
     def linear(
         cls,
-        hamiltonian_at: Callable[[float], Operator],
+        hamiltonians_at: Callable[[np.ndarray], np.ndarray],
         t_f: float,
         n_steps: int,
         lam_start: float = 0.0,
@@ -103,17 +108,20 @@ class DriveSchedule:
     ) -> "DriveSchedule":
         if n_steps < 1:
             raise ValueError(f"need at least one step, got {n_steps}")
-        return cls(hamiltonian_at, np.linspace(lam_start, lam_end, n_steps + 1), t_f)
+        return cls(hamiltonians_at, np.linspace(lam_start, lam_end, n_steps + 1), t_f)
 
     @classmethod
     def constant(cls, h: Operator, t_f: float = 1.0, n_steps: int = 1) -> "DriveSchedule":
-        return cls.linear(lambda _lam: h, t_f, n_steps)
+        def hamiltonians_at(lams: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(h.matrix, (lams.size, h.dim, h.dim))
+
+        return cls.linear(hamiltonians_at, t_f, n_steps)
 
     @classmethod
     def quench(cls, h_initial: Operator, h_final: Operator) -> "DriveSchedule":
         """Sudden switch: endpoints differ, evolution time is zero."""
         return cls(
-            lambda lam: h_initial if lam < 0.5 else h_final,
+            lambda _lams: np.stack([h_initial.matrix, h_final.matrix]),
             np.array([0.0, 1.0]),
             0.0,
         )
@@ -124,24 +132,22 @@ class DriveSchedule:
 
     @property
     def dim(self) -> int:
-        return self._h_matrices[0].shape[0]
+        return self.hamiltonians.shape[1]
 
     def hamiltonian_matrix(self, n: int) -> np.ndarray:
-        return self._h_matrices[n]
+        return self.hamiltonians[n]
 
     def initial_hamiltonian(self) -> Operator:
-        return Operator(self._h_matrices[0], hermitian=True)
+        return Operator(self.hamiltonians[0], hermitian=True)
 
     def final_hamiltonian(self) -> Operator:
-        return Operator(self._h_matrices[-1], hermitian=True)
+        return Operator(self.hamiltonians[-1], hermitian=True)
 
-    def step_propagators(self) -> list[np.ndarray]:
-        """exp(-i H(lambda_{t_n}) dt) for each step, left control endpoint."""
+    def step_propagators(self) -> np.ndarray:
+        """exp(-i H(lambda_{t_n}) dt) for each step, left control endpoint:
+        an (N, d, d) array from one stacked eigendecomposition."""
         dt = self.t_f / self.n_steps
-        return [
-            _hermitian_function(self._h_matrices[n], lambda w: np.exp(-1j * w * dt))
-            for n in range(self.n_steps)
-        ]
+        return _hermitian_function(self.hamiltonians[:-1], lambda w: np.exp(-1j * w * dt))
 
     def total_propagator(self) -> np.ndarray:
         """Product of the step propagators, later steps to the left; built
@@ -162,7 +168,9 @@ class WorkSamples:
     """TPM records as read-only columns, one entry per sample in draw order.
 
     Energies and ``work`` are float64, the index columns int64. ``work`` is
-    exactly ``final_energy - initial_energy``, elementwise.
+    exactly ``final_energy - initial_energy``, elementwise. An input that is
+    already a read-only ndarray of its column's dtype and owns its data is
+    kept as the column itself; anything else is copied.
     """
 
     initial_energy: np.ndarray
@@ -178,11 +186,18 @@ class WorkSamples:
         for f in fields(self):
             if not f.init:
                 continue
-            dtype = float if f.name.endswith("energy") else np.int64
-            col = np.array(getattr(self, f.name), dtype=dtype)
+            dtype = np.float64 if f.name.endswith("energy") else np.int64
+            col = getattr(self, f.name)
+            if not (
+                type(col) is np.ndarray
+                and col.dtype == dtype
+                and col.flags.owndata
+                and not col.flags.writeable
+            ):
+                col = np.array(col, dtype=dtype)
+                col.setflags(write=False)
             if col.shape != (n,):
                 raise ValueError(f"column {f.name} has shape {col.shape}, expected ({n},)")
-            col.setflags(write=False)
             object.__setattr__(self, f.name, col)
         work = self.final_energy - self.initial_energy
         work.setflags(write=False)
@@ -356,14 +371,18 @@ def tpm_sample(
     us, stream_id = stream_uniforms(seed, n_samples, 2)
     i_idx = draw_indices(cdf_init, us[:, 0])
     f_idx = draw_rows(cdf_rows[i_idx], us[:, 1])
-    return WorkSamples(
-        initial_energy=e_init[i_idx],
-        final_energy=e_fin[f_idx],
-        initial_outcome_index=i_idx,
-        final_outcome_index=f_idx,
-        stream_id=stream_id,
-        draw_id=np.arange(n_samples),
-    )
+    del us  # freed before the columns are built: it is as large as two of them
+    columns = {
+        "initial_energy": e_init[i_idx],
+        "final_energy": e_fin[f_idx],
+        "initial_outcome_index": i_idx,
+        "final_outcome_index": f_idx,
+        "stream_id": stream_id,
+        "draw_id": np.arange(n_samples),
+    }
+    for col in columns.values():
+        col.setflags(write=False)  # fresh arrays: WorkSamples keeps them uncopied
+    return WorkSamples(**columns)
 
 
 def jarzynski_exact(
@@ -419,10 +438,7 @@ def jarzynski_time_ordered(
     limit.
     """
     _check_beta(beta, zero_ok=True)
-    spread = max(
-        float(np.ptp(np.linalg.eigvalsh(schedule.hamiltonian_matrix(k))))
-        for k in range(schedule.n_steps + 1)
-    )
+    spread = float(np.ptp(np.linalg.eigvalsh(schedule.hamiltonians), axis=1).max())
     if beta * spread > math.log(TIME_ORDERED_MAX_CONDITION):
         raise NumericalConsistencyError(
             f"beta {beta!r} is past the conditioning bound of the time-ordered product: "

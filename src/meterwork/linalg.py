@@ -225,7 +225,10 @@ def _check_flags(
     policy: NumericPolicy,
 ) -> None:
     """Raise ValueError unless m has each structure flagged True, within
-    the policy's tolerances. A projector flag needs the hermitian one."""
+    the policy's tolerances. A projector flag needs the hermitian one.
+    A flagged matrix must be finite: a NaN deviation compares as in bounds."""
+    if True in (hermitian, unitary, projector) and not np.isfinite(m).all():
+        raise ValueError("operator has non-finite entries")
     # On a diagonal matrix the off-diagonal entries of m - m^dag and of
     # m @ m - m are zero, so both deviations are read off the diagonal.
     d = np.diagonal(m) if hermitian is True and _is_diagonal(m) else None
@@ -826,9 +829,10 @@ def hermitian_propagator(
 
 
 def _hermitian_function(m: np.ndarray, f) -> np.ndarray:
-    """f(m) for a hermitian matrix m: f applied to the eigenvalues of m."""
+    """f(m) for a hermitian matrix m, or for each matrix of an (N, d, d)
+    stack: f applied to the eigenvalues (of shape (d,) or (N, d))."""
     w, v = np.linalg.eigh(m)
-    return (v * f(w)) @ v.conj().T
+    return (v * f(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def conjugate(

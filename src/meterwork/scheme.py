@@ -144,8 +144,12 @@ def szilard_schedule(
     if not (j_initial > 0.0 and j_final > 0.0):
         raise ValueError("tunneling amplitudes must stay positive")
 
-    def h_at(lam: float) -> Operator:
-        return barrier_hamiltonian(j_initial + (j_final - j_initial) * lam)
+    def h_at(lams: np.ndarray) -> np.ndarray:
+        # `barrier_hamiltonian` at each control value
+        j = j_initial + (j_final - j_initial) * lams
+        h = np.zeros((lams.size, 2, 2), dtype=complex)
+        h[:, 0, 1] = h[:, 1, 0] = -j
+        return h
 
     return DriveSchedule.linear(h_at, t_f, n_steps)
 
@@ -159,10 +163,10 @@ def site_diagonal_schedule(
     """Site-diagonal drive diag(0, gap(lambda)): commutes with the which-site
     observable, so site eigenstates stay energy eigenstates throughout."""
 
-    def h_at(lam: float) -> Operator:
-        return Operator.from_diagonal(
-            np.array([0.0, gap_initial + (gap_final - gap_initial) * lam])
-        )
+    def h_at(lams: np.ndarray) -> np.ndarray:
+        h = np.zeros((lams.size, 2, 2), dtype=complex)
+        h[:, 1, 1] = gap_initial + (gap_final - gap_initial) * lams
+        return h
 
     return DriveSchedule.linear(h_at, t_f, n_steps)
 

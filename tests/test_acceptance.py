@@ -110,8 +110,9 @@ def test_criterion_2_original_equality():
     sz = np.diag([1.0, -1.0]).astype(complex)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-    def h_at(lam: float) -> Operator:
-        return Operator((1.0 - lam) * sz + lam * sx, hermitian=True)
+    def h_at(lams: np.ndarray) -> np.ndarray:
+        lams = lams[:, None, None]
+        return (1.0 - lams) * sz + lams * sx
 
     driven = DriveSchedule.linear(h_at, t_f=1.0, n_steps=400)
     df = delta_F(driven.initial_hamiltonian(), driven.final_hamiltonian(), beta)

@@ -788,6 +788,25 @@ class TestDomainErrors:
         assert report["passed"] is False
         assert report["error"] == {"type": "ValueError", "message": message}
 
+    def test_non_finite_custom_hamiltonian_is_named(self, tmp_path, capsys):
+        drive = tmp_path / "drive.json"
+        drive.write_text(json.dumps({
+            "t_f": 1.0,
+            "n_steps": 4,
+            "h_initial": [[0.0, 0.0], [0.0, 1.0]],
+            "h_final": [[0.5, math.nan], [math.nan, 1.5]],
+        }))
+        out = tmp_path / "o"
+        argv = ["jarzynski", "--scenario", "custom", "--schedule-file", str(drive),
+                "--samples", "10", "--output", str(out)]
+        assert main(argv) == 2
+        message = "operator has non-finite entries"
+        assert message in capsys.readouterr().err
+        report = read_json(out / "jarzynski_report.json")
+        assert report["passed"] is False
+        assert report["error"] == {"type": "ValueError", "message": message}
+        assert not (out / "work_samples.csv").exists()
+
     def test_overflow_writes_failure_summary(self, tmp_path, capsys):
         out = tmp_path / "o"
         argv = ["jarzynski", "--samples", "10", "--beta", "1e300", "--output", str(out)]

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -19,8 +20,10 @@ from meterwork.jarzynski import (
     thermal_state,
     tpm_sample,
 )
+from meterwork import cli
 from meterwork.errors import NumericalConsistencyError
 from meterwork.linalg import Operator
+from meterwork.scheme import barrier_hamiltonian, site_diagonal_schedule, szilard_schedule
 from meterwork.superselection import energy_sectors
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -32,8 +35,9 @@ def qubit_gap(eps: float) -> Operator:
 
 
 def driven_qubit_schedule(n_steps: int = 50, t_f: float = 1.0) -> DriveSchedule:
-    def h_at(lam: float) -> Operator:
-        return Operator((1.0 - lam) * SZ + lam * SX, hermitian=True)
+    def h_at(lams: np.ndarray) -> np.ndarray:
+        lams = lams[:, None, None]
+        return (1.0 - lams) * SZ + lams * SX
 
     return DriveSchedule.linear(h_at, t_f, n_steps)
 
@@ -160,6 +164,12 @@ class TestTpmSample:
             WorkSamples(initial_energy=[0.0, 1.0], final_energy=[1.0, 1.0],
                         initial_outcome_index=[0, 1], final_outcome_index=[1, 1],
                         stream_id=[0], draw_id=[0, 1])
+
+    def test_tpm_columns_are_read_only_and_own_their_data(self):
+        samples = tpm_sample(driven_qubit_schedule(n_steps=20), 1.0, 5000, seed=8)
+        for f in fields(samples):
+            col = getattr(samples, f.name)
+            assert col.flags.owndata and not col.flags.writeable, f.name
 
     def test_compares_and_hashes_by_identity(self):
         sched = driven_qubit_schedule(n_steps=20)
@@ -437,10 +447,9 @@ class TestStatisticalStructure:
         beta = 1.0
         base = driven_qubit_schedule(n_steps=60)
 
-        def shifted_h(lam: float) -> Operator:
-            return Operator(
-                (1.0 - lam) * SZ + lam * SX + 0.7 * np.eye(2), hermitian=True
-            )
+        def shifted_h(lams: np.ndarray) -> np.ndarray:
+            lams = lams[:, None, None]
+            return (1.0 - lams) * SZ + lams * SX + 0.7 * np.eye(2)
 
         shifted = DriveSchedule.linear(shifted_h, 1.0, 60)
         df_base = delta_F(base.initial_hamiltonian(), base.final_hamiltonian(), beta)
@@ -480,17 +489,95 @@ class TestNonequilibriumFreeEnergy:
         assert rel >= 0.0  # canonical reference keeps non-negativity
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _input_columns(make) -> dict:
+    """One 3-entry column per WorkSamples input field, each from make(dtype)."""
+    return {
+        f.name: make(np.float64 if f.name.endswith("energy") else np.int64)
+        for f in fields(WorkSamples)
+        if f.init
+    }
+
+
+class TestWorkSamplesColumns:
+    def test_read_only_data_owning_column_of_its_dtype_is_kept(self):
+        given_cols = _input_columns(lambda dtype: _frozen(np.arange(3, dtype=dtype)))
+        samples = WorkSamples(**given_cols)
+        for name, col in given_cols.items():
+            assert getattr(samples, name) is col, name
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda dtype: np.arange(3, dtype=dtype), id="writable"),
+        pytest.param(lambda dtype: np.arange(6, dtype=dtype)[::2], id="writable-view"),
+        pytest.param(lambda dtype: _frozen(np.arange(6, dtype=dtype)[:3]), id="read-only-view"),
+        pytest.param(lambda dtype: _frozen(np.arange(3, dtype=np.int32)), id="other-dtype"),
+    ])
+    def test_any_other_array_is_copied_and_left_as_it_was(self, make):
+        given_cols = _input_columns(make)
+        flags = {name: col.flags.writeable for name, col in given_cols.items()}
+        samples = WorkSamples(**given_cols)
+        for name, col in given_cols.items():
+            kept = getattr(samples, name)
+            assert not np.shares_memory(kept, col), name
+            assert not kept.flags.writeable and kept.flags.owndata
+            assert col.flags.writeable == flags[name]
+            assert kept.dtype == (np.float64 if name.endswith("energy") else np.int64)
+            np.testing.assert_array_equal(kept, col)
+
+    def test_list_is_copied(self):
+        samples = WorkSamples(**_input_columns(lambda dtype: [0, 1, 2]))
+        assert samples.initial_energy.dtype == np.float64
+        assert samples.draw_id.dtype == np.int64
+        assert not samples.draw_id.flags.writeable
+        np.testing.assert_array_equal(samples.work, [0.0, 0.0, 0.0])
+
+
 class TestDriveScheduleValidation:
     def test_non_hermitian_path_rejected(self):
         with pytest.raises(ValueError, match="hermitian"):
             DriveSchedule.constant(Operator([[0, 1], [0, 0]]))
 
     def test_dimension_change_rejected(self):
-        def h_at(lam):
-            return Operator.identity(2 if lam < 0.5 else 3)
+        # a stack holds one dimension; a map can only get the stack's shape wrong
+        for shape in [(3, 2), (3, 2, 3), (2, 2, 2), (4, 2, 2), (3, 1, 2, 2)]:
+            with pytest.raises(ValueError, match=re.escape(
+                f"hamiltonian stack has shape {shape}, expected (3, d, d)"
+            )):
+                DriveSchedule.linear(lambda lams: np.zeros(shape), 1.0, 2)
 
-        with pytest.raises(ValueError, match="dimension"):
-            DriveSchedule.linear(h_at, 1.0, 2)
+    @pytest.mark.parametrize("value, problem", [
+        (math.nan, "has non-finite entries"),
+        (math.inf, "has non-finite entries"),
+        (complex(0.0, math.inf), "has non-finite entries"),
+        (1j, "is not hermitian"),
+    ])
+    def test_first_bad_control_value_is_named(self, value, problem):
+        def h_at(lams):
+            h = np.zeros((lams.size, 2, 2), dtype=complex)
+            h[2:, 0, 1] = value  # a lone off-diagonal entry breaks hermiticity too
+            return h
+
+        message = f"^hamiltonian at control value 0.5 {problem}$"
+        with pytest.raises(ValueError, match=message):
+            DriveSchedule.linear(h_at, 1.0, 4)
+
+    def test_map_is_called_once_and_its_stack_is_kept_as_a_read_only_copy(self):
+        calls = []
+        stack = np.zeros((5, 2, 2), dtype=complex)
+
+        def h_at(lams):
+            calls.append(lams)
+            return stack
+
+        sched = DriveSchedule.linear(h_at, 1.0, 4)
+        assert len(calls) == 1 and calls[0] is sched.lambdas
+        assert not np.shares_memory(sched.hamiltonians, stack)
+        assert not sched.hamiltonians.flags.writeable and stack.flags.writeable
+        assert sched.hamiltonians.shape == (5, 2, 2) and sched.dim == 2
 
     def test_lambda_grid_spacing(self):
         sched = driven_qubit_schedule(n_steps=4)
@@ -505,6 +592,65 @@ class TestDriveScheduleValidation:
         assert sched.total_propagator() is u
         assert not u.flags.writeable
         np.testing.assert_array_equal(u.view(np.uint8), loop.view(np.uint8))
+
+
+def _old_scalar_builders() -> dict:
+    """Each schedule and the per-control-value builder of its Hamiltonians
+    that the stacked maps replaced, as it was: one matrix per float lambda."""
+    sz, sx = cli._pauli_z(), cli._pauli_x()
+    h0, h1 = qubit_gap(1.0), qubit_gap(2.0)
+    h_i = Operator([[0.0, 0.0], [0.0, 1.0]], hermitian=True)
+    h_f = Operator([[0.5, 0.2 - 0.1j], [0.2 + 0.1j, 1.5]], hermitian=True)
+    return {
+        "driven-qubit": (
+            cli._scenario_schedule({"scenario": "driven-qubit", "steps": 400}),
+            lambda lam: Operator((1.0 - lam) * sz.matrix + lam * sx.matrix, hermitian=True),
+        ),
+        "custom": (
+            DriveSchedule.linear(cli._interpolation(h_i, h_f), 0.7, 30),
+            lambda lam: Operator((1.0 - lam) * h_i.matrix + lam * h_f.matrix, hermitian=True),
+        ),
+        "szilard": (
+            szilard_schedule(),
+            lambda lam: barrier_hamiltonian(1.0 + (0.25 - 1.0) * lam),
+        ),
+        "site-diagonal": (
+            site_diagonal_schedule(1.0, 0.4, 1.3, 7),
+            lambda lam: Operator.from_diagonal(np.array([0.0, 1.0 + (0.4 - 1.0) * lam])),
+        ),
+        "constant": (DriveSchedule.constant(h0, 1.0, 3), lambda lam: h0),
+        "quench": (DriveSchedule.quench(h0, h1), lambda lam: h0 if lam < 0.5 else h1),
+    }
+
+
+class TestStackedSchedules:
+    @pytest.mark.parametrize("name", list(_old_scalar_builders()))
+    def test_stack_and_propagators_equal_the_per_step_reference_bitwise(self, name):
+        sched, h_at = _old_scalar_builders()[name]
+        dt = sched.t_f / sched.n_steps
+        steps = sched.step_propagators()
+        assert steps.shape == (sched.n_steps, sched.dim, sched.dim)
+        u = np.eye(sched.dim, dtype=complex)
+        for n, lam in enumerate(sched.lambdas.tolist()):
+            h = h_at(lam).matrix
+            assert sched.hamiltonian_matrix(n).tobytes() == h.tobytes(), n
+            if n < sched.n_steps:
+                # the per-step propagator, one eigendecomposition per step
+                w, v = np.linalg.eigh(h)
+                step = (v * np.exp(-1j * w * dt)) @ v.conj().T
+                assert steps[n].tobytes() == step.tobytes(), n
+                u = step @ u
+        assert sched.total_propagator().tobytes() == u.tobytes()
+        assert sched.initial_hamiltonian().matrix.tobytes() == h_at(0.0).matrix.tobytes()
+        assert sched.final_hamiltonian().matrix.tobytes() == h_at(1.0).matrix.tobytes()
+
+    def test_time_ordered_spread_is_the_largest_per_step_one(self):
+        sched = driven_qubit_schedule(n_steps=40)
+        spread = max(float(np.ptp(np.linalg.eigvalsh(h))) for h in sched.hamiltonians)
+        beta = math.log(TIME_ORDERED_MAX_CONDITION) / spread
+        jarzynski_time_ordered(sched, beta)
+        with pytest.raises(NumericalConsistencyError, match=f"exp\\(beta \\* {spread:.6g}\\)"):
+            jarzynski_time_ordered(sched, math.nextafter(beta, math.inf))
 
 
 class TestBetaDomain:

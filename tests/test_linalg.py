@@ -125,6 +125,20 @@ class TestOperatorFlags:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 Operator(m, policy=policy, **flags)
 
+    @pytest.mark.parametrize("flags", [{"hermitian": True}, {"unitary": True},
+                                       {"projector": True}])
+    @pytest.mark.parametrize("value, at", [
+        (math.nan, (0, 1)),
+        (math.inf, (0, 1)),
+        (-math.inf, (1, 1)),
+        (complex(0.0, math.nan), (0, 0)),
+    ])
+    def test_non_finite_entries_rejected_before_any_structure_check(self, flags, value, at):
+        m = np.eye(2, dtype=complex)
+        m[at] = m[at[::-1]] = value
+        with pytest.raises(ValueError, match="^operator has non-finite entries$"):
+            Operator(m, **flags)
+
     def test_unchecked_flags_stay_none(self):
         op = Operator([[0, 1], [0, 0]])
         assert op.hermitian is None and op.unitary is None

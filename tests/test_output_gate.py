@@ -1,11 +1,13 @@
 """Output gate: every byte the CLI prints or writes, pinned.
 
-Seven invocations run in-process through `cli.main`, each into its own
+Nine invocations run in-process through `cli.main`, each into its own
 directory. Each pins its exit status, its stdout and the sha256 of every
 file it writes, so a change of any reported figure, verdict or file byte
 fails here. The scheme runs at beta 5 and 200 exit 1: their Monte Carlo
 estimates are under-sampled at the default 1000 runs, and the gate pins
-those verdicts as they are.
+those verdicts as they are. The 4000-step jarzynski drive and the 400-step
+scheme drive pin the stepwise propagators far past the configs' 400 and 40
+steps.
 """
 
 import hashlib
@@ -152,6 +154,38 @@ GATE = {
             "scheme_report_original.json": "4532ec9608dfbc427f41c94d0513750878151a126818f97f2d660f8a9719672a",
             "scheme_summary.csv": "375bb6b2f3fff5dc278ce38516546c582406a34f7e9c8097c014eef8469ef7af",
             "scheme_summary.json": "dba5d9c6e411921efc3a6b43bd85c612e0535cad1f796aa1b5d5d2096df00086",
+        },
+    ),
+    ("jarzynski", "--config", "configs/jarzynski_driven.cfg", "--steps", "4000", "--samples", "20000"): (
+        0,
+        (
+            "scenario=driven-qubit mean=1.0029160024160966 target=1 se=0.010860102999034933 [pass]\n"
+        ),
+        {
+            "jarzynski_report.json": "57351df1f50f4ffa6f2677fcc94268f7b4cc725cc98c0602940d04a1c70ef7d4",
+            "work_samples.csv": "699b32108c3a0ef52989e77a70f3f8842a941f1d82fa2984b10130996d96f3a1",
+        },
+    ),
+    ("scheme", "--config", "configs/scheme_default.cfg", "--drive-steps", "400", "--samples", "2000"): (
+        0,
+        (
+            "runs=2000 delta_f=0.40285102686286578 sigma_total=3\n"
+            "ledger per run: experimenter=2, measured=-3, reader=1\n"
+            "<W_total> - <W_drive> = 3 (target 3) [pass]\n"
+            "original: mean=0.67026415950851892 target=0.66841166728987333 se=0.018369291447777627 [pass]\n"
+            "modified: mean=0.67026415950851892 target=0.66841166728987333 se=0.018369291447777627 [pass]\n"
+            "roundtrip stage (a): deviation=0 [pass]\n"
+            "roundtrip stage (b): deviation=0 [pass]\n"
+            "roundtrip stage (c): deviation=0 [pass]\n"
+            "roundtrip stage (d): deviation=0 [pass]\n"
+        ),
+        {
+            "roundtrip_report.json": "3401305941c5d35e04ea4c412f000f9f158b5b4ad6a1963d5d86bca324d0cbc1",
+            "scheme_records.jsonl": "0b7c3691632f71030603a08dad87b3f2d259be1b26c926c6362df6e6306b4367",
+            "scheme_report_modified.json": "dcf67d02a6249ce7f907dd29957da66cb558b7ae378ceb00b9a6c8bac60942d7",
+            "scheme_report_original.json": "5332f980eb9bf6a77f5025936ded1f7590af9e495dcad7e9bcb1198245dfcaf4",
+            "scheme_summary.csv": "c49c4e95a040626b9d2945fcc23635f246965ecf168ab3d36ee7f61750cceb80",
+            "scheme_summary.json": "c8723f57012492dc10e000c9685e0756bc955bc0a5c191798885a6bc5ad728ce",
         },
     ),
 }

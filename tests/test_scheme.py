@@ -405,10 +405,11 @@ class TestRunScheme:
         # the third site level is an energy eigenstate throughout: a run that
         # starts there has a deterministic event and final reading and books
         # 1 nat, every other run books 3
-        def h_at(lam):
-            j = 1.0 - lam / 2.0
-            h = np.array([[0.0, -j, 0.0], [-j, 0.0, 0.0], [0.0, 0.0, 0.5]], dtype=complex)
-            return Operator(h, hermitian=True)
+        def h_at(lams):
+            h = np.zeros((lams.size, 3, 3), dtype=complex)
+            h[:, 0, 1] = h[:, 1, 0] = -(1.0 - lams / 2.0)
+            h[:, 2, 2] = 0.5
+            return h
 
         beta = 1.0
         config = SchemeConfig(
@@ -461,7 +462,7 @@ class TestRunScheme:
         schedule = None
         if tilt:
             h = np.array([[tilt, -1.0], [-1.0, -tilt]], dtype=complex)
-            schedule = DriveSchedule.linear(lambda lam: Operator(h, hermitian=True), 1.0, 1)
+            schedule = DriveSchedule.constant(Operator(h, hermitian=True), 1.0, 1)
         config = SchemeConfig(n_samples=50, seed=0, barrier_schedule=schedule)
         with pytest.raises(SchemeConstraintError, match=message):
             run_scheme(config, policy=NumericPolicy(outcome_floor=0.3))
