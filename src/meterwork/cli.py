@@ -10,6 +10,9 @@ config file (``--config``), then explicit flags. All floating-point output
 is printed with 17 significant digits so files round-trip exactly. Samples
 are drawn from seeded streams in blocks of 4096, so the output files are a
 function of the settings and the seed: a repeated run gives the same bytes.
+``jarzynski`` draws and writes its samples one such block at a time and
+keeps only the work column whole (8 bytes per sample) for its equality
+check.
 
 Exit status is 0 iff every enabled check passed. A machine-readable summary
 is written even when checks fail; on a domain error (exit status 2) it holds
@@ -40,10 +43,11 @@ from .errors import (
 )
 from .jarzynski import (
     DriveSchedule,
+    _equality_target,
     delta_F,
     jarzynski_equality_check,
     jarzynski_exact,
-    tpm_sample,
+    tpm_blocks,
 )
 from .linalg import Operator
 from .numeric import DEFAULT_POLICY, NumericPolicy
@@ -98,9 +102,11 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_json_render(obj) + "\n")
 
 
-# Rows are formatted and written this many at a time, so memory stays flat
-# as the row count grows: each block's text is built whole before it is
-# written. Larger blocks cost memory and buy no speed: with 4096-row blocks
+# Rows are formatted and written this many at a time, so the text in memory
+# stays flat as the row count grows: each chunk's text is built whole before
+# it is written. (The columns themselves arrive in blocks of the caller's
+# choosing: jarzynski passes one 4096-sample stream block at a time.) Larger
+# chunks cost memory and buy no speed: with 4096-row chunks
 # `scheme --config configs/scheme_default.cfg` peaked at 44.3 MiB instead
 # of 41.0 MiB (+8 %), at the same compute time.
 _ROWS_PER_BLOCK = 1024
@@ -176,67 +182,77 @@ def _split_row(row: str, specs) -> list[str]:
     return pieces
 
 
-def _write_rows(fh, row_format, columns, sep: str = "", cells=_cells) -> None:
-    """Write one row per column entry, `sep` between rows.
+def _write_rows(fh, row_format, blocks, sep: str = "", cells=_cells) -> None:
+    """Write one row per column entry, `sep` between rows, for each block of
+    equal-length columns in turn.
 
     `row_format` maps the per-column format specs to the row template. Only
-    the cells that vary are formatted row by row: the columns `_fold` folds
-    are rendered once per distinct combination into a template of its own,
-    and each block of rows joins its rows' templates and fills in the free
-    columns with one `%`.
+    the cells that vary are formatted row by row: in each block the columns
+    `_fold` folds are rendered once per distinct combination into a template
+    of its own, and each chunk of rows joins its rows' templates and fills
+    in the free columns with one `%`. How the rows are split into blocks
+    changes no byte of the text.
     """
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    if not n:
-        return
-    specs, renders = zip(*(cells(c) for c in columns))
-    folded, code, count = _fold(columns)
-    at = np.empty(count, dtype=np.intp)
-    at[code] = np.arange(n)  # one row holding each code
-    texts = [
-        [(spec % v).replace("%", "%%") for v in render(column[at])] if fold else [spec] * count
-        for spec, render, column, fold in zip(specs, renders, columns, folded)
-    ]
-    pieces = _split_row(row_format(specs), specs)
-    templates = [
-        "".join(chain.from_iterable(zip(pieces, row))) + pieces[-1] for row in zip(*texts)
-    ]
-    free = [(render, column) for render, column, fold in zip(renders, columns, folded) if not fold]
-    if not free:
-        templates = [t % () for t in templates]
-    templates = np.array(templates, dtype=object)
-    for start in range(0, n, _ROWS_PER_BLOCK):
-        stop = min(start + _ROWS_PER_BLOCK, n)
-        if start:
-            fh.write(sep)
-        text = sep.join(templates[code[start:stop]].tolist())
-        if free:
-            values = [render(column[start:stop]) for render, column in free]
-            text %= tuple(values[0] if len(values) == 1 else chain.from_iterable(zip(*values)))
-        fh.write(text)
+    first = True
+    for columns in blocks:
+        columns = [np.asarray(c) for c in columns]
+        n = len(columns[0])
+        if any(len(c) != n for c in columns):
+            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+        specs, renders = zip(*(cells(c) for c in columns))
+        pieces = _split_row(row_format(specs), specs)
+        if not n:
+            continue
+        folded, code, count = _fold(columns)
+        at = np.empty(count, dtype=np.intp)
+        at[code] = np.arange(n)  # one row holding each code
+        texts = [
+            [(spec % v).replace("%", "%%") for v in render(column[at])] if fold else [spec] * count
+            for spec, render, column, fold in zip(specs, renders, columns, folded)
+        ]
+        templates = [
+            "".join(chain.from_iterable(zip(pieces, row))) + pieces[-1] for row in zip(*texts)
+        ]
+        free = [(r, c) for r, c, fold in zip(renders, columns, folded) if not fold]
+        if not free:
+            templates = [t % () for t in templates]
+        templates = np.array(templates, dtype=object)
+        for start in range(0, n, _ROWS_PER_BLOCK):
+            stop = min(start + _ROWS_PER_BLOCK, n)
+            if not first:
+                fh.write(sep)
+            first = False
+            text = sep.join(templates[code[start:stop]].tolist())
+            if free:
+                values = [render(column[start:stop]) for render, column in free]
+                text %= tuple(values[0] if len(values) == 1 else chain.from_iterable(zip(*values)))
+            fh.write(text)
 
 
-def write_csv(path: Path, header: list[str], columns) -> None:
-    """A header row, then one row per entry of the equal-length columns."""
-    if len(header) != len(columns):
-        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+def write_csv(path: Path, header: list[str], blocks) -> None:
+    """A header row, then one row per entry of each block's equal-length
+    columns (one list of columns per block, in header order)."""
+
+    def row_format(specs):
+        if len(specs) != len(header):
+            raise ValueError(f"{len(header)} header names for {len(specs)} columns")
+        return ",".join(specs) + "\n"
+
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        _write_rows(fh, lambda specs: ",".join(specs) + "\n", columns)
+        _write_rows(fh, row_format, blocks)
 
 
-def write_json_records(path: Path, keys: list[str], columns) -> None:
-    """A non-empty JSON array of one object per row, laid out as `write_json`
-    lays it out."""
+def write_json_records(path: Path, keys: list[str], blocks) -> None:
+    """A non-empty JSON array of one object per row of the blocks' columns,
+    laid out as `write_json` lays it out."""
 
     def row_format(specs):
         return "  {\n" + ",\n".join(f'    "{k}": {s}' for k, s in zip(keys, specs)) + "\n  }"
 
     with open(path, "w") as fh:
         fh.write("[\n")
-        _write_rows(fh, row_format, columns, sep=",\n", cells=_json_cells)
+        _write_rows(fh, row_format, blocks, sep=",\n", cells=_json_cells)
         fh.write("\n]\n")
 
 
@@ -376,7 +392,7 @@ def cmd_relaxation(settings: dict) -> int:
         write_csv(
             out / f"relaxation_{name}.csv",
             ["t", "rho", "sigma"],
-            [traj.times, traj.weights, sigma],
+            [[traj.times, traj.weights, sigma]],
         )
         i = traj.index_of(dt)
         rho_dt, sigma_dt = float(traj.weights[i]), float(sigma[i])
@@ -444,15 +460,25 @@ def cmd_jarzynski(settings: dict) -> int:
     if not overridden:
         df_used = df_closed
     exact = jarzynski_exact(schedule, beta, policy=policy)
-    samples = tpm_sample(schedule, beta, settings["samples"], settings["seed"], policy=policy)
-    report = jarzynski_equality_check(samples, beta, df_used)
+    n = settings["samples"]
+    blocks = tpm_blocks(schedule, beta, n, settings["seed"], policy=policy)
+    _equality_target(beta, df_used)  # the check's domain errors, before any row is written
 
+    # Each block is drawn, written and dropped; only the work column is kept
+    # whole, for the equality check.
+    work = np.empty(n)
     keys = ["initial_energy", "final_energy", "work", "stream_id", "draw_id"]
-    columns = [getattr(samples, k) for k in keys]
+
+    def rows():
+        for drawn, block in blocks:
+            work[drawn] = block["work"]
+            yield [block[k] for k in keys]
+
     if settings["format"] == "json":
-        write_json_records(out / "work_samples.json", keys, columns)
+        write_json_records(out / "work_samples.json", keys, rows())
     else:
-        write_csv(out / "work_samples.csv", keys, columns)
+        write_csv(out / "work_samples.csv", keys, rows())
+    report = jarzynski_equality_check(work, beta, df_used)
     payload = {
         "scenario": settings["scenario"],
         "seed": settings["seed"],
@@ -519,8 +545,10 @@ def cmd_scheme(settings: dict) -> int:
 
     columns = result.columns
     with open(out / "scheme_records.jsonl", "w") as fh:
-        _write_rows(fh, _jsonl_row, [columns[k] for k in RECORD_COLUMNS])
-    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, [columns[k] for k in _SUMMARY_COLUMNS])
+        _write_rows(fh, _jsonl_row, [[columns[k] for k in RECORD_COLUMNS]])
+    write_csv(
+        out / "scheme_summary.csv", _SUMMARY_COLUMNS, [[columns[k] for k in _SUMMARY_COLUMNS]]
+    )
     write_json(out / "scheme_report_original.json", result.original_report.to_dict())
     write_json(out / "scheme_report_modified.json", result.modified_report.to_dict())
 

@@ -22,8 +22,10 @@ Both return exp(-beta dF) up to float rounding for any unitary drive, and
 agreeing with each other is a structural cross-check of the propagator and
 sector machinery.
 
-Monte Carlo estimation (`tpm_sample`) partitions samples over seeded streams
-in fixed blocks, so results are a function of the configuration and seed.
+Monte Carlo estimation partitions samples over seeded streams in fixed
+blocks, so results are a function of the configuration and seed.
+`tpm_blocks` yields them one stream block at a time; `tpm_sample` gathers
+them into whole columns.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import NumericalConsistencyError
 from .linalg import DensityMatrix, Operator, ProjectorSet, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, draw_indices, draw_rows, stream_uniforms
+from .streams import cdf_of, draw_indices, draw_rows, stream_blocks
 from .superselection import energy_sectors
 
 __all__ = [
@@ -47,6 +49,7 @@ __all__ = [
     "JarzynskiReport",
     "thermal_state",
     "delta_F",
+    "tpm_blocks",
     "tpm_sample",
     "jarzynski_exact",
     "jarzynski_time_ordered",
@@ -343,21 +346,25 @@ def _sector_tables(
     return init, fin, p_init, cond
 
 
-def tpm_sample(
+def tpm_blocks(
     schedule: DriveSchedule,
     beta: float,
     n_samples: int,
     seed: int,
     *,
     policy: NumericPolicy = DEFAULT_POLICY,
-) -> WorkSamples:
-    """Draw TPM work samples for a drive prepared in the Gibbs state.
+):
+    """TPM work samples for a drive prepared in the Gibbs state, one stream
+    block at a time.
 
     Per sample: draw an initial energy sector from the Gibbs weights,
     collapse with the full (possibly degenerate) sector projector, evolve
     through the stepwise propagator, and read a final sector by the Born
-    rule. Samples are partitioned over seeded streams in fixed blocks, so
-    the first n samples of a larger run equal a run of n samples.
+    rule. `n_samples` and `beta` are checked, and the sector tables built,
+    on the call, so a domain error is raised before any block is drawn.
+    Returns an iterator of ``(rows, columns)``: the slice of samples one
+    block covers (see `streams.stream_blocks`) and a dict of that block's
+    columns under the `WorkSamples` field names, ``work`` included.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -368,20 +375,46 @@ def tpm_sample(
     cdf_init = cdf_of(p_init)
     cdf_rows = np.vstack([cdf_of(row) for row in cond])
 
-    us, stream_id = stream_uniforms(seed, n_samples, 2)
-    i_idx = draw_indices(cdf_init, us[:, 0])
-    f_idx = draw_rows(cdf_rows[i_idx], us[:, 1])
-    del us  # freed before the columns are built: it is as large as two of them
+    def blocks():
+        for stream, rows, us in stream_blocks(seed, n_samples, 2):
+            i_idx = draw_indices(cdf_init, us[:, 0])
+            f_idx = draw_rows(cdf_rows[i_idx], us[:, 1])
+            initial, final = e_init[i_idx], e_fin[f_idx]
+            yield rows, {
+                "initial_energy": initial,
+                "final_energy": final,
+                "initial_outcome_index": i_idx,
+                "final_outcome_index": f_idx,
+                "stream_id": np.full(len(i_idx), stream, dtype=np.int64),
+                "draw_id": np.arange(rows.start, rows.stop),
+                "work": final - initial,
+            }
+
+    return blocks()
+
+
+def tpm_sample(
+    schedule: DriveSchedule,
+    beta: float,
+    n_samples: int,
+    seed: int,
+    *,
+    policy: NumericPolicy = DEFAULT_POLICY,
+) -> WorkSamples:
+    """The samples of `tpm_blocks` as whole columns. Samples are partitioned
+    over seeded streams in fixed blocks, so the first n samples of a larger
+    run equal a run of n samples."""
+    blocks = tpm_blocks(schedule, beta, n_samples, seed, policy=policy)
     columns = {
-        "initial_energy": e_init[i_idx],
-        "final_energy": e_fin[f_idx],
-        "initial_outcome_index": i_idx,
-        "final_outcome_index": f_idx,
-        "stream_id": stream_id,
-        "draw_id": np.arange(n_samples),
+        f.name: np.empty(n_samples, dtype=np.float64 if f.name.endswith("energy") else np.int64)
+        for f in fields(WorkSamples)
+        if f.init
     }
-    for col in columns.values():
-        col.setflags(write=False)  # fresh arrays: WorkSamples keeps them uncopied
+    for rows, block in blocks:
+        for name, column in columns.items():
+            column[rows] = block[name]
+    for column in columns.values():
+        column.setflags(write=False)  # fresh arrays: WorkSamples keeps them uncopied
     return WorkSamples(**columns)
 
 
@@ -445,22 +478,18 @@ def jarzynski_time_ordered(
             f"exp(beta * {spread:.6g}) exceeds {TIME_ORDERED_MAX_CONDITION:g}, "
             f"so beta must stay at or below {math.log(TIME_ORDERED_MAX_CONDITION) / spread:.6g}"
         )
-    n = schedule.n_steps
-    dim = schedule.dim
-    cumulative = [np.eye(dim, dtype=complex)]
-    for step in schedule.step_propagators():
-        cumulative.append(step @ cumulative[-1])
+    cumulative = np.empty_like(schedule.hamiltonians)
+    cumulative[0] = np.eye(schedule.dim)
+    for k, step in enumerate(schedule.step_propagators()):
+        cumulative[k + 1] = step @ cumulative[k]
+    heisenberg = cumulative.conj().swapaxes(1, 2) @ schedule.hamiltonians @ cumulative
+    heisenberg = 0.5 * (heisenberg + heisenberg.conj().swapaxes(1, 2))
+    later = _hermitian_function(heisenberg[1:], lambda w: np.exp(-beta * w))
+    earlier = _hermitian_function(heisenberg[:-1], lambda w: np.exp(beta * w))
 
-    def heisenberg(k: int) -> np.ndarray:
-        u = cumulative[k]
-        m = u.conj().T @ schedule.hamiltonian_matrix(k) @ u
-        return 0.5 * (m + m.conj().T)
-
-    product = np.eye(dim, dtype=complex)
-    for k in range(n):
-        later = _hermitian_function(heisenberg(k + 1), lambda w: np.exp(-beta * w))
-        earlier = _hermitian_function(heisenberg(k), lambda w: np.exp(beta * w))
-        product = later @ earlier @ product
+    product = np.eye(schedule.dim, dtype=complex)
+    for factor in later @ earlier:
+        product = factor @ product
     rho0 = thermal_state(schedule.initial_hamiltonian(), beta, policy=policy)
     return float(np.trace(product @ rho0.matrix).real)
 
@@ -478,18 +507,27 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def _equality_verdict(exponents: np.ndarray, beta: float, delta_f: float) -> tuple:
-    """Mean and SE of exp(exponents), exp(-beta dF), and whether they agree.
+def _equality_target(beta: float, delta_f: float) -> float:
+    """exp(-beta dF), the target of both equality checks, for a finite
+    positive beta and a finite dF. It raises as the checks do, so a caller
+    that must fail before it writes anything can call it first."""
+    _check_beta(beta)
+    _check_finite("delta_f", delta_f)
+    return math.exp(-beta * delta_f)
+
+
+def _equality_verdict(exponents: np.ndarray, exact: float, beta_df: float) -> tuple:
+    """Mean and SE of exp(exponents), and whether they agree with the target
+    `exact` = exp(-beta_df).
 
     They never agree when the target or every sample weight has underflowed
     to 0: such a comparison says nothing about the equality.
     """
     weights = np.exp(exponents)
     mean, se = _mean_and_se(weights)
-    exact = math.exp(-beta * delta_f)
-    rounding = _ROUNDING * (1.0 + float(np.max(np.abs(exponents))) + abs(beta * delta_f))
+    rounding = _ROUNDING * (1.0 + float(np.max(np.abs(exponents))) + abs(beta_df))
     agree = abs(mean - exact) <= 3.0 * se + rounding * max(abs(mean), abs(exact))
-    return mean, se, exact, agree and exact > 0.0 and bool(np.any(weights))
+    return mean, se, agree and exact > 0.0 and bool(np.any(weights))
 
 
 def _works_array(samples) -> np.ndarray:
@@ -512,10 +550,9 @@ def jarzynski_equality_check(
     """
     if not len(samples):
         raise ValueError("cannot check the equality on an empty sample set")
-    _check_beta(beta)
-    _check_finite("delta_f", delta_f)
+    exact = _equality_target(beta, delta_f)
     works = _works_array(samples)
-    mean, se, exact, passed = _equality_verdict(-beta * works, beta, delta_f)
+    mean, se, passed = _equality_verdict(-beta * works, exact, beta * delta_f)
     mean_work, _ = _mean_and_se(works)
     return JarzynskiReport(
         estimator_mean=mean,
@@ -551,7 +588,8 @@ def modified_jarzynski_check(
         n_sigma = np.size(sigma_total)
         raise ValueError(f"sigma_total holds {n_sigma} values for {len(works)} samples")
     _check_finite("sigma_total", sigma_total)
-    mean, se, exact, passed = _equality_verdict(-beta * works + sigma_total, beta, delta_f)
+    exact = _equality_target(beta, delta_f)
+    mean, se, passed = _equality_verdict(-beta * works + sigma_total, exact, beta * delta_f)
     mean_work, se_work = _mean_and_se(works)
     sigma_total = float(np.mean(sigma_total))
     floor = delta_f + sigma_total / beta

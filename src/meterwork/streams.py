@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "STREAM_BLOCK",
     "stream_generator",
+    "stream_blocks",
     "stream_uniforms",
     "draw_indices",
     "draw_rows",
@@ -31,18 +32,26 @@ def stream_generator(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def stream_uniforms(seed: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """`k` uniforms for each of samples [0, n), and each sample's stream id.
+def stream_blocks(seed: int, n: int, k: int):
+    """`k` uniforms for each of samples [0, n), one stream block at a time.
 
-    Sample j belongs to block j // STREAM_BLOCK, drawn from the stream of
-    that number; its row holds the next k draws of the stream, exactly what
-    k scalar ``rng.random()`` calls would return to a per-sample loop.
+    Yields ``(stream, block, us)``: block `stream` covers the samples
+    ``block`` (a slice of at most STREAM_BLOCK), and row j of the
+    (size, k) array `us` holds the next k draws of that stream, exactly
+    what k scalar ``rng.random()`` calls would return to a per-sample loop.
     """
-    us = np.empty((n, k))
-    stream_id = np.empty(n, dtype=np.int64)
     for stream, start in enumerate(range(0, n, STREAM_BLOCK)):
         block = slice(start, min(start + STREAM_BLOCK, n))
-        us[block] = stream_generator(seed, stream).random((block.stop - start, k))
+        yield stream, block, stream_generator(seed, stream).random((block.stop - start, k))
+
+
+def stream_uniforms(seed: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of `stream_blocks` as one (n, k) array, and each sample's
+    stream id."""
+    us = np.empty((n, k))
+    stream_id = np.empty(n, dtype=np.int64)
+    for stream, block, draws in stream_blocks(seed, n, k):
+        us[block] = draws
         stream_id[block] = stream
     return us, stream_id
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -475,7 +476,7 @@ class TestColumnWriter:
         floats = np.array(SPECIAL_FLOATS * repeats)
         ints = np.arange(len(floats), dtype=np.int64) - 2**62
         path = tmp_path / "cells.csv"
-        write_csv(path, ["x", "k"], [floats, ints])
+        write_csv(path, ["x", "k"], [[floats, ints]])
         rows = path.read_text().splitlines()
         assert rows[0] == "x,k"
         assert rows[1:] == [
@@ -495,7 +496,7 @@ class TestColumnWriter:
     def test_json_records_match_write_json(self, tmp_path):
         floats = np.array(SPECIAL_FLOATS * 300)
         ints = np.arange(len(floats), dtype=np.int64)
-        write_json_records(tmp_path / "cols.json", ["x", "k"], [floats, ints])
+        write_json_records(tmp_path / "cols.json", ["x", "k"], [[floats, ints]])
         write_json(
             tmp_path / "dicts.json",
             [{"x": x, "k": k} for x, k in zip(floats.tolist(), ints.tolist())],
@@ -513,7 +514,7 @@ class TestColumnWriter:
         floats = np.tile(np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324], nans]), 300)
         assert cli._fold([floats])[0] == [True]  # the column repeats
         path = tmp_path / "cells.csv"
-        write_csv(path, ["x"], [floats])
+        write_csv(path, ["x"], [[floats]])
         rows = path.read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats.tolist()]
         assert rows[:9] == ["-0", "0", "inf", "-inf", "4.9406564584124654e-324"] + ["nan"] * 4
@@ -523,11 +524,11 @@ class TestColumnWriter:
         values = np.arange(distinct) / 7.0 - 20.0
         floats = np.resize(values, 2048)
         assert cli._fold([floats[:1024]])[0] == [folds]
-        write_csv(tmp_path / "block.csv", ["x"], [floats[:1024]])
+        write_csv(tmp_path / "block.csv", ["x"], [[floats[:1024]]])
         rows = (tmp_path / "block.csv").read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats[:1024].tolist()]
         path = tmp_path / "half.csv"
-        write_csv(path, ["x"], [floats])
+        write_csv(path, ["x"], [[floats]])
         rows = path.read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats.tolist()]
 
@@ -535,7 +536,7 @@ class TestColumnWriter:
         infs = np.resize([math.inf, 0.5], 3000)
         finite = np.resize([0.25, -0.0], 3000)
         path = tmp_path / "inf.json"
-        write_json_records(path, ["x", "y"], [infs, finite])
+        write_json_records(path, ["x", "y"], [[infs, finite]])
         records = read_json(path)
         assert [r["x"] for r in records] == ["inf", 0.5] * 1500
         assert [r["y"] for r in records] == [0.25, -0.0] * 1500
@@ -543,7 +544,13 @@ class TestColumnWriter:
 
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
-            write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+            write_csv(tmp_path / "x.csv", ["a", "b"], [[np.zeros(3), np.zeros(2)]])
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_header_names_every_column_of_every_block(self, tmp_path, n):
+        blocks = [[np.zeros(2)], [np.zeros(n), np.zeros(n)]]
+        with pytest.raises(ValueError, match="^1 header names for 2 columns$"):
+            write_csv(tmp_path / "x.csv", ["a"], blocks)
 
     def test_tpm_columns_round_trip_bit_equal(self, tmp_path):
         h_i = Operator(np.diag([1.0, -1.0]).astype(complex), hermitian=True)
@@ -551,7 +558,7 @@ class TestColumnWriter:
         samples = tpm_sample(DriveSchedule.quench(h_i, h_f), 1.0, 9000, seed=3)
         keys = ["initial_energy", "final_energy", "work", "stream_id", "draw_id"]
         path = tmp_path / "samples.csv"
-        write_csv(path, keys, [getattr(samples, k) for k in keys])
+        write_csv(path, keys, [[getattr(samples, k) for k in keys]])
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         assert len(rows) == 9000
         for j, key in enumerate(keys):
@@ -633,33 +640,46 @@ def _columns(draw, max_columns: int = 4):
     return [_column(rng, kind, n, draw(st.sampled_from(list(DISTINCT)))) for kind in kinds]
 
 
-class TestRowTemplates:
-    """The writers against a cell-by-cell reference, whatever `_fold` folds."""
+# Row indices at which the writers' input is split into blocks; a cut past
+# the last row, or two equal cuts, makes an empty block.
+CUTS = st.lists(st.integers(0, 5000), max_size=3)
 
-    @given(columns=_columns())
-    def test_csv_matches_cell_by_cell(self, tmp_path_factory, columns):
+
+def _blocks(columns, cuts):
+    """The columns as consecutive blocks, split at the sorted cuts."""
+    n = len(columns[0])
+    edges = [0, *sorted(min(cut, n) for cut in cuts), n]
+    return ([c[a:b] for c in columns] for a, b in zip(edges, edges[1:]))
+
+
+class TestRowTemplates:
+    """The writers against a cell-by-cell reference, whatever `_fold` folds
+    and however the rows are split into blocks."""
+
+    @given(columns=_columns(), cuts=CUTS)
+    def test_csv_matches_cell_by_cell(self, tmp_path_factory, columns, cuts):
         path = tmp_path_factory.mktemp("csv") / "x.csv"
         header = [f"c{j}" for j in range(len(columns))]
-        write_csv(path, header, columns)
+        write_csv(path, header, _blocks(columns, cuts))
         rows = zip(*(c.tolist() for c in columns))
         want = "".join(",".join(map(_cell_17g, row)) + "\n" for row in rows)
         _assert_same_text(path.read_text(), ",".join(header) + "\n" + want)
 
-    @given(columns=_columns())
-    def test_json_records_match_write_json(self, tmp_path_factory, columns):
+    @given(columns=_columns(), cuts=CUTS)
+    def test_json_records_match_write_json(self, tmp_path_factory, columns, cuts):
         if not len(columns[0]):
             return  # write_json_records writes a non-empty array
         path = tmp_path_factory.mktemp("json") / "x.json"
         keys = [f"c{j}" for j in range(len(columns))]
-        write_json_records(path, keys, columns)
+        write_json_records(path, keys, _blocks(columns, cuts))
         records = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
         _assert_same_text(path.read_text(), cli._json_render(records) + "\n")
 
-    @given(columns=_columns(max_columns=len(cli.RECORD_COLUMNS)))
-    def test_jsonl_layout_matches_cell_by_cell(self, tmp_path_factory, columns):
+    @given(columns=_columns(max_columns=len(cli.RECORD_COLUMNS)), cuts=CUTS)
+    def test_jsonl_layout_matches_cell_by_cell(self, tmp_path_factory, columns, cuts):
         path = tmp_path_factory.mktemp("jsonl") / "x.jsonl"
         with open(path, "w") as fh:
-            cli._write_rows(fh, cli._jsonl_row, columns)
+            cli._write_rows(fh, cli._jsonl_row, _blocks(columns, cuts))
         want = "".join(
             "{" + ", ".join(
                 f'"{k}": {x}' if isinstance(x, int) else f'"{k}": "{format(x, ".17g")}"'
@@ -682,7 +702,7 @@ class TestRowTemplates:
         ints = np.arange(n, dtype=np.int64)
         assert cli._fold([column, ints])[0] == [where == "folded", False]
         path = tmp_path / "x.json"
-        write_json_records(path, ["x", "k"], [column, ints])
+        write_json_records(path, ["x", "k"], [[column, ints]])
         records = [{"x": x, "k": k} for x, k in zip(column.tolist(), ints.tolist())]
         _assert_same_text(path.read_text(), cli._json_render(records) + "\n")
         text = path.read_text()
@@ -695,7 +715,7 @@ class TestRowTemplates:
         assert cli._fold([half])[0] == [True]  # alone it folds
         assert 2 * len(set(zip(few.view(np.int64).tolist(), half.tolist()))) > n
         assert cli._fold([few, half])[0] == [True, False]
-        write_csv(tmp_path / "x.csv", ["f", "h"], [few, half])
+        write_csv(tmp_path / "x.csv", ["f", "h"], [[few, half]])
         want = "".join(f"{_cell_17g(x)},{k}\n" for x, k in zip(few.tolist(), half.tolist()))
         _assert_same_text((tmp_path / "x.csv").read_text(), "f,h\n" + want)
 
@@ -807,6 +827,21 @@ class TestDomainErrors:
         assert report["error"] == {"type": "ValueError", "message": message}
         assert not (out / "work_samples.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--samples", "0"], "ValueError"),
+            (["--config", str(CONFIGS / "jarzynski_driven.cfg"), "--beta", "700"], "OverflowError"),
+            (["--samples", "10", "--format", "json", "--delta-f", "inf"], "ValueError"),
+            (["--samples", "10", "--delta-f", "-1000"], "OverflowError"),
+        ],
+    )
+    def test_jarzynski_domain_error_writes_no_data_file(self, tmp_path, argv, error):
+        out = tmp_path / "o"
+        assert main(["jarzynski", *argv, "--output", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["jarzynski_report.json"]
+        assert read_json(out / "jarzynski_report.json")["error"]["type"] == error
+
     def test_overflow_writes_failure_summary(self, tmp_path, capsys):
         out = tmp_path / "o"
         argv = ["jarzynski", "--samples", "10", "--beta", "1e300", "--output", str(out)]
@@ -815,6 +850,27 @@ class TestDomainErrors:
         report = read_json(out / "jarzynski_report.json")
         assert report["passed"] is False
         assert report["error"]["type"] == "OverflowError"
+
+
+class TestMemory:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_jarzynski_traced_peak_grows_at_most_40_bytes_per_sample(self, tmp_path, fmt):
+        """The run keeps the float64 work column whole (8 B per sample) and
+        holds the other columns and the row text one stream block at a time."""
+
+        def traced_peak(n: int) -> int:
+            argv = ["jarzynski", "--scenario", "driven-qubit", "--samples", str(n),
+                    "--format", fmt, "--output", str(tmp_path / str(n))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 40_960, 163_840
+        per_sample = (traced_peak(large) - traced_peak(small)) / (large - small)
+        assert per_sample <= 40.0
 
 
 class TestReproducibility:

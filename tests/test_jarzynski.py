@@ -18,6 +18,7 @@ from meterwork.jarzynski import (
     jarzynski_time_ordered,
     modified_jarzynski_check,
     thermal_state,
+    tpm_blocks,
     tpm_sample,
 )
 from meterwork import cli
@@ -94,6 +95,32 @@ class TestDeltaF:
         h = Operator(random_hermitian(rng, 3), hermitian=True)
         shifted = Operator(h.matrix + 0.9 * np.eye(3), hermitian=True)
         assert delta_F(h, shifted, 1.7) == pytest.approx(0.9, abs=1e-12)
+
+
+class TestTpmBlocks:
+    def test_blocks_are_the_stream_blocks_of_tpm_sample(self):
+        sched = driven_qubit_schedule(n_steps=20)
+        samples = tpm_sample(sched, 1.0, 9000, seed=5)
+        blocks = list(tpm_blocks(sched, 1.0, 9000, seed=5))
+        assert [(rows.start, rows.stop) for rows, _ in blocks] == [
+            (0, 4096), (4096, 8192), (8192, 9000)
+        ]
+        for rows, block in blocks:
+            assert list(block) == [f.name for f in fields(WorkSamples)]
+            for name, column in block.items():
+                want = getattr(samples, name)[rows]
+                assert column.dtype == want.dtype
+                assert column.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "beta, n, message",
+        [(1.0, 0, "need at least one sample, got 0"),
+         (-1.0, 10, "beta must be nonnegative and finite, got -1.0")],
+    )
+    def test_domain_errors_are_raised_on_the_call(self, beta, n, message):
+        sched = DriveSchedule.constant(qubit_gap(1.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tpm_blocks(sched, beta, n, seed=1)  # no block is asked for
 
 
 class TestTpmSample:

@@ -1,13 +1,15 @@
 """Output gate: every byte the CLI prints or writes, pinned.
 
-Nine invocations run in-process through `cli.main`, each into its own
+Eleven invocations run in-process through `cli.main`, each into its own
 directory. Each pins its exit status, its stdout and the sha256 of every
 file it writes, so a change of any reported figure, verdict or file byte
 fails here. The scheme runs at beta 5 and 200 exit 1: their Monte Carlo
 estimates are under-sampled at the default 1000 runs, and the gate pins
 those verdicts as they are. The 4000-step jarzynski drive and the 400-step
 scheme drive pin the stepwise propagators far past the configs' 400 and 40
-steps.
+steps. The 8193-sample JSON export spans two full 4096-sample stream blocks
+and a one-row block, and the one-sample constant drive is the smallest
+run.
 """
 
 import hashlib
@@ -186,6 +188,24 @@ GATE = {
             "scheme_report_original.json": "5332f980eb9bf6a77f5025936ded1f7590af9e495dcad7e9bcb1198245dfcaf4",
             "scheme_summary.csv": "c49c4e95a040626b9d2945fcc23635f246965ecf168ab3d36ee7f61750cceb80",
             "scheme_summary.json": "c8723f57012492dc10e000c9685e0756bc955bc0a5c191798885a6bc5ad728ce",
+        },
+    ),
+    ("jarzynski", "--config", "configs/jarzynski_driven.cfg", "--format", "json", "--samples", "8193"): (
+        0,
+        (
+            "scenario=driven-qubit mean=1.0064158710510769 target=1 se=0.017029941890411075 [pass]\n"
+        ),
+        {
+            "jarzynski_report.json": "32431fac16ce1a27978725f9467a0f7d6f1dc2c26e3a3f73c04ae12a3b445792",
+            "work_samples.json": "2a3db2fb4e575c95645378dcd2d9e68a45aba514e8cb1cd8ef73e0e8ae4343f5",
+        },
+    ),
+    ("jarzynski", "--scenario", "constant", "--samples", "1"): (
+        0,
+        "scenario=constant mean=1 target=1 se=0 [pass]\n",
+        {
+            "jarzynski_report.json": "b9d93a880aa64332b7237fba753002e43f2bba5f0bb9e322a212a1878a4c5172",
+            "work_samples.csv": "5c58dc080d976dd93970360dda70dc055affb795c8d0496964b3b11d3fcb9801",
         },
     ),
 }

@@ -6,6 +6,7 @@ from meterwork.streams import (
     cdf_of,
     draw_indices,
     draw_rows,
+    stream_blocks,
     stream_generator,
     stream_uniforms,
 )
@@ -23,6 +24,17 @@ def test_stream_uniforms_equal_scalar_draws(n, k):
     assert us.shape == (n, k)
     assert us.tolist() == expected
     assert stream_id.tolist() == [j // STREAM_BLOCK for j in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 9000])
+def test_stream_blocks_partition_the_samples(n):
+    blocks = list(stream_blocks(5, n, 2))
+    starts = list(range(0, n, STREAM_BLOCK))
+    assert [stream for stream, _, _ in blocks] == list(range(len(starts)))
+    assert [(rows.start, rows.stop) for _, rows, _ in blocks] == [
+        (start, min(start + STREAM_BLOCK, n)) for start in starts
+    ]
+    assert all(us.shape == (rows.stop - rows.start, 2) for _, rows, us in blocks)
 
 
 def _row_by_row(cdf_rows, us):
