@@ -40,7 +40,7 @@ import numpy as np
 from .errors import NumericalConsistencyError
 from .linalg import DensityMatrix, Operator, ProjectorSet, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, draw_indices, draw_rows, stream_blocks
+from .streams import cdf_of, check_seed, draw_indices, draw_rows, stream_blocks
 from .superselection import energy_sectors
 
 __all__ = [
@@ -153,17 +153,27 @@ class DriveSchedule:
         return _hermitian_function(self.hamiltonians[:-1], lambda w: np.exp(-1j * w * dt))
 
     def total_propagator(self) -> np.ndarray:
-        """Product of the step propagators, later steps to the left; built
-        on the first call and returned read-only from then on."""
+        """Product of the step propagators, later steps to the left: the last
+        of `_cumulative_propagators`, copied on the first call and returned
+        read-only from then on."""
         return self._total_propagator
 
     @cached_property
     def _total_propagator(self) -> np.ndarray:
-        u = np.eye(self.dim, dtype=complex)
-        for step in self.step_propagators():
-            u = step @ u
+        u = self._cumulative_propagators[-1].copy()
         u.setflags(write=False)
         return u
+
+    @cached_property
+    def _cumulative_propagators(self) -> np.ndarray:
+        """U(t_n) for n = 0..N, the identity first and each later one its
+        step propagator times the one before; a read-only (N+1, d, d) stack."""
+        cumulative = np.empty_like(self.hamiltonians)
+        cumulative[0] = np.eye(self.dim)
+        for k, step in enumerate(self.step_propagators()):
+            cumulative[k + 1] = step @ cumulative[k]
+        cumulative.setflags(write=False)
+        return cumulative
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,8 +370,8 @@ def tpm_blocks(
     Per sample: draw an initial energy sector from the Gibbs weights,
     collapse with the full (possibly degenerate) sector projector, evolve
     through the stepwise propagator, and read a final sector by the Born
-    rule. `n_samples` and `beta` are checked, and the sector tables built,
-    on the call, so a domain error is raised before any block is drawn.
+    rule. `n_samples`, `beta` and `seed` are checked, and the sector tables
+    built, on the call, so a domain error is raised before any block is drawn.
     Returns an iterator of ``(rows, columns)``: the slice of samples one
     block covers (see `streams.stream_blocks`) and a dict of that block's
     columns under the `WorkSamples` field names, ``work`` included.
@@ -369,6 +379,7 @@ def tpm_blocks(
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     _check_beta(beta, zero_ok=True)
+    check_seed(seed)
     init, fin, p_init, cond = _sector_tables(schedule, beta, policy=policy)
     e_init = np.array(init.labels)
     e_fin = np.array(fin.labels)
@@ -459,11 +470,12 @@ def jarzynski_time_ordered(
 ) -> float:
     """<exp(-beta W)> from the time-ordered product of per-step factors.
 
-    Builds the cumulative propagators U(t_n), conjugates each step
+    Takes the schedule's cumulative propagators U(t_n), conjugates each step
     Hamiltonian into the Heisenberg picture, multiplies the split factors
     exp(-beta H_H(t_{n+1})) exp(+beta H_H(t_n)) with later steps to the
-    left, and traces against the initial thermal state. Independent of
-    `jarzynski_exact` as a code path; the two agree to rounding.
+    left, and traces against the initial thermal state. Past the propagators
+    the two share, independent of `jarzynski_exact` as a code path; the two
+    agree to rounding.
 
     Raises `NumericalConsistencyError` when the factors' condition number
     exp(beta (E_max - E_min)), over every Hamiltonian of the schedule,
@@ -478,10 +490,7 @@ def jarzynski_time_ordered(
             f"exp(beta * {spread:.6g}) exceeds {TIME_ORDERED_MAX_CONDITION:g}, "
             f"so beta must stay at or below {math.log(TIME_ORDERED_MAX_CONDITION) / spread:.6g}"
         )
-    cumulative = np.empty_like(schedule.hamiltonians)
-    cumulative[0] = np.eye(schedule.dim)
-    for k, step in enumerate(schedule.step_propagators()):
-        cumulative[k + 1] = step @ cumulative[k]
+    cumulative = schedule._cumulative_propagators
     heisenberg = cumulative.conj().swapaxes(1, 2) @ schedule.hamiltonians @ cumulative
     heisenberg = 0.5 * (heisenberg + heisenberg.conj().swapaxes(1, 2))
     later = _hermitian_function(heisenberg[1:], lambda w: np.exp(-beta * w))
@@ -581,14 +590,12 @@ def modified_jarzynski_check(
     """
     if not len(samples):
         raise ValueError("cannot check the equality on an empty sample set")
-    _check_beta(beta)
-    _check_finite("delta_f", delta_f)
+    exact = _equality_target(beta, delta_f)
     works = _works_array(samples)
     if np.ndim(sigma_total) and np.shape(sigma_total) != works.shape:
         n_sigma = np.size(sigma_total)
         raise ValueError(f"sigma_total holds {n_sigma} values for {len(works)} samples")
     _check_finite("sigma_total", sigma_total)
-    exact = _equality_target(beta, delta_f)
     mean, se, passed = _equality_verdict(-beta * works + sigma_total, exact, beta * delta_f)
     mean_work, se_work = _mean_and_se(works)
     sigma_total = float(np.mean(sigma_total))

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numeric import require_integer
+
 __all__ = [
     "STREAM_BLOCK",
+    "check_seed",
     "stream_generator",
     "stream_blocks",
     "stream_uniforms",
@@ -26,9 +29,18 @@ __all__ = [
 STREAM_BLOCK = 4096
 
 
+def check_seed(seed) -> int:
+    """`seed` as an int; ValueError naming it unless it is an integer in
+    [0, 2**64), a 64-bit unsigned root seed."""
+    seed = require_integer("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def stream_generator(seed: int, stream_id: int) -> np.random.Generator:
     """Counter-based generator for one stream, derived only from (seed, stream)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
+    ss = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=(int(stream_id),))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import meterwork
 from helpers import reference_scheme_sums, write_reference_records
-from meterwork import cli
+from meterwork import cli, errors
 from meterwork.cli import (
     load_config_file,
     main,
@@ -101,6 +102,133 @@ class TestCommandKnobs:
         cfg.write_text(line + "\n")
         assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+
+POLICY_KEYS = [
+    "policy_hermitian_tol", "policy_unitary_tol", "policy_projector_tol", "policy_psd_tol",
+    "policy_trace_tol", "policy_norm_tol", "policy_preservation_tol", "policy_imag_tol",
+    "policy_completeness_tol", "policy_coherence_tol", "policy_support_tol",
+    "policy_marginal_tol", "policy_outcome_floor", "policy_max_dim",
+]
+
+# each command's flags, in parser order, and the config key each one sets
+FLAGS = {
+    "relaxation": {
+        "--config": "config", "--output": "output", "--dt": "dt", "--horizon": "horizon",
+        "--steps": "steps", "--description": "description",
+    },
+    "jarzynski": {
+        "--config": "config", "--seed": "seed", "--output": "output", "--format": "format",
+        "--scenario": "scenario", "--samples": "samples", "--steps": "steps", "--beta": "beta",
+        "--delta-f": "delta_f_override", "--schedule-file": "schedule_file",
+    },
+    "scheme": {
+        "--config": "config", "--seed": "seed", "--output": "output", "--samples": "samples",
+        "--beta": "beta", "--eigenstate-prep": "eigenstate_prep",
+        "--verify-appendix-b": "verify_appendix_b", "--j-initial": "j_initial",
+        "--j-final": "j_final", "--t-f": "t_f", "--drive-steps": "drive_steps",
+    },
+}
+
+# each command's merged settings with no config file and no flag
+DEFAULTS = {
+    "relaxation": {
+        "output": "meterwork-output", "dt": 1.0, "horizon": 2.0, "steps": 1000,
+        "description": "all",
+    },
+    "jarzynski": {
+        "output": "meterwork-output", "seed": 0, "format": "csv",
+        "scenario": "commuting-quench", "samples": 20000, "steps": 0, "beta": 1.0,
+        "delta_f_override": math.nan, "schedule_file": "",
+    },
+    "scheme": {
+        "output": "meterwork-output", "seed": 0, "samples": 1000, "beta": 1.0,
+        "eigenstate_prep": False, "verify_appendix_b": False, "j_initial": 1.0,
+        "j_final": 0.25, "t_f": 2.0, "drive_steps": 40,
+    },
+}
+POLICY_DEFAULTS = dict(zip(POLICY_KEYS, [1e-12, 1e-10, 1e-10, 1e-10, 1e-12, 1e-12, 1e-10,
+                                         1e-10, 1e-10, 1e-10, 1e-10, 1e-12, 1e-14, 1024]))
+DEFAULTS["jarzynski"].update(POLICY_DEFAULTS)
+DEFAULTS["scheme"].update(POLICY_DEFAULTS)
+
+
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _merged(argv: list[str]) -> dict:
+    return cli._merge_settings(argv[0], cli.build_parser().parse_args(argv))
+
+
+def _flag_cases():
+    """(command, flag, key, argv words, config value) of each flagged setting,
+    with a value that differs from its default."""
+    for command, sub in _subparsers().items():
+        for action in sub._actions:
+            if not action.option_strings or action.dest in ("help", "config"):
+                continue
+            flag, key = action.option_strings[0], action.dest
+            if action.const is True:
+                yield command, flag, key, [flag], "true"
+            elif action.choices:
+                value = [c for c in action.choices if c != DEFAULTS[command][key]][0]
+                yield command, flag, key, [flag, value], value
+            else:
+                value = {int: "7", float: "0.5"}.get(action.type, "some-dir")
+                yield command, flag, key, [flag, value], value
+
+
+class TestSettingsTable:
+    """Each command's settings: their flags, config keys and defaults."""
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_flags_are_pinned(self, command):
+        sub = _subparsers()[command]
+        flags = {a.option_strings[0]: a.dest for a in sub._actions if a.dest != "help"}
+        assert flags == FLAGS[command]
+        assert all(len(a.option_strings) == 1 for a in sub._actions if a.dest != "help")
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_keys_and_defaults_are_pinned(self, command):
+        merged = _merged([command])
+        want = DEFAULTS[command]
+        assert sorted(merged) == sorted(want)
+        for key, value in merged.items():
+            assert type(value) is type(want[key]), key
+            assert repr(value) == repr(want[key]), key
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_unknown_key_error_lists_every_key(self, command, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("volume = 11\n")
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown config key 'volume' for {command}; "
+            f"known keys: {sorted(DEFAULTS[command])}\n"
+        )
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_keys_without_a_flag_are_the_policy_keys(self, command):
+        flagged = set(FLAGS[command].values()) - {"config"}
+        config_only = set(_merged([command])) - flagged
+        assert config_only == (set(POLICY_KEYS) if command != "relaxation" else set())
+
+    @pytest.mark.parametrize(
+        "command, flag, key, words, value",
+        list(_flag_cases()),
+        ids=[f"{c}{f}" for c, f, *_ in _flag_cases()],
+    )
+    def test_flag_and_config_line_merge_alike(self, tmp_path, command, flag, key, words, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        from_flag = _merged([command, *words])
+        from_config = _merged([command, "--config", str(cfg)])
+        assert from_flag == from_config
+        assert repr(from_flag[key]) != repr(DEFAULTS[command][key])
+        assert type(from_flag[key]) is type(DEFAULTS[command][key])
 
 
 class TestRelaxationCommand:
@@ -834,6 +962,10 @@ class TestDomainErrors:
             (["--config", str(CONFIGS / "jarzynski_driven.cfg"), "--beta", "700"], "OverflowError"),
             (["--samples", "10", "--format", "json", "--delta-f", "inf"], "ValueError"),
             (["--samples", "10", "--delta-f", "-1000"], "OverflowError"),
+            (["--samples", "10", "--seed", "-1"], "ValueError"),
+            (["--samples", "10", "--seed", "-1", "--format", "json"], "ValueError"),
+            (["--samples", "10", "--seed", str(2**64)], "ValueError"),
+            (["--samples", "10", "--seed", str(2**64), "--format", "json"], "ValueError"),
         ],
     )
     def test_jarzynski_domain_error_writes_no_data_file(self, tmp_path, argv, error):
@@ -841,6 +973,45 @@ class TestDomainErrors:
         assert main(["jarzynski", *argv, "--output", str(out)]) == 2
         assert [p.name for p in out.iterdir()] == ["jarzynski_report.json"]
         assert read_json(out / "jarzynski_report.json")["error"]["type"] == error
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_named(self, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        argv = ["jarzynski", "--samples", "10", "--seed", seed, "--output", str(out)]
+        assert main(argv) == 2
+        message = f"seed must be an integer in [0, 2**64), got {seed}"
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        report = read_json(out / "jarzynski_report.json")
+        assert report["error"] == {"type": "ValueError", "message": message}
+
+    def test_relaxation_domain_error_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["relaxation", "--steps", "0", "--output", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in out.iterdir()] == ["relaxation_summary.json"]
+
+    @pytest.mark.parametrize(
+        "error",
+        [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)],
+        ids=lambda c: c.__name__,
+    )
+    def test_each_package_error_exits_2_with_a_failure_summary(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        def raise_it(*args):
+            raise error("raised inside the command")
+
+        monkeypatch.setitem(cli._DESCRIPTION_MAP, "direct", raise_it)
+        out = tmp_path / "o"
+        assert main(["relaxation", "--description", "direct", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {error.__name__}: raised inside the command\n"
+        )
+        assert read_json(out / "relaxation_summary.json") == {
+            "command": "relaxation",
+            "passed": False,
+            "error": {"type": error.__name__, "message": "raised inside the command"},
+        }
 
     def test_overflow_writes_failure_summary(self, tmp_path, capsys):
         out = tmp_path / "o"

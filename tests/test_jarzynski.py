@@ -122,6 +122,17 @@ class TestTpmBlocks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             tpm_blocks(sched, beta, n, seed=1)  # no block is asked for
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be an integer in [0, 2**64), got -1"),
+         (2**64, "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+         (1.5, "seed must be an integer, got 1.5")],
+    )
+    def test_seed_is_checked_on_the_call(self, seed, message):
+        sched = DriveSchedule.constant(qubit_gap(1.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tpm_blocks(sched, 1.0, 10, seed=seed)  # no block is asked for
+
 
 class TestTpmSample:
     def test_constant_schedule_zero_work(self):
@@ -670,6 +681,39 @@ class TestStackedSchedules:
         assert sched.total_propagator().tobytes() == u.tobytes()
         assert sched.initial_hamiltonian().matrix.tobytes() == h_at(0.0).matrix.tobytes()
         assert sched.final_hamiltonian().matrix.tobytes() == h_at(1.0).matrix.tobytes()
+
+    # jarzynski_time_ordered at beta 0.5 and 2, as float.hex, recorded before
+    # it read its cumulative propagators from the schedule
+    _TIME_ORDERED_BITS = {
+        "driven-qubit": ("0x1.fffffffffffc4p-1", "0x1.fffffffffff22p-1"),
+        "custom": ("0x1.9130a6aa77ef6p-1", "0x1.95d9b52389d70p-2"),
+        "szilard": ("0x1.c99a690beb09ap-1", "0x1.32eb3d78834e7p-2"),
+        "site-diagonal": ("0x1.21d06225de5eap+0", "0x1.46ccf1fd1fbd2p+0"),
+        "constant": ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1"),
+        "quench": ("0x1.b3f12a6161d2cp-1", "0x1.cb3a55e04d406p-1"),
+    }
+
+    @pytest.mark.parametrize("name", list(_TIME_ORDERED_BITS))
+    def test_time_ordered_bits_are_unchanged(self, name):
+        sched, _ = _old_scalar_builders()[name]
+        got = tuple(jarzynski_time_ordered(sched, beta).hex() for beta in (0.5, 2.0))
+        assert got == self._TIME_ORDERED_BITS[name]
+
+    def test_one_cumulative_product_serves_both_readers(self, monkeypatch):
+        calls = []
+        original = DriveSchedule.step_propagators
+
+        def counted(schedule):
+            calls.append(schedule)
+            return original(schedule)
+
+        monkeypatch.setattr(DriveSchedule, "step_propagators", counted)
+        sched = driven_qubit_schedule(n_steps=30)
+        u = sched.total_propagator()
+        jarzynski_time_ordered(sched, 1.0)
+        jarzynski_exact(sched, 1.0)
+        assert len(calls) == 1
+        assert u.flags.owndata and not u.flags.writeable
 
     def test_time_ordered_spread_is_the_largest_per_step_one(self):
         sched = driven_qubit_schedule(n_steps=40)

@@ -518,6 +518,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=rf"n_samples must be at least 1, got {n}"):
             SchemeConfig(n_samples=n)
 
+    def test_fractional_seed_is_named_not_truncated(self):
+        config = SchemeConfig(n_samples=10, seed=1.5)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            run_scheme(config)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            verify_unitary_roundtrips(config, config.seed)
+
 
 @pytest.fixture
 def contexts(monkeypatch):

@@ -78,3 +78,22 @@ def test_draw_indices_scalar_and_array_agree():
     us = np.array([0.0, 0.25, 0.2500001, 0.75, 0.9])
     assert [int(draw_indices(cdf, float(u))) for u in us] == draw_indices(cdf, us).tolist()
     assert draw_indices(cdf, us).tolist() == [0, 0, 2, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, r"seed must be an integer in \[0, 2\*\*64\), got -1"),
+     (2**64, r"seed must be an integer in \[0, 2\*\*64\), got 18446744073709551616"),
+     (1.5, "seed must be an integer, got 1.5"),
+     (True, "seed must be an integer, got True")],
+)
+def test_seed_outside_64_bit_unsigned_is_named(seed, message):
+    with pytest.raises(ValueError, match=message):
+        stream_generator(seed, 0)
+    with pytest.raises(ValueError, match=message):
+        next(stream_blocks(seed, 10, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(7)])
+def test_seed_range_edges_are_accepted(seed):
+    assert stream_generator(seed, 3).random() == stream_generator(int(seed), 3).random()
