@@ -530,11 +530,13 @@ def _equality_verdict(exponents: np.ndarray, exact: float, beta_df: float) -> tu
     `exact` = exp(-beta_df).
 
     They never agree when the target or every sample weight has underflowed
-    to 0: such a comparison says nothing about the equality.
+    to 0: such a comparison says nothing about the equality. `exponents`
+    must be an array the caller built for this call: it is overwritten with
+    the weights.
     """
-    weights = np.exp(exponents)
-    mean, se = _mean_and_se(weights)
     rounding = _ROUNDING * (1.0 + float(np.max(np.abs(exponents))) + abs(beta_df))
+    weights = np.exp(exponents, out=exponents)
+    mean, se = _mean_and_se(weights)
     agree = abs(mean - exact) <= 3.0 * se + rounding * max(abs(mean), abs(exact))
     return mean, se, agree and exact > 0.0 and bool(np.any(weights))
 

@@ -43,7 +43,7 @@ from .linalg import (
     tensor,
 )
 from .numeric import DEFAULT_POLICY, NumericPolicy, require_integer
-from .streams import cdf_of, draw_indices, stream_generator
+from .streams import PhiloxStream, cdf_of, draw_indices, stream_generator
 from .superselection import dephase
 
 __all__ = [
@@ -339,7 +339,7 @@ class EventReadResult(NamedTuple):
 def select_outcome(
     rho: DensityMatrix,
     outcome_projectors: ProjectorSet,
-    rng: np.random.Generator,
+    rng: PhiloxStream,
     ledger: EntropyLedger,
     measured_label: str,
     reader_label: str,
@@ -359,7 +359,7 @@ def select_outcome(
 def event_read(
     rho: DensityMatrix,
     outcome_projectors: ProjectorSet,
-    rng: np.random.Generator | int,
+    rng: PhiloxStream | int,
     ledger: EntropyLedger,
     measured_label: str,
     reader_label: str,

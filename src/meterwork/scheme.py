@@ -70,7 +70,15 @@ from .measurement import (
     select_outcome,
 )
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, draw_indices, draw_rows, stream_generator, stream_uniforms
+from .streams import (
+    PhiloxStream,
+    cdf_of,
+    check_seed,
+    draw_indices,
+    draw_rows,
+    stream_generator,
+    stream_uniforms,
+)
 from .superselection import dephase, energy_sectors
 
 __all__ = [
@@ -210,6 +218,7 @@ class SchemeConfig:
 
     def __post_init__(self):
         _check_beta(self.beta)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         if self.meter_dim < self.s0_dim:
@@ -384,7 +393,7 @@ def read_energy(
     ctx: SchemeContext,
     state: DensityMatrix,
     which: str,
-    rng: np.random.Generator,
+    rng: PhiloxStream,
     ledger: EntropyLedger,
 ) -> tuple[int, float, DensityMatrix, EntropyLedger]:
     """Projective energy reading of the measured side by the experimenter.
@@ -447,7 +456,7 @@ def apply_event_coupling(ctx: SchemeContext, state: DensityMatrix) -> DensityMat
 def apply_event_reading(
     ctx: SchemeContext,
     state: DensityMatrix,
-    rng: np.random.Generator,
+    rng: PhiloxStream,
     ledger: EntropyLedger,
 ) -> tuple[int, DensityMatrix, EntropyLedger]:
     """`apply_event_coupling`, then the event reading of the meter.
@@ -497,7 +506,7 @@ class SchemeRunRecord:
 
 def run_single(
     ctx: SchemeContext,
-    rng: np.random.Generator,
+    rng: PhiloxStream,
     *,
     keep_states: bool = True,
     stream_id: int = 0,

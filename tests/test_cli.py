@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import meterwork
 from helpers import reference_scheme_sums, write_reference_records
-from meterwork import cli, errors
+from meterwork import cli, errors, scheme
 from meterwork.cli import (
     load_config_file,
     main,
@@ -984,6 +984,23 @@ class TestDomainErrors:
         report = read_json(out / "jarzynski_report.json")
         assert report["error"] == {"type": "ValueError", "message": message}
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_scheme_seed_out_of_range_fails_before_any_build(
+        self, tmp_path, capsys, monkeypatch, seed
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("context built for an invalid seed")
+
+        monkeypatch.setattr(scheme, "build_context", unreachable)
+        monkeypatch.setattr(scheme, "_BranchTables", unreachable)
+        out = tmp_path / "o"
+        assert main(["scheme", "--samples", "10", "--seed", seed, "--output", str(out)]) == 2
+        message = f"seed must be an integer in [0, 2**64), got {seed}"
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert read_json(out / "scheme_summary.json")["error"] == {
+            "type": "ValueError", "message": message,
+        }
+
     def test_relaxation_domain_error_prints_nothing(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["relaxation", "--steps", "0", "--output", str(out)]) == 2
@@ -1070,3 +1087,30 @@ class TestReproducibility:
             env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_config_runs_leave_numpy_random_out(self, tmp_path):
+        src = str(Path(meterwork.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        runs = [
+            [command, "--config", str(CONFIGS / cfg), "--output", str(tmp_path / command)]
+            for command, cfg in [("scheme", "scheme_default.cfg"),
+                                 ("jarzynski", "jarzynski_driven.cfg")]
+        ]
+        code = (
+            "import json, sys; from meterwork import cli; "
+            f"codes = [cli.main(argv) for argv in {runs!r}]; "
+            "print(json.dumps([codes, [m for m in ('numpy.random', 'secrets', 'hashlib') "
+            "if m in sys.modules]]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        codes, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert codes == [0, 0]
+        assert (tmp_path / "scheme" / "scheme_records.jsonl").exists()
+        assert (tmp_path / "jarzynski" / "work_samples.csv").exists()
+        assert loaded == []

@@ -519,11 +519,16 @@ class TestConfigValidation:
             SchemeConfig(n_samples=n)
 
     def test_fractional_seed_is_named_not_truncated(self):
-        config = SchemeConfig(n_samples=10, seed=1.5)
         with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
-            run_scheme(config)
+            SchemeConfig(n_samples=10, seed=1.5)
         with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
-            verify_unitary_roundtrips(config, config.seed)
+            verify_unitary_roundtrips(SchemeConfig(n_samples=10), 1.5)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected_at_construction(self, seed):
+        message = rf"seed must be an integer in \[0, 2\*\*64\), got {seed}"
+        with pytest.raises(ValueError, match=message):
+            SchemeConfig(seed=seed)
 
 
 @pytest.fixture

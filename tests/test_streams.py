@@ -97,3 +97,52 @@ def test_seed_outside_64_bit_unsigned_is_named(seed, message):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(7)])
 def test_seed_range_edges_are_accepted(seed):
     assert stream_generator(seed, 3).random() == stream_generator(int(seed), 3).random()
+
+
+@pytest.mark.parametrize(
+    "stream_id, message",
+    [(-1, r"stream_id must be an integer >= 0, got -1"),
+     (1.5, "stream_id must be an integer, got 1.5"),
+     (True, "stream_id must be an integer, got True")],
+)
+def test_stream_id_outside_nonnegative_integers_is_named(stream_id, message):
+    with pytest.raises(ValueError, match=message):
+        stream_generator(5, stream_id)
+
+
+def test_numpy_integer_stream_id_is_accepted():
+    assert stream_generator(5, np.int64(3)).random() == stream_generator(5, 3).random()
+
+
+# numpy.random is the oracle here only: the package itself never imports it.
+def _numpy_stream(seed, stream):
+    seq = np.random.SeedSequence(int(seed), spawn_key=(stream,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def _assert_same_draws(ours, theirs, size):
+    got, want = ours.random(size), theirs.random(size)
+    if size is None:
+        assert type(got) is float
+        assert got == want
+    else:
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1)]
+ORACLE_STREAMS = [0, 1, 4095, 2**32 + 3]
+ORACLE_SIZES = [None, 1, 3, 4, 5, (4097, 3)]
+
+
+@pytest.mark.parametrize("stream", ORACLE_STREAMS)
+@pytest.mark.parametrize("seed", ORACLE_SEEDS, ids=repr)
+def test_stream_matches_numpy_philox_bit_for_bit(seed, stream):
+    for size in ORACLE_SIZES:
+        _assert_same_draws(stream_generator(seed, stream), _numpy_stream(seed, stream), size)
+    # scalar and array draws interleaved on one stream carry the leftover
+    # draws, and a run of scalar draws crosses a refill
+    ours, theirs = stream_generator(seed, stream), _numpy_stream(seed, stream)
+    for size in [None, 3, None, None, 5, None, (2, 3), 1, None, 4, (4097, 3), *[None] * 300]:
+        _assert_same_draws(ours, theirs, size)
