@@ -30,7 +30,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,40 +124,27 @@ def _json_cells(column: np.ndarray) -> tuple[str, Callable[[np.ndarray], list]]:
     return _cells(column)
 
 
-def _distinct(bits: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, sorted."""
-    ordered = np.sort(bits)
-    first = np.ones(ordered.size, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    return ordered[first]
+class Coded(NamedTuple):
+    """A block of rows that declares which of its rows are alike.
 
-
-def _fold(columns: list[np.ndarray]) -> tuple[list[bool], np.ndarray, int]:
-    """Which columns fold into one row code, each row's code, and the number
-    of codes.
-
-    Columns are taken in order. One folds when at most half of its values
-    are distinct and at most half of the rows differ in the combination of
-    it with the columns folded before it; values are compared as bit
-    patterns, so -0.0 and 0.0 and NaN payloads stay apart. Rows with equal
-    codes hold equal values in every folded column.
+    `code` holds each row's code, a non-negative integer, and `columns` the
+    block's equal-length columns. Every column whose name is not in `free`
+    is a function of the code: rows of one code hold bit-equal values in it.
     """
-    n = len(columns[0])
-    code = np.zeros(n, dtype=np.intp)
-    count = 1
-    folded = []
-    for column in columns:
-        bits = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
-        distinct = _distinct(bits)
-        folds = 2 * distinct.size <= n
-        if folds and distinct.size > 1:
-            combined = code * distinct.size + np.searchsorted(distinct, bits)
-            combinations = _distinct(combined)
-            folds = 2 * combinations.size <= n
-            if folds:
-                code, count = np.searchsorted(combinations, combined), combinations.size
-        folded.append(folds)
-    return folded, code, count
+
+    code: np.ndarray
+    columns: Sequence[np.ndarray]
+    free: tuple[str, ...] = ()
+
+
+def row_code(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Each row's code as the mixed-radix number of its digits, columns of
+    non-negative integers, most significant first; the radix of each digit
+    after the first is its largest value plus one."""
+    code = first
+    for digit in rest:
+        code = code * (int(digit.max(initial=0)) + 1) + digit
+    return code
 
 
 def _split_row(row: str, specs) -> list[str]:
@@ -176,19 +163,24 @@ def _split_row(row: str, specs) -> list[str]:
     return pieces
 
 
-def _write_rows(fh, row_format, blocks, sep: str = "", cells=_cells) -> None:
+def _write_rows(fh, names, row_format, blocks, sep: str = "", cells=_cells) -> None:
     """Write one row per column entry, `sep` between rows, for each block of
-    equal-length columns in turn.
+    equal-length columns in turn; `names` names the columns in order.
 
-    `row_format` maps the per-column format specs to the row template. Only
-    the cells that vary are formatted row by row: in each block the columns
-    `_fold` folds are rendered once per distinct combination into a template
-    of its own, and each chunk of rows joins its rows' templates and fills
-    in the free columns with one `%`. How the rows are split into blocks
-    changes no byte of the text.
+    A block is a list of columns, or a `Coded` block. `row_format` maps the
+    per-column format specs to the row template. Only the free columns are
+    formatted row by row: in each block every other column is rendered once
+    per code that occurs, into a template of that code, and each chunk of
+    rows joins its rows' templates and fills in the free columns with one
+    `%`. A list of columns is one code with every column free. Before a
+    block is written, each column outside `free` is checked to hold, in
+    every row, the bit pattern of the row its code is rendered from; one
+    that does not raises ValueError naming it. How the rows are split into
+    blocks, and which columns are coded, changes no byte of the text.
     """
     first = True
-    for columns in blocks:
+    for block in blocks:
+        code, columns, free = block if isinstance(block, Coded) else (None, block, names)
         columns = [np.asarray(c) for c in columns]
         n = len(columns[0])
         if any(len(c) != n for c in columns):
@@ -197,28 +189,38 @@ def _write_rows(fh, row_format, blocks, sep: str = "", cells=_cells) -> None:
         pieces = _split_row(row_format(specs), specs)
         if not n:
             continue
-        folded, code, count = _fold(columns)
-        at = np.empty(count, dtype=np.intp)
+        if code is None:
+            code = np.zeros(n, dtype=np.intp)
+        coded = [name not in free for name, _ in zip(names, columns)]
+        at = np.full(int(code.max()) + 1, -1, dtype=np.intp)
         at[code] = np.arange(n)  # one row holding each code
+        used = np.flatnonzero(at >= 0)
+        held, rows_of = at[used], at[code]
+        for name, column, is_coded in zip(names, columns, coded):
+            bits = column.view(f"u{column.itemsize}")  # -0.0, 0.0 and NaN payloads differ
+            if is_coded and not np.array_equal(bits[rows_of], bits):
+                raise ValueError(f"column {name!r} is not a function of the row code")
         texts = [
-            [(spec % v).replace("%", "%%") for v in render(column[at])] if fold else [spec] * count
-            for spec, render, column, fold in zip(specs, renders, columns, folded)
+            [(spec % v).replace("%", "%%") for v in render(column[held])]
+            if is_coded else [spec] * used.size
+            for spec, render, column, is_coded in zip(specs, renders, columns, coded)
         ]
-        templates = [
+        rendered = [
             "".join(chain.from_iterable(zip(pieces, row))) + pieces[-1] for row in zip(*texts)
         ]
-        free = [(r, c) for r, c, fold in zip(renders, columns, folded) if not fold]
-        if not free:
-            templates = [t % () for t in templates]
-        templates = np.array(templates, dtype=object)
+        free_columns = [(r, c) for r, c, is_coded in zip(renders, columns, coded) if not is_coded]
+        if not free_columns:
+            rendered = [t % () for t in rendered]
+        templates = np.empty(at.size, dtype=object)
+        templates[used] = rendered
         for start in range(0, n, _ROWS_PER_BLOCK):
             stop = min(start + _ROWS_PER_BLOCK, n)
             if not first:
                 fh.write(sep)
             first = False
             text = sep.join(templates[code[start:stop]].tolist())
-            if free:
-                values = [render(column[start:stop]) for render, column in free]
+            if free_columns:
+                values = [render(column[start:stop]) for render, column in free_columns]
                 text %= tuple(values[0] if len(values) == 1 else chain.from_iterable(zip(*values)))
             fh.write(text)
 
@@ -234,7 +236,7 @@ def write_csv(path: Path, header: list[str], blocks) -> None:
 
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        _write_rows(fh, row_format, blocks)
+        _write_rows(fh, header, row_format, blocks)
 
 
 def write_json_records(path: Path, keys: list[str], blocks) -> None:
@@ -246,13 +248,15 @@ def write_json_records(path: Path, keys: list[str], blocks) -> None:
 
     with open(path, "w") as fh:
         fh.write("[\n")
-        _write_rows(fh, row_format, blocks, sep=",\n", cells=_json_cells)
+        _write_rows(fh, keys, row_format, blocks, sep=",\n", cells=_json_cells)
         fh.write("\n]\n")
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """Flat key = value document; blank lines and '#' comments ignored."""
+    """Flat key = value document; blank lines and '#' comments ignored. A key
+    set twice is an error, so no line is silently overridden."""
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -260,7 +264,12 @@ def load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = value
+        if key in out:
+            raise ValueError(
+                f"{path}: config key {key!r} is set on line {line_of[key]} "
+                f"and again on line {lineno}"
+            )
+        out[key], line_of[key] = value, lineno
     return out
 
 
@@ -468,14 +477,16 @@ def cmd_jarzynski(settings: dict) -> int:
     _equality_target(beta, df_used)  # the check's domain errors, before any row is written
 
     # Each block is drawn, written and dropped; only the work column is kept
-    # whole, for the equality check.
+    # whole, for the equality check. A block is one stream, so every column
+    # but draw_id is a function of the two outcome indices drawn.
     work = np.empty(n)
     keys = ["initial_energy", "final_energy", "work", "stream_id", "draw_id"]
 
     def rows():
         for drawn, block in blocks:
             work[drawn] = block["work"]
-            yield [block[k] for k in keys]
+            code = row_code(block["initial_outcome_index"], block["final_outcome_index"])
+            yield Coded(code, [block[k] for k in keys], free=("draw_id",))
 
     if settings["format"] == "json":
         write_json_records(out / "work_samples.json", keys, rows())
@@ -546,12 +557,17 @@ def cmd_scheme(settings: dict) -> int:
     result = run_scheme(config, policy=policy)
     kT = 1.0 / settings["beta"]
 
+    # every column but draw is a function of a run's stream and drawn outcomes
     columns = result.columns
+    digits = ("stream", "initial_sector", "event_outcome", "final_sector")
+    code = row_code(*(columns[k] for k in digits))
+
+    def block(keys):
+        return [Coded(code, [columns[k] for k in keys], free=("draw",))]
+
     with open(out / "scheme_records.jsonl", "w") as fh:
-        _write_rows(fh, _jsonl_row, [[columns[k] for k in RECORD_COLUMNS]])
-    write_csv(
-        out / "scheme_summary.csv", _SUMMARY_COLUMNS, [[columns[k] for k in _SUMMARY_COLUMNS]]
-    )
+        _write_rows(fh, RECORD_COLUMNS, _jsonl_row, block(RECORD_COLUMNS))
+    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, block(_SUMMARY_COLUMNS))
     write_json(out / "scheme_report_original.json", result.original_report.to_dict())
     write_json(out / "scheme_report_modified.json", result.modified_report.to_dict())
 

@@ -253,7 +253,8 @@ def write_reference_records(out, records) -> None:
         return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(keys, cells)) + "}\n"
 
     with open(out / "scheme_records.jsonl", "w") as fh:
-        _write_rows(fh, jsonl_row, [[table[k] for k in REFERENCE_RECORD_COLUMNS]])
+        keys = REFERENCE_RECORD_COLUMNS
+        _write_rows(fh, keys, jsonl_row, [[table[k] for k in keys]])
     columns = [table[k] for k in REFERENCE_SUMMARY_COLUMNS]
     write_csv(out / "scheme_summary.csv", REFERENCE_SUMMARY_COLUMNS, [columns])
 

@@ -65,6 +65,16 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_duplicate_key_names_the_key_and_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("samples = 10\nbeta = 1.0\n# samples = 5\nsamples = 2000\n")
+        out = tmp_path / "o"
+        assert main(["jarzynski", "--config", str(cfg), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key 'samples' is set on line 1 and again on line 4\n"
+        )
+        assert not out.exists()
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps = 10\ndt = 1.0\n")
@@ -640,23 +650,27 @@ class TestColumnWriter:
             dtype=np.uint64,
         ).view(np.float64)
         floats = np.tile(np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324], nans]), 300)
-        assert cli._fold([floats])[0] == [True]  # the column repeats
+        code = np.tile(np.arange(9), 300)  # the column repeats: one code per bit pattern
         path = tmp_path / "cells.csv"
-        write_csv(path, ["x"], [[floats]])
+        write_csv(path, ["x"], [cli.Coded(code, [floats])])
         rows = path.read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats.tolist()]
         assert rows[:9] == ["-0", "0", "inf", "-inf", "4.9406564584124654e-324"] + ["nan"] * 4
 
-    @pytest.mark.parametrize("distinct, folds", [(512, True), (513, False)])
-    def test_blocks_either_side_of_half_distinct_render_alike(self, tmp_path, distinct, folds):
-        values = np.arange(distinct) / 7.0 - 20.0
-        floats = np.resize(values, 2048)
-        assert cli._fold([floats[:1024]])[0] == [folds]
-        write_csv(tmp_path / "block.csv", ["x"], [[floats[:1024]]])
+    @pytest.mark.parametrize("coded", [True, False])
+    @pytest.mark.parametrize("distinct", [512, 513])
+    def test_coded_and_free_blocks_render_alike(self, tmp_path, distinct, coded):
+        code = np.resize(np.arange(distinct), 2048)
+        floats = code / 7.0 - 20.0
+
+        def block(rows):
+            return cli.Coded(code[rows], [floats[rows]]) if coded else [floats[rows]]
+
+        write_csv(tmp_path / "block.csv", ["x"], [block(slice(1024))])
         rows = (tmp_path / "block.csv").read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats[:1024].tolist()]
         path = tmp_path / "half.csv"
-        write_csv(path, ["x"], [[floats]])
+        write_csv(path, ["x"], [block(slice(None))])
         rows = path.read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats.tolist()]
 
@@ -738,9 +752,13 @@ def _distinct_values(rng, kind: str, k: int) -> np.ndarray:
     return drawn[np.sort(first)][:k]
 
 
-def _column(rng, kind: str, n: int, distinct: str) -> np.ndarray:
+def _count(n: int, distinct: str) -> int:
     k = DISTINCT[distinct] or {"half": n // 2, "half+1": n // 2 + 1, "all": n}[distinct]
-    k = min(max(k, 1), n)
+    return min(max(k, 1), n)
+
+
+def _column(rng, kind: str, n: int, distinct: str) -> np.ndarray:
+    k = _count(n, distinct)
     if not n:
         return np.zeros(0, dtype=np.int64 if kind == "i" else np.float64)
     values = _distinct_values(rng, kind, k)
@@ -760,12 +778,35 @@ def _cell_17g(x) -> str:
     return str(x) if isinstance(x, int) else format(x, ".17g")
 
 
+def _code_of(*columns) -> np.ndarray:
+    """Each row's code: the index of its combination of bit patterns."""
+    rows = np.stack([c.view(np.int64) for c in columns], axis=1)
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
 @st.composite
-def _columns(draw, max_columns: int = 4):
+def _table(draw, max_columns: int = 4):
+    """Columns, each row's code (None: the block is a list of columns) and
+    which columns are functions of the code. The codes are k of [0, 3k), so
+    some codes below the largest occur in no row."""
     n = draw(st.sampled_from(ROW_COUNTS))
     kinds = draw(st.lists(st.sampled_from("if"), min_size=1, max_size=max_columns))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    return [_column(rng, kind, n, draw(st.sampled_from(list(DISTINCT)))) for kind in kinds]
+    distinct = st.sampled_from(list(DISTINCT))
+    codes = draw(st.one_of(st.none(), distinct))
+    if codes is None:
+        columns = [_column(rng, kind, n, draw(distinct)) for kind in kinds]
+        return columns, None, [False] * len(kinds)
+    k = _count(n, codes)
+    slot = rng.permutation(np.resize(np.arange(k), n))
+    code = rng.permutation(3 * k)[:k][slot]
+    coded = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    columns = [
+        _column(rng, kind, k, draw(distinct))[slot] if is_coded
+        else _column(rng, kind, n, draw(distinct))
+        for kind, is_coded in zip(kinds, coded)
+    ]
+    return columns, code, coded
 
 
 # Row indices at which the writers' input is split into blocks; a cut past
@@ -773,41 +814,50 @@ def _columns(draw, max_columns: int = 4):
 CUTS = st.lists(st.integers(0, 5000), max_size=3)
 
 
-def _blocks(columns, cuts):
-    """The columns as consecutive blocks, split at the sorted cuts."""
+def _blocks(names, table, cuts):
+    """The table's columns as consecutive blocks, split at the sorted cuts:
+    lists of columns, or `Coded` blocks whose free columns are the uncoded."""
+    columns, code, coded = table
+    free = tuple(name for name, is_coded in zip(names, coded) if not is_coded)
     n = len(columns[0])
     edges = [0, *sorted(min(cut, n) for cut in cuts), n]
-    return ([c[a:b] for c in columns] for a, b in zip(edges, edges[1:]))
+    for a, b in zip(edges, edges[1:]):
+        block = [c[a:b] for c in columns]
+        yield block if code is None else cli.Coded(code[a:b], block, free)
 
 
 class TestRowTemplates:
-    """The writers against a cell-by-cell reference, whatever `_fold` folds
-    and however the rows are split into blocks."""
+    """The writers against a cell-by-cell reference, whatever the blocks'
+    codes and however the rows are split into blocks."""
 
-    @given(columns=_columns(), cuts=CUTS)
-    def test_csv_matches_cell_by_cell(self, tmp_path_factory, columns, cuts):
+    @given(table=_table(), cuts=CUTS)
+    def test_csv_matches_cell_by_cell(self, tmp_path_factory, table, cuts):
+        columns = table[0]
         path = tmp_path_factory.mktemp("csv") / "x.csv"
         header = [f"c{j}" for j in range(len(columns))]
-        write_csv(path, header, _blocks(columns, cuts))
+        write_csv(path, header, _blocks(header, table, cuts))
         rows = zip(*(c.tolist() for c in columns))
         want = "".join(",".join(map(_cell_17g, row)) + "\n" for row in rows)
         _assert_same_text(path.read_text(), ",".join(header) + "\n" + want)
 
-    @given(columns=_columns(), cuts=CUTS)
-    def test_json_records_match_write_json(self, tmp_path_factory, columns, cuts):
+    @given(table=_table(), cuts=CUTS)
+    def test_json_records_match_write_json(self, tmp_path_factory, table, cuts):
+        columns = table[0]
         if not len(columns[0]):
             return  # write_json_records writes a non-empty array
         path = tmp_path_factory.mktemp("json") / "x.json"
         keys = [f"c{j}" for j in range(len(columns))]
-        write_json_records(path, keys, _blocks(columns, cuts))
+        write_json_records(path, keys, _blocks(keys, table, cuts))
         records = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
         _assert_same_text(path.read_text(), cli._json_render(records) + "\n")
 
-    @given(columns=_columns(max_columns=len(cli.RECORD_COLUMNS)), cuts=CUTS)
-    def test_jsonl_layout_matches_cell_by_cell(self, tmp_path_factory, columns, cuts):
+    @given(table=_table(max_columns=len(cli.RECORD_COLUMNS)), cuts=CUTS)
+    def test_jsonl_layout_matches_cell_by_cell(self, tmp_path_factory, table, cuts):
+        columns = table[0]
         path = tmp_path_factory.mktemp("jsonl") / "x.jsonl"
+        names = cli.RECORD_COLUMNS
         with open(path, "w") as fh:
-            cli._write_rows(fh, cli._jsonl_row, _blocks(columns, cuts))
+            cli._write_rows(fh, names, cli._jsonl_row, _blocks(names, table, cuts))
         want = "".join(
             "{" + ", ".join(
                 f'"{k}": {x}' if isinstance(x, int) else f'"{k}": "{format(x, ".17g")}"'
@@ -818,34 +868,71 @@ class TestRowTemplates:
         _assert_same_text(path.read_text(), want)
 
     @pytest.mark.parametrize("n", [1026, 5000])
-    @pytest.mark.parametrize("where", ["free", "folded"])
+    @pytest.mark.parametrize("where", ["free", "coded"])
     def test_json_non_finite_in_one_block_renders_alike_in_every_block(
         self, tmp_path, n, where
     ):
         rng = np.random.default_rng(n)
-        finite = {"free": rng.normal(size=n), "folded": np.resize([0.25, -0.0, 1.5], n)}[where]
+        code = np.resize([0, 1, 2], n)
+        finite = {"free": rng.normal(size=n), "coded": np.array([0.25, -0.0, 1.5])[code]}[where]
         column = finite.copy()
         column[1024] = math.inf  # the second block alone holds non-finite values
         column[min(n, 2048) - 1] = math.nan
+        code[1024], code[min(n, 2048) - 1] = 3, 4
         ints = np.arange(n, dtype=np.int64)
-        assert cli._fold([column, ints])[0] == [where == "folded", False]
+        block = [column, ints] if where == "free" else cli.Coded(code, [column, ints], ("k",))
         path = tmp_path / "x.json"
-        write_json_records(path, ["x", "k"], [[column, ints]])
+        write_json_records(path, ["x", "k"], [block])
         records = [{"x": x, "k": k} for x, k in zip(column.tolist(), ints.tolist())]
         _assert_same_text(path.read_text(), cli._json_render(records) + "\n")
         text = path.read_text()
         assert '"x": "inf"' in text and '"x": "nan"' in text
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 5000])
-    def test_combination_past_half_leaves_the_column_free(self, tmp_path, n):
+    @pytest.mark.parametrize("free", [("h",), ()], ids=["h-free", "both-coded"])
+    def test_code_of_more_than_half_the_rows_renders_alike(self, tmp_path, n, free):
         rng = np.random.default_rng(n)
         few, half = _column(rng, "f", n, "few"), _column(rng, "i", n, "half")
-        assert cli._fold([half])[0] == [True]  # alone it folds
-        assert 2 * len(set(zip(few.view(np.int64).tolist(), half.tolist()))) > n
-        assert cli._fold([few, half])[0] == [True, False]
-        write_csv(tmp_path / "x.csv", ["f", "h"], [[few, half]])
+        code = _code_of(few) if free else _code_of(few, half)
+        assert free or 2 * (code.max() + 1) > n  # past half the rows, each pair its own code
+        write_csv(tmp_path / "x.csv", ["f", "h"], [cli.Coded(code, [few, half], free)])
         want = "".join(f"{_cell_17g(x)},{k}\n" for x, k in zip(few.tolist(), half.tolist()))
         _assert_same_text((tmp_path / "x.csv").read_text(), "f,h\n" + want)
+
+
+class TestRowCodeGuard:
+    """A column outside a `Coded` block's free columns must hold one bit
+    pattern per code; the writer checks it before it formats the block."""
+
+    @pytest.mark.parametrize(
+        "alike, unlike",
+        [(1.5, 2.5), (0.0, -0.0), (NAN_PAYLOADS[0], NAN_PAYLOADS[2]), (7, 8)],
+        ids=["values", "signed-zeros", "nan-payloads", "ints"],
+    )
+    def test_column_that_differs_within_a_code_is_named(self, tmp_path, alike, unlike):
+        column = np.array([alike, unlike, alike, alike])
+        code = np.array([0, 0, 1, 1])
+        draws = np.arange(4)
+        blocks = [cli.Coded(code, [draws, column], free=("draw",))]
+        with pytest.raises(ValueError, match="^column 'x' is not a function of the row code$"):
+            write_csv(tmp_path / "x.csv", ["draw", "x"], blocks)
+        with pytest.raises(ValueError, match="^column 'x' is not a function of the row code$"):
+            write_json_records(tmp_path / "x.json", ["draw", "x"], blocks)
+        free = [cli.Coded(code, [draws, column], free=("draw", "x"))]
+        write_csv(tmp_path / "x.csv", ["draw", "x"], free)
+        assert (tmp_path / "x.csv").read_text().splitlines()[1:] == [
+            f"{k},{_cell_17g(x)}" for k, x in enumerate(column.tolist())
+        ]
+
+    def test_one_pattern_per_code_writes_each_cell(self, tmp_path):
+        column = np.array([0.0, -0.0, NAN_PAYLOADS[0], NAN_PAYLOADS[2]] * 3)
+        code = np.tile([5, 0, 2, 9], 3)  # codes that skip some integers
+        write_csv(tmp_path / "x.csv", ["x"], [cli.Coded(code, [column])])
+        assert (tmp_path / "x.csv").read_text() == "x\n" + "0\n-0\nnan\nnan\n" * 3
+
+    def test_row_code_is_mixed_radix_on_the_largest_digits(self):
+        code = cli.row_code(np.array([0, 1, 1, 0]), np.array([2, 0, 1, 0]))
+        np.testing.assert_array_equal(code, [2, 3, 4, 0])
 
 
 class TestDomainErrors:
