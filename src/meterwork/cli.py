@@ -11,10 +11,10 @@ config key and flag are declared once, in `_SETTINGS`. All floating-point
 output is printed with 17 significant digits so files round-trip exactly.
 Samples are drawn from seeded streams in blocks of 4096, so the output files
 are a function of the settings and the seed: a repeated run gives the same
-bytes.
-``jarzynski`` draws and writes its samples one such block at a time and
-keeps only the work column whole (8 bytes per sample) for its equality
-check.
+bytes. Both sampling commands write one such block at a time and keep whole
+only what their checks read: ``jarzynski`` the work column (8 bytes per
+sample), ``scheme`` its drawn indices and five float columns (64 bytes per
+run).
 
 Exit status is 0 iff every enabled check passed. A machine-readable summary
 is written even when checks fail; on a domain error (exit status 2) it holds
@@ -54,10 +54,13 @@ from .relaxation import (
 from .scheme import (
     RECORD_COLUMNS,
     SchemeConfig,
-    run_scheme,
+    _CHECKED_COLUMNS,
+    _draw_runs,
+    _summarize,
     szilard_schedule,
     verify_unitary_roundtrips,
 )
+from .streams import _block_rows
 
 __all__ = ["main"]
 
@@ -98,11 +101,10 @@ def write_json(path: Path, obj) -> None:
 
 # Rows are formatted and written this many at a time, so the text in memory
 # stays flat as the row count grows: each chunk's text is built whole before
-# it is written. (The columns themselves arrive in blocks of the caller's
-# choosing: jarzynski passes one 4096-sample stream block at a time.) Larger
-# chunks cost memory and buy no speed: with 4096-row chunks
-# `scheme --config configs/scheme_default.cfg` peaked at 44.3 MiB instead
-# of 41.0 MiB (+8 %), at the same compute time.
+# it is written. (Both sampling commands pass one stream block at a time.)
+# Larger chunks cost memory and buy no speed: with 4096-row chunks
+# `scheme --config configs/scheme_default.cfg` peaks at 38.1 MiB instead of
+# 34.5 MiB (+10 %), at the same wall time.
 _ROWS_PER_BLOCK = 1024
 
 
@@ -440,6 +442,8 @@ def _scenario_schedule(settings: dict) -> DriveSchedule:
             Operator.from_diagonal(np.array([0.0, 1.0])), t_f=1.0, n_steps=steps or 1
         )
     if name == "commuting-quench":
+        if steps:
+            raise ValueError(f"scenario {name!r} takes no drive steps, got steps={steps}")
         return DriveSchedule.quench(
             Operator.from_diagonal(np.array([0.0, 1.0])),
             Operator.from_diagonal(np.array([0.0, 2.0])),
@@ -554,40 +558,49 @@ def cmd_scheme(settings: dict) -> int:
         eigenstate_prep=settings["eigenstate_prep"],
     )
     policy = _policy_from(settings)
-    result = run_scheme(config, policy=policy)
+    ctx, tables, drawn = _draw_runs(config, policy=policy)  # a pruned draw raises here
     kT = 1.0 / settings["beta"]
 
-    # every column but draw is a function of a run's stream and drawn outcomes
-    columns = result.columns
-    digits = ("stream", "initial_sector", "event_outcome", "final_sector")
-    code = row_code(*(columns[k] for k in digits))
+    # Each stream block of runs is gathered, written and dropped; the checks'
+    # columns are kept whole. In a block every column but draw is a function
+    # of the drawn outcomes.
+    n = config.n_samples
+    kept = {k: np.empty(n) for k in _CHECKED_COLUMNS}
+    digits = ("initial_sector", "event_outcome", "final_sector")
 
-    def block(keys):
-        return [Coded(code, [columns[k] for k in keys], free=("draw",))]
+    def blocks(keys, keep=()):
+        for rows in _block_rows(n):
+            columns = tables.columns(drawn, rows)
+            for k in keep:
+                kept[k][rows] = columns[k]
+            code = row_code(*(columns[k] for k in digits))
+            yield Coded(code, [columns[k] for k in keys], free=("draw",))
 
     with open(out / "scheme_records.jsonl", "w") as fh:
-        _write_rows(fh, RECORD_COLUMNS, _jsonl_row, block(RECORD_COLUMNS))
-    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, block(_SUMMARY_COLUMNS))
-    write_json(out / "scheme_report_original.json", result.original_report.to_dict())
-    write_json(out / "scheme_report_modified.json", result.modified_report.to_dict())
+        _write_rows(fh, RECORD_COLUMNS, _jsonl_row, blocks(RECORD_COLUMNS, kept))
+    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, blocks(_SUMMARY_COLUMNS))
+    del drawn  # the checks read the kept columns alone
+    original, modified, ledger_totals, work_gap = _summarize(kept, config.beta, ctx.delta_f)
+    sigma_total = modified.sigma_total
+    write_json(out / "scheme_report_original.json", original.to_dict())
+    write_json(out / "scheme_report_modified.json", modified.to_dict())
 
-    n = config.n_samples
-    per_run = {party: total / n for party, total in result.ledger_totals.items()}
-    conservation = sum(result.ledger_totals.values())
-    gap_target = result.sigma_total * kT
+    per_run = {party: total / n for party, total in ledger_totals.items()}
+    conservation = sum(ledger_totals.values())
+    gap_target = sigma_total * kT
     gap_bound = _WORK_GAP_RTOL * max(1.0, abs(gap_target))
     gap_resolved = gap_target == 0.0 or abs(gap_target) > gap_bound
-    gap_ok = gap_resolved and abs(result.work_gap - gap_target) <= gap_bound
+    gap_ok = gap_resolved and abs(work_gap - gap_target) <= gap_bound
     ledger_ok = abs(conservation) == 0.0
     checks = {
-        "original_passed": result.original_report.passed,
-        "modified_passed": result.modified_report.passed,
+        "original_passed": original.passed,
+        "modified_passed": modified.passed,
         "work_gap_identity": gap_ok,
         "ledger_conserved": ledger_ok,
     }
     if settings["eigenstate_prep"]:
         # sigma_total is the mean per-run sigma, 0 only if every run books 0 nats
-        checks["eigenstate_all_zero"] = result.sigma_total == 0.0
+        checks["eigenstate_all_zero"] = sigma_total == 0.0
 
     roundtrips = None
     if settings["verify_appendix_b"]:
@@ -610,30 +623,27 @@ def cmd_scheme(settings: dict) -> int:
             "samples": n,
             "seed": settings["seed"],
             "beta": settings["beta"],
-            "delta_f": result.delta_f,
-            "sigma_total": result.sigma_total,
-            "work_gap": result.work_gap,
+            "delta_f": ctx.delta_f,
+            "sigma_total": sigma_total,
+            "work_gap": work_gap,
             "work_gap_target": gap_target,
-            "ledger_totals": result.ledger_totals,
+            "ledger_totals": ledger_totals,
             "ledger_per_run": per_run,
             "checks": checks,
             "passed": all(checks.values()),
         },
     )
 
-    print(f"runs={n} delta_f={f17(result.delta_f)} sigma_total={f17(result.sigma_total)}")
+    print(f"runs={n} delta_f={f17(ctx.delta_f)} sigma_total={f17(sigma_total)}")
     print(
         "ledger per run: "
         + ", ".join(f"{party}={f17(val)}" for party, val in sorted(per_run.items()))
     )
     print(
-        f"<W_total> - <W_drive> = {f17(result.work_gap)} "
+        f"<W_total> - <W_drive> = {f17(work_gap)} "
         f"(target {f17(gap_target)}) [{'pass' if gap_ok else 'FAIL'}]"
     )
-    for name, report in (
-        ("original", result.original_report),
-        ("modified", result.modified_report),
-    ):
+    for name, report in (("original", original), ("modified", modified)):
         print(
             f"{name}: mean={f17(report.estimator_mean)} target={f17(report.exact_value)} "
             f"se={f17(report.standard_error)} [{'pass' if report.passed else 'FAIL'}]"

@@ -24,8 +24,8 @@ sector machinery.
 
 Monte Carlo estimation partitions samples over seeded streams in fixed
 blocks, so results are a function of the configuration and seed.
-`tpm_blocks` yields them one stream block at a time; `tpm_sample` gathers
-them into whole columns.
+`tpm_blocks` draws them one stream block at a time, with the block drawer
+the scheme runs use; `tpm_sample` collects them into whole columns.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalConsistencyError
-from .linalg import DensityMatrix, Operator, ProjectorSet, _hermitian_function
+from .linalg import DensityMatrix, Operator, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import cdf_of, check_seed, draw_indices, draw_rows, stream_blocks
+from .streams import _collect, _draw_blocks, cdf_of, check_seed
 from .superselection import energy_sectors
 
 __all__ = [
@@ -333,8 +333,9 @@ def _sector_tables(
     beta: float,
     *,
     policy: NumericPolicy,
-) -> tuple[ProjectorSet, ProjectorSet, np.ndarray, np.ndarray]:
-    """Initial sectors, final sectors, Gibbs sector probabilities, and the
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Initial and final sector energies, and the stage CDFs of a TPM draw:
+    the Gibbs sector probabilities, then one row per initial sector of the
     conditional outcome matrix T[i, f] for the full drive propagator."""
     init = energy_sectors(schedule.initial_hamiltonian(), policy=policy)
     fin = energy_sectors(schedule.final_hamiltonian(), policy=policy)
@@ -353,7 +354,8 @@ def _sector_tables(
     )
     cond = np.clip(cond, 0.0, None)
     cond /= cond.sum(axis=1, keepdims=True)
-    return init, fin, p_init, cond
+    cdfs = (cdf_of(p_init), np.vstack([cdf_of(row) for row in cond]))
+    return energies, np.array(fin.labels), cdfs
 
 
 def tpm_blocks(
@@ -380,16 +382,10 @@ def tpm_blocks(
         raise ValueError(f"need at least one sample, got {n_samples}")
     _check_beta(beta, zero_ok=True)
     check_seed(seed)
-    init, fin, p_init, cond = _sector_tables(schedule, beta, policy=policy)
-    e_init = np.array(init.labels)
-    e_fin = np.array(fin.labels)
-    cdf_init = cdf_of(p_init)
-    cdf_rows = np.vstack([cdf_of(row) for row in cond])
+    e_init, e_fin, cdfs = _sector_tables(schedule, beta, policy=policy)
 
     def blocks():
-        for stream, rows, us in stream_blocks(seed, n_samples, 2):
-            i_idx = draw_indices(cdf_init, us[:, 0])
-            f_idx = draw_rows(cdf_rows[i_idx], us[:, 1])
+        for stream, rows, (i_idx, f_idx) in _draw_blocks(seed, n_samples, cdfs):
             initial, final = e_init[i_idx], e_fin[f_idx]
             yield rows, {
                 "initial_energy": initial,
@@ -416,17 +412,10 @@ def tpm_sample(
     over seeded streams in fixed blocks, so the first n samples of a larger
     run equal a run of n samples."""
     blocks = tpm_blocks(schedule, beta, n_samples, seed, policy=policy)
-    columns = {
-        f.name: np.empty(n_samples, dtype=np.float64 if f.name.endswith("energy") else np.int64)
-        for f in fields(WorkSamples)
-        if f.init
-    }
-    for rows, block in blocks:
-        for name, column in columns.items():
-            column[rows] = block[name]
-    for column in columns.values():
-        column.setflags(write=False)  # fresh arrays: WorkSamples keeps them uncopied
-    return WorkSamples(**columns)
+    names = [f.name for f in fields(WorkSamples) if f.init]
+    dtypes = [np.float64 if name.endswith("energy") else np.int64 for name in names]
+    columns = _collect(n_samples, ((rows, map(b.get, names)) for rows, b in blocks), dtypes)
+    return WorkSamples(**dict(zip(names, columns)))  # fresh read-only: kept uncopied
 
 
 def jarzynski_exact(

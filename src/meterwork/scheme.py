@@ -24,7 +24,9 @@ accounting on top of the drive work.
 
 Runs are table-driven: the deterministic channels are evaluated once per
 branch and sampling reduces to three inverse-CDF draws per run, which keeps
-10^4 runs cheap while remaining bit-identical to the stepwise path.
+10^4 runs cheap while remaining bit-identical to the stepwise path. The
+draws go through the block drawer the TPM samples use, and any slice of
+runs is gathered from the drawn indices.
 """
 
 from __future__ import annotations
@@ -71,13 +73,13 @@ from .measurement import (
 )
 from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import (
+    STREAM_BLOCK,
     PhiloxStream,
+    _collect,
+    _draw_blocks,
     cdf_of,
     check_seed,
-    draw_indices,
-    draw_rows,
     stream_generator,
-    stream_uniforms,
 )
 from .superselection import dephase, energy_sectors
 
@@ -646,11 +648,13 @@ class _BranchTables:
                 )
                 self.ledgers[i][m_idx] = ledger
 
-    def draw(self, seed: int, n: int) -> dict[str, np.ndarray]:
-        """`RECORD_COLUMNS` of runs [0, n): three uniforms per run, one row of its stream."""
-        us, stream_id = stream_uniforms(seed, n, 3)
-        i = draw_indices(self.cdf_init, us[:, 0])
-        m = draw_rows(self.cdf_event[i], us[:, 1])
+    def draw(self, seed: int, n: int) -> list[np.ndarray]:
+        """The read-only (i, m, f) index columns of runs [0, n), three
+        uniforms per run from its stream. A run on a pruned branch raises
+        `SchemeConstraintError`, naming the first in draw order."""
+        cdfs = (self.cdf_init, self.cdf_event, self.cdf_final)
+        blocks = ((rows, idx) for _, rows, idx in _draw_blocks(seed, n, cdfs))
+        i, m, _ = drawn = _collect(n, blocks, (np.int64,) * 3)
         p_m = self.p_event[i, m]  # 0 below a pruned initial sector
         pruned = np.flatnonzero(p_m <= self.floor)
         if pruned.size:
@@ -663,18 +667,52 @@ class _BranchTables:
                 f"run {j} drew {what} with probability {p:.6g}, at or below outcome_floor "
                 f"{self.floor:g}; a pruned branch has no tabulated values"
             )
-        f = draw_rows(self.cdf_final[i, m], us[:, 2])
+        return drawn
 
+    def columns(self, drawn, rows: slice) -> dict[str, np.ndarray]:
+        """Read-only `RECORD_COLUMNS` of the runs `rows`, a slice with start
+        and stop, from the index columns `drawn` of `draw`."""
+        i, m, f = (c[rows] for c in drawn)
+        draw = np.arange(rows.start, rows.stop)
         e_i, e_f = self.e_init[i], self.e_fin[f]
-        w_exp, w_reader, *sigmas = (v[i, m] for v in self.per_branch)  # contiguous gathers
+        branch = i * self.per_branch.shape[2] + m  # (i, m) flat: 1-D gathers are 4x faster
+        w_exp, w_reader, *sigmas = (v[branch] for v in self.per_branch.reshape(5, -1))
         w_drive = e_f - e_i
         w_total = w_drive + w_exp + w_reader  # left to right, as SchemeRunRecord adds
-        columns = (
-            stream_id, np.arange(n), i, e_i, m, f, e_f, w_drive, w_exp, w_reader, w_total, *sigmas
-        )
+        stream = draw // STREAM_BLOCK
+        columns = (stream, draw, i, e_i, m, f, e_f, w_drive, w_exp, w_reader, w_total, *sigmas)
         for c in columns:
             c.flags.writeable = False
         return dict(zip(RECORD_COLUMNS, columns))
+
+
+def _draw_runs(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY):
+    """The context and branch tables of `config`, and the index columns its
+    runs draw (`_BranchTables.draw`)."""
+    ctx = build_context(config, policy=policy)
+    tables = _BranchTables(ctx)
+    return ctx, tables, tables.draw(config.seed, config.n_samples)
+
+
+# the columns `_summarize` reads, whole
+_CHECKED_COLUMNS = (
+    "work_drive", "work_total", "sigma_experimenter", "sigma_reader", "sigma_measured"
+)
+
+
+def _summarize(columns: Mapping[str, np.ndarray], beta: float, delta_f: float) -> tuple:
+    """Both checks, the ledger totals and the work gap of `SchemeResult`,
+    from the whole `_CHECKED_COLUMNS`."""
+    drive_works, total_works = columns["work_drive"], columns["work_total"]
+    sigma = columns["sigma_experimenter"] + columns["sigma_reader"]
+    original = jarzynski_equality_check(drive_works, beta, delta_f)
+    modified = modified_jarzynski_check(total_works, beta, delta_f, sigma_total=sigma)
+    # run by run in draw order: cumsum adds in sequence, np.sum pairwise
+    totals = {
+        p: float(np.cumsum(columns[f"sigma_{p}"])[-1]) for p in (EXPERIMENTER, MEASURED, READER)
+    }
+    work_gap = float(np.mean(total_works) - np.mean(drive_works))
+    return original, modified, totals, work_gap
 
 
 def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) -> SchemeResult:
@@ -685,20 +723,9 @@ def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) 
     counter factor exp(+sigma). Sampling is stream-partitioned: the first n
     records of a larger run equal a run of n records.
     """
-    ctx = build_context(config, policy=policy)
-    tables = _BranchTables(ctx)
-    columns = tables.draw(config.seed, config.n_samples)
-
-    drive_works, total_works = columns["work_drive"], columns["work_total"]
-    sigma = columns["sigma_experimenter"] + columns["sigma_reader"]
-    original = jarzynski_equality_check(drive_works, config.beta, ctx.delta_f)
-    modified = modified_jarzynski_check(total_works, config.beta, ctx.delta_f, sigma_total=sigma)
-
-    # run by run in draw order: cumsum adds in sequence, np.sum pairwise
-    totals = {
-        p: float(np.cumsum(columns[f"sigma_{p}"])[-1]) for p in (EXPERIMENTER, MEASURED, READER)
-    }
-    work_gap = float(np.mean(total_works) - np.mean(drive_works))
+    ctx, tables, drawn = _draw_runs(config, policy=policy)
+    columns = tables.columns(drawn, slice(0, config.n_samples))
+    original, modified, totals, work_gap = _summarize(columns, config.beta, ctx.delta_f)
     return SchemeResult(
         columns=MappingProxyType(columns),
         original_report=original,

@@ -33,7 +33,6 @@ __all__ = [
     "check_seed",
     "stream_generator",
     "stream_blocks",
-    "stream_uniforms",
     "draw_indices",
     "draw_rows",
 ]
@@ -227,6 +226,12 @@ def stream_generator(seed: int, stream_id: int) -> PhiloxStream:
     return PhiloxStream(_philox_key(seed, stream_id))
 
 
+def _block_rows(n: int):
+    """The slice of samples [0, n) that each stream block covers, in order."""
+    for start in range(0, n, STREAM_BLOCK):
+        yield slice(start, min(start + STREAM_BLOCK, n))
+
+
 def stream_blocks(seed: int, n: int, k: int):
     """`k` uniforms for each of samples [0, n), one stream block at a time.
 
@@ -235,20 +240,33 @@ def stream_blocks(seed: int, n: int, k: int):
     (size, k) array `us` holds the next k draws of that stream, exactly
     what k scalar ``rng.random()`` calls would return to a per-sample loop.
     """
-    for stream, start in enumerate(range(0, n, STREAM_BLOCK)):
-        block = slice(start, min(start + STREAM_BLOCK, n))
-        yield stream, block, stream_generator(seed, stream).random((block.stop - start, k))
+    for stream, block in enumerate(_block_rows(n)):
+        yield stream, block, stream_generator(seed, stream).random((block.stop - block.start, k))
 
 
-def stream_uniforms(seed: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of `stream_blocks` as one (n, k) array, and each sample's
-    stream id."""
-    us = np.empty((n, k))
-    stream_id = np.empty(n, dtype=np.int64)
-    for stream, block, draws in stream_blocks(seed, n, k):
-        us[block] = draws
-        stream_id[block] = stream
-    return us, stream_id
+def _draw_blocks(seed: int, n: int, cdfs):
+    """``(stream, rows, indices)`` of each block of `stream_blocks`: one index
+    column per stage of `cdfs`, drawn with one uniform per sample and stage.
+    Stage 0 is one CDF; stage k holds one CDF row per branch of the stages
+    before it, indexed by the tuple of their indices."""
+    first, *later = cdfs
+    for stream, rows, us in stream_blocks(seed, n, len(cdfs)):
+        idx = (draw_indices(first, us[:, 0]),)
+        for k, cdf in enumerate(later, 1):
+            idx += (draw_rows(cdf[idx], us[:, k]),)
+        yield stream, rows, idx
+
+
+def _collect(n: int, blocks, dtypes) -> list[np.ndarray]:
+    """Whole read-only columns of samples [0, n), one per dtype, from
+    `blocks` of ``(rows, columns)``: the columns of the samples `rows`."""
+    whole = [np.empty(n, dtype=dtype) for dtype in dtypes]
+    for rows, columns in blocks:
+        for out, column in zip(whole, columns):
+            out[rows] = column
+    for out in whole:
+        out.setflags(write=False)
+    return whole
 
 
 def cdf_of(probs: np.ndarray) -> np.ndarray:

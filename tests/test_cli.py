@@ -320,6 +320,27 @@ class TestJarzynskiCommand:
         assert samples[0] == "initial_energy,final_energy,work,stream_id,draw_id"
         assert len(samples) == 20001
 
+    @pytest.mark.parametrize("steps", ["-2", "5"])
+    def test_quench_step_count_is_refused(self, tmp_path, capsys, steps):
+        # the quench is sudden: it has no drive steps to set
+        out = tmp_path / "o"
+        argv = ["jarzynski", "--scenario", "commuting-quench", "--steps", steps,
+                "--samples", "10", "--output", str(out)]
+        assert main(argv) == 2
+        message = f"scenario 'commuting-quench' takes no drive steps, got steps={steps}"
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["jarzynski_report.json"]
+        assert read_json(out / "jarzynski_report.json")["error"] == {
+            "type": "ValueError", "message": message,
+        }
+
+    def test_quench_default_step_count_runs(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["jarzynski", "--scenario", "commuting-quench", "--steps", "0",
+                "--samples", "2000", "--output", str(out)]
+        assert main(argv) == 0
+        assert read_json(out / "jarzynski_report.json")["passed"] is True
+
     def test_wrong_delta_f_fails_nonzero(self, tmp_path):
         out = tmp_path / "o"
         code = main(
@@ -527,15 +548,17 @@ class TestSchemeCommand:
 
 @pytest.fixture
 def scheme_results(monkeypatch):
-    """Every SchemeResult that `meterwork scheme` computes, in order."""
-    results = []
+    """A call that returns `run_scheme` of every config that `meterwork
+    scheme` has drawn, in order, with the same policy."""
+    calls = []
 
-    def run_and_keep(*args, **kwargs):
-        results.append(run_scheme(*args, **kwargs))
-        return results[-1]
+    def draw_and_keep(config, **kwargs):
+        calls.append((config, kwargs))
+        return draw_runs(config, **kwargs)
 
-    monkeypatch.setattr(cli, "run_scheme", run_and_keep)
-    return results
+    draw_runs = cli._draw_runs
+    monkeypatch.setattr(cli, "_draw_runs", draw_and_keep)
+    return lambda: [run_scheme(config, **kwargs) for config, kwargs in calls]
 
 
 class TestSchemeRecordColumns:
@@ -554,17 +577,21 @@ class TestSchemeRecordColumns:
         out, ref = tmp_path / "out", tmp_path / "ref"
         ref.mkdir()
         assert main(["scheme", *argv, "--output", str(out)]) == 0
-        (result,) = scheme_results
+        (result,) = scheme_results()
         write_reference_records(ref, result.records)
         for name in ("scheme_records.jsonl", "scheme_summary.csv"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
         sums = reference_scheme_sums(result.records)
-        assert float(result.sigma_total).hex() == sums["sigma_total"].hex()
-        assert [(k, float(v).hex()) for k, v in result.ledger_totals.items()] == [
-            (k, v.hex()) for k, v in sums["ledger_totals"].items()
-        ]
-        assert float(result.work_gap).hex() == sums["work_gap"].hex()
+        # the sums of run_scheme's whole columns and the command's kept ones
+        summary = read_json(out / "scheme_summary.json")
+        returned = {k: getattr(result, k) for k in ("sigma_total", "ledger_totals", "work_gap")}
+        for got in (returned, summary):
+            assert float(got["sigma_total"]).hex() == sums["sigma_total"].hex()
+            assert [(k, float(v).hex()) for k, v in got["ledger_totals"].items()] == [
+                (k, v.hex()) for k, v in sums["ledger_totals"].items()
+            ]
+            assert float(got["work_gap"]).hex() == sums["work_gap"].hex()
 
     def test_cmd_scheme_builds_no_records_and_sums_each_branch_ledger_once(
         self, tmp_path, monkeypatch, scheme_results
@@ -586,7 +613,7 @@ class TestSchemeRecordColumns:
         assert main(argv) == 0
         # 2 initial energy sectors x 2 event outcomes, none pruned
         assert calls == {"records": 0, "totals": 4}
-        (result,) = scheme_results
+        (result,) = scheme_results()
         assert len({id(r.ledger) for r in result.records}) == 4
 
 
@@ -1061,6 +1088,29 @@ class TestDomainErrors:
         assert [p.name for p in out.iterdir()] == ["jarzynski_report.json"]
         assert read_json(out / "jarzynski_report.json")["error"]["type"] == error
 
+    @pytest.mark.parametrize(
+        "config, argv, error, message",
+        [
+            ("policy_outcome_floor = 0.3\nsamples = 50\n", [], "SchemeConstraintError",
+             "run 3 drew initial energy sector 1 with probability 0.119203, "
+             "at or below outcome_floor 0.3"),
+            ("", ["--samples", "10", "--seed", "-1"], "ValueError",
+             "seed must be an integer in [0, 2**64), got -1"),
+        ],
+        ids=["pruned-branch", "negative-seed"],
+    )
+    def test_scheme_domain_error_writes_no_data_file(
+        self, tmp_path, config, argv, error, message
+    ):
+        cfg = tmp_path / "scheme.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "o"
+        assert main(["scheme", "--config", str(cfg), *argv, "--output", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["scheme_summary.json"]
+        report = read_json(out / "scheme_summary.json")
+        assert report["error"]["type"] == error
+        assert report["error"]["message"].startswith(message)
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_is_named(self, tmp_path, capsys, seed):
         out = tmp_path / "o"
@@ -1146,6 +1196,25 @@ class TestMemory:
         small, large = 40_960, 163_840
         per_sample = (traced_peak(large) - traced_peak(small)) / (large - small)
         assert per_sample <= 40.0
+
+    def test_scheme_traced_peak_grows_at_most_100_bytes_per_run(self, tmp_path):
+        """The run keeps the drawn (i, m, f) indices and five float64
+        columns whole (64 B per run) and holds the other columns and the row
+        text one stream block at a time."""
+
+        def traced_peak(n: int) -> int:
+            argv = ["scheme", "--samples", str(n), "--seed", "7",
+                    "--output", str(tmp_path / str(n))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 40_960, 163_840
+        per_run = (traced_peak(large) - traced_peak(small)) / (large - small)
+        assert per_run <= 100.0
 
 
 class TestReproducibility:

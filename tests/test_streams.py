@@ -3,27 +3,45 @@ import pytest
 
 from meterwork.streams import (
     STREAM_BLOCK,
+    _draw_blocks,
     cdf_of,
     draw_indices,
     draw_rows,
     stream_blocks,
     stream_generator,
-    stream_uniforms,
 )
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def _stage_cdfs(rng, sizes):
+    """Stage k's CDFs, one row per branch of the stages before it, with
+    zero-width segments."""
+    cdfs = []
+    for k, size in enumerate(sizes):
+        probs = rng.random((*sizes[:k], size))
+        probs[rng.random(probs.shape) < 0.3] = 0.0
+        probs[..., -1] += 1e-3  # every row keeps some mass
+        cdfs.append(np.apply_along_axis(lambda p: cdf_of(p / p.sum()), -1, probs))
+    return cdfs
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
-def test_stream_uniforms_equal_scalar_draws(n, k):
-    us, stream_id = stream_uniforms(5, n, k)
+def test_draw_blocks_equal_scalar_draws(n, stages):
+    cdfs = _stage_cdfs(np.random.default_rng(stages), [3, 4, 2][:stages])
     expected = []
     for j in range(n):
         if j % STREAM_BLOCK == 0:  # block b is drawn from stream b
             rng = stream_generator(5, j // STREAM_BLOCK)
-        expected.append([rng.random() for _ in range(k)])
-    assert us.shape == (n, k)
-    assert us.tolist() == expected
-    assert stream_id.tolist() == [j // STREAM_BLOCK for j in range(n)]
+        idx = ()
+        for cdf in cdfs:  # the row of this stage after the indices drawn so far
+            idx += (int(draw_indices(cdf[idx], rng.random())),)
+        expected.append(idx)
+    blocks = list(_draw_blocks(5, n, cdfs))
+    assert all(len(idx) == stages for _, _, idx in blocks)
+    drawn = [tuple(map(int, run)) for _, _, idx in blocks for run in zip(*idx)]
+    assert drawn == expected
+    streams = [stream for stream, rows, _ in blocks for _ in range(rows.start, rows.stop)]
+    assert streams == [j // STREAM_BLOCK for j in range(n)]
 
 
 @pytest.mark.parametrize("n", [0, 1, 4096, 9000])
