@@ -11,10 +11,11 @@ config key and flag are declared once, in `_SETTINGS`. All floating-point
 output is printed with 17 significant digits so files round-trip exactly.
 Samples are drawn from seeded streams in blocks of 4096, so the output files
 are a function of the settings and the seed: a repeated run gives the same
-bytes. Both sampling commands write one such block at a time and keep whole
-only what their checks read: ``jarzynski`` the work column (8 bytes per
-sample), ``scheme`` its drawn indices and five float columns (64 bytes per
-run).
+bytes. A sample is drawn as its branch code; every value it writes but its
+position is a table entry of that branch, rendered once per entry. Both
+sampling commands write one block at a time and keep whole only what their
+checks read: ``jarzynski`` the work column (8 bytes per sample), ``scheme``
+its branch codes (8 bytes per run) and five float columns.
 
 Exit status is 0 iff every enabled check passed. A machine-readable summary
 is written even when checks fail; on a domain error (exit status 2) it holds
@@ -27,10 +28,11 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import fields as dataclass_fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,26 +129,16 @@ def _json_cells(column: np.ndarray) -> tuple[str, Callable[[np.ndarray], list]]:
 
 
 class Coded(NamedTuple):
-    """A block of rows that declares which of its rows are alike.
+    """A block of rows, each of them one entry of a table.
 
-    `code` holds each row's code, a non-negative integer, and `columns` the
-    block's equal-length columns. Every column whose name is not in `free`
-    is a function of the code: rows of one code hold bit-equal values in it.
+    Row j is entry ``code[j]`` of `table`, which maps column names to
+    columns of one value per entry, together with row j of `free`, which
+    maps the other column names to columns of one value per row.
     """
 
     code: np.ndarray
-    columns: Sequence[np.ndarray]
-    free: tuple[str, ...] = ()
-
-
-def row_code(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """Each row's code as the mixed-radix number of its digits, columns of
-    non-negative integers, most significant first; the radix of each digit
-    after the first is its largest value plus one."""
-    code = first
-    for digit in rest:
-        code = code * (int(digit.max(initial=0)) + 1) + digit
-    return code
+    table: Mapping[str, np.ndarray]
+    free: Mapping[str, np.ndarray]
 
 
 def _split_row(row: str, specs) -> list[str]:
@@ -166,55 +158,47 @@ def _split_row(row: str, specs) -> list[str]:
 
 
 def _write_rows(fh, names, row_format, blocks, sep: str = "", cells=_cells) -> None:
-    """Write one row per column entry, `sep` between rows, for each block of
-    equal-length columns in turn; `names` names the columns in order.
+    """Write the rows of each block in turn, `sep` between rows; `names`
+    names the columns in order.
 
-    A block is a list of columns, or a `Coded` block. `row_format` maps the
-    per-column format specs to the row template. Only the free columns are
-    formatted row by row: in each block every other column is rendered once
-    per code that occurs, into a template of that code, and each chunk of
-    rows joins its rows' templates and fills in the free columns with one
-    `%`. A list of columns is one code with every column free. Before a
-    block is written, each column outside `free` is checked to hold, in
-    every row, the bit pattern of the row its code is rendered from; one
-    that does not raises ValueError naming it. How the rows are split into
-    blocks, and which columns are coded, changes no byte of the text.
+    A block is a `Coded` block, or a list of equal-length columns in order,
+    every one of them free. `row_format` maps the per-column format specs to
+    the row template. The table's columns are rendered once per entry, into
+    a template of that entry, and each chunk of rows joins its rows'
+    templates and fills in the free columns with one `%`. How the rows are
+    split into blocks, and which columns are in the table, changes no byte
+    of the text.
     """
     first = True
     for block in blocks:
-        code, columns, free = block if isinstance(block, Coded) else (None, block, names)
+        if isinstance(block, Coded):
+            code, table, free = block
+            columns = [table[k] if k in table else free[k] for k in names]
+            in_table = [k in table for k in names]
+        else:
+            code, columns, in_table = None, block, [False] * len(block)
         columns = [np.asarray(c) for c in columns]
-        n = len(columns[0])
-        if any(len(c) != n for c in columns):
+        n = len(columns[0]) if code is None else len(code)
+        if any(len(c) != n for c, t in zip(columns, in_table) if not t):
             raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
         specs, renders = zip(*(cells(c) for c in columns))
         pieces = _split_row(row_format(specs), specs)
         if not n:
             continue
-        if code is None:
+        if not any(in_table):  # one template for every row
             code = np.zeros(n, dtype=np.intp)
-        coded = [name not in free for name, _ in zip(names, columns)]
-        at = np.full(int(code.max()) + 1, -1, dtype=np.intp)
-        at[code] = np.arange(n)  # one row holding each code
-        used = np.flatnonzero(at >= 0)
-        held, rows_of = at[used], at[code]
-        for name, column, is_coded in zip(names, columns, coded):
-            bits = column.view(f"u{column.itemsize}")  # -0.0, 0.0 and NaN payloads differ
-            if is_coded and not np.array_equal(bits[rows_of], bits):
-                raise ValueError(f"column {name!r} is not a function of the row code")
+        entries = next((len(c) for c, t in zip(columns, in_table) if t), 1)
         texts = [
-            [(spec % v).replace("%", "%%") for v in render(column[held])]
-            if is_coded else [spec] * used.size
-            for spec, render, column, is_coded in zip(specs, renders, columns, coded)
+            [(spec % v).replace("%", "%%") for v in render(column)] if t else [spec] * entries
+            for spec, render, column, t in zip(specs, renders, columns, in_table)
         ]
-        rendered = [
+        templates = [
             "".join(chain.from_iterable(zip(pieces, row))) + pieces[-1] for row in zip(*texts)
         ]
-        free_columns = [(r, c) for r, c, is_coded in zip(renders, columns, coded) if not is_coded]
+        free_columns = [(r, c) for r, c, t in zip(renders, columns, in_table) if not t]
         if not free_columns:
-            rendered = [t % () for t in rendered]
-        templates = np.empty(at.size, dtype=object)
-        templates[used] = rendered
+            templates = [t % () for t in templates]
+        templates = np.array(templates, dtype=object)
         for start in range(0, n, _ROWS_PER_BLOCK):
             stop = min(start + _ROWS_PER_BLOCK, n)
             if not first:
@@ -228,8 +212,8 @@ def _write_rows(fh, names, row_format, blocks, sep: str = "", cells=_cells) -> N
 
 
 def write_csv(path: Path, header: list[str], blocks) -> None:
-    """A header row, then one row per entry of each block's equal-length
-    columns (one list of columns per block, in header order)."""
+    """A header row, then the rows of each block (see `_write_rows`), with
+    the columns in header order."""
 
     def row_format(specs):
         if len(specs) != len(header):
@@ -437,6 +421,11 @@ def _interpolation(h_initial: Operator, h_final: Operator):
 def _scenario_schedule(settings: dict) -> DriveSchedule:
     name = settings["scenario"]
     steps = settings["steps"]
+    if settings["schedule_file"] and name != "custom":
+        raise ValueError(
+            f"scenario {name!r} reads no schedule file, got "
+            f"schedule_file={settings['schedule_file']!r}; only scenario 'custom' reads one"
+        )
     if name == "constant":
         return DriveSchedule.constant(
             Operator.from_diagonal(np.array([0.0, 1.0])), t_f=1.0, n_steps=steps or 1
@@ -481,16 +470,15 @@ def cmd_jarzynski(settings: dict) -> int:
     _equality_target(beta, df_used)  # the check's domain errors, before any row is written
 
     # Each block is drawn, written and dropped; only the work column is kept
-    # whole, for the equality check. A block is one stream, so every column
-    # but draw_id is a function of the two outcome indices drawn.
+    # whole, for the equality check. Every column but draw_id is a function
+    # of the (i, f) pair drawn, so the writer renders it once per pair.
     work = np.empty(n)
     keys = ["initial_energy", "final_energy", "work", "stream_id", "draw_id"]
 
     def rows():
-        for drawn, block in blocks:
-            work[drawn] = block["work"]
-            code = row_code(block["initial_outcome_index"], block["final_outcome_index"])
-            yield Coded(code, [block[k] for k in keys], free=("draw_id",))
+        for drawn, code, table in blocks:
+            work[drawn] = table["work"][code]
+            yield Coded(code, table, {"draw_id": np.arange(drawn.start, drawn.stop)})
 
     if settings["format"] == "json":
         write_json_records(out / "work_samples.json", keys, rows())
@@ -544,12 +532,18 @@ _WORK_GAP_RTOL = 1e-12
 
 def cmd_scheme(settings: dict) -> int:
     out = _out_dir(settings)
+    drive = ("j_initial", "j_final", "t_f", "drive_steps")  # the szilard_schedule settings
     if settings["eigenstate_prep"]:
+        defaults = _SETTINGS["scheme"][1]
+        changed = [k for k in drive if settings[k] != defaults[k][0]]
+        if changed:
+            raise ValueError(
+                "eigenstate_prep runs the site-diagonal drive and takes no barrier drive "
+                "setting, got " + ", ".join(f"{k}={settings[k]!r}" for k in changed)
+            )
         schedule = None  # the config default is the commuting site-diagonal drive
     else:
-        schedule = szilard_schedule(
-            settings["j_initial"], settings["j_final"], settings["t_f"], settings["drive_steps"]
-        )
+        schedule = szilard_schedule(*(settings[k] for k in drive))
     config = SchemeConfig(
         beta=settings["beta"],
         n_samples=settings["samples"],
@@ -558,28 +552,23 @@ def cmd_scheme(settings: dict) -> int:
         eigenstate_prep=settings["eigenstate_prep"],
     )
     policy = _policy_from(settings)
-    ctx, tables, drawn = _draw_runs(config, policy=policy)  # a pruned draw raises here
+    ctx, tables, code = _draw_runs(config, policy=policy)  # a pruned draw raises here
     kT = 1.0 / settings["beta"]
-
-    # Each stream block of runs is gathered, written and dropped; the checks'
-    # columns are kept whole. In a block every column but draw is a function
-    # of the drawn outcomes.
     n = config.n_samples
-    kept = {k: np.empty(n) for k in _CHECKED_COLUMNS}
-    digits = ("initial_sector", "event_outcome", "final_sector")
+    kept = {k: tables.table[k][code] for k in _CHECKED_COLUMNS}  # what the checks read
 
-    def blocks(keys, keep=()):
-        for rows in _block_rows(n):
-            columns = tables.columns(drawn, rows)
-            for k in keep:
-                kept[k][rows] = columns[k]
-            code = row_code(*(columns[k] for k in digits))
-            yield Coded(code, [columns[k] for k in keys], free=("draw",))
+    # Each stream block of runs is written from the branch table and that
+    # block's stream: every column but draw is a function of the branch code.
+    def blocks():
+        entries = len(tables.table["work_total"])
+        for stream, rows in enumerate(_block_rows(n)):
+            table = {"stream": np.full(entries, stream), **tables.table}
+            yield Coded(code[rows], table, {"draw": np.arange(rows.start, rows.stop)})
 
     with open(out / "scheme_records.jsonl", "w") as fh:
-        _write_rows(fh, RECORD_COLUMNS, _jsonl_row, blocks(RECORD_COLUMNS, kept))
-    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, blocks(_SUMMARY_COLUMNS))
-    del drawn  # the checks read the kept columns alone
+        _write_rows(fh, RECORD_COLUMNS, _jsonl_row, blocks())
+    write_csv(out / "scheme_summary.csv", _SUMMARY_COLUMNS, blocks())
+    del code  # the checks read the kept columns alone
     original, modified, ledger_totals, work_gap = _summarize(kept, config.beta, ctx.delta_f)
     sigma_total = modified.sigma_total
     write_json(out / "scheme_report_original.json", original.to_dict())

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import NumericalConsistencyError
 from .linalg import DensityMatrix, Operator, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import _collect, _draw_blocks, cdf_of, check_seed
+from .streams import _draw_blocks, cdf_of, check_seed
 from .superselection import energy_sectors
 
 __all__ = [
@@ -374,28 +374,30 @@ def tpm_blocks(
     through the stepwise propagator, and read a final sector by the Born
     rule. `n_samples`, `beta` and `seed` are checked, and the sector tables
     built, on the call, so a domain error is raised before any block is drawn.
-    Returns an iterator of ``(rows, columns)``: the slice of samples one
-    block covers (see `streams.stream_blocks`) and a dict of that block's
-    columns under the `WorkSamples` field names, ``work`` included.
+    Returns an iterator of ``(rows, code, table)``: the slice of samples one
+    block covers (see `streams.stream_blocks`), each sample's (i, f) pair
+    code ``i * n_final + f``, and a dict with one entry per pair under the
+    `WorkSamples` field names: both energies, both outcome indices, ``work``
+    and the block's ``stream_id``. Sample j of the block is entry ``code[j]``.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     _check_beta(beta, zero_ok=True)
     check_seed(seed)
     e_init, e_fin, cdfs = _sector_tables(schedule, beta, policy=policy)
+    i_idx, f_idx = np.indices(cdfs[-1].shape, dtype=np.int64).reshape(2, -1)
+    initial, final = e_init[i_idx], e_fin[f_idx]
+    pairs = {
+        "initial_energy": initial,
+        "final_energy": final,
+        "initial_outcome_index": i_idx,
+        "final_outcome_index": f_idx,
+        "work": final - initial,
+    }
 
     def blocks():
-        for stream, rows, (i_idx, f_idx) in _draw_blocks(seed, n_samples, cdfs):
-            initial, final = e_init[i_idx], e_fin[f_idx]
-            yield rows, {
-                "initial_energy": initial,
-                "final_energy": final,
-                "initial_outcome_index": i_idx,
-                "final_outcome_index": f_idx,
-                "stream_id": np.full(len(i_idx), stream, dtype=np.int64),
-                "draw_id": np.arange(rows.start, rows.stop),
-                "work": final - initial,
-            }
+        for stream, rows, code in _draw_blocks(seed, n_samples, cdfs):
+            yield rows, code, {**pairs, "stream_id": np.full(i_idx.size, stream, dtype=np.int64)}
 
     return blocks()
 
@@ -411,11 +413,15 @@ def tpm_sample(
     """The samples of `tpm_blocks` as whole columns. Samples are partitioned
     over seeded streams in fixed blocks, so the first n samples of a larger
     run equal a run of n samples."""
-    blocks = tpm_blocks(schedule, beta, n_samples, seed, policy=policy)
-    names = [f.name for f in fields(WorkSamples) if f.init]
-    dtypes = [np.float64 if name.endswith("energy") else np.int64 for name in names]
-    columns = _collect(n_samples, ((rows, map(b.get, names)) for rows, b in blocks), dtypes)
-    return WorkSamples(**dict(zip(names, columns)))  # fresh read-only: kept uncopied
+    blocks = list(tpm_blocks(schedule, beta, n_samples, seed, policy=policy))
+    columns = {
+        f.name: np.concatenate([table[f.name][code] for _, code, table in blocks])
+        for f in fields(WorkSamples) if f.init and f.name != "draw_id"
+    }
+    columns["draw_id"] = np.arange(n_samples, dtype=np.int64)
+    for column in columns.values():
+        column.setflags(write=False)  # fresh read-only columns: kept uncopied
+    return WorkSamples(**columns)
 
 
 def jarzynski_exact(

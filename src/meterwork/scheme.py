@@ -25,8 +25,9 @@ accounting on top of the drive work.
 Runs are table-driven: the deterministic channels are evaluated once per
 branch and sampling reduces to three inverse-CDF draws per run, which keeps
 10^4 runs cheap while remaining bit-identical to the stepwise path. The
-draws go through the block drawer the TPM samples use, and any slice of
-runs is gathered from the drawn indices.
+draws go through the block drawer the TPM samples use, and each run is its
+branch code: any slice of runs is gathered from the branch table at its
+codes.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import (
     STREAM_BLOCK,
     PhiloxStream,
-    _collect,
     _draw_blocks,
     cdf_of,
     check_seed,
@@ -594,6 +594,8 @@ class _BranchTables:
     draw reads: its run values in `per_branch[:, i, m]` and its ledger in
     `ledgers[i][m]`; one pruned by `outcome_floor` keeps its CDF width and
     no ledger. Its states are those of the stepwise run that draws (i, m).
+    `table` holds every `RECORD_COLUMNS` value but ``stream`` and ``draw``,
+    one entry per (i, m, f) branch in branch code order (`draw`).
     """
 
     def __init__(self, ctx: SchemeContext):
@@ -648,47 +650,57 @@ class _BranchTables:
                 )
                 self.ledgers[i][m_idx] = ledger
 
-    def draw(self, seed: int, n: int) -> list[np.ndarray]:
-        """The read-only (i, m, f) index columns of runs [0, n), three
-        uniforms per run from its stream. A run on a pruned branch raises
+        i, m, f = np.indices(self.cdf_final.shape, dtype=np.int64).reshape(3, -1)
+        e_i, e_f = self.e_init[i], self.e_fin[f]
+        w_exp, w_reader, *sigmas = self.per_branch[:, i, m]
+        w_drive = e_f - e_i
+        w_total = w_drive + w_exp + w_reader  # left to right, as SchemeRunRecord adds
+        values = (i, e_i, m, f, e_f, w_drive, w_exp, w_reader, w_total, *sigmas)
+        for v in values:
+            v.flags.writeable = False
+        self.table = dict(zip(RECORD_COLUMNS[2:], values))
+
+    def draw(self, seed: int, n: int) -> np.ndarray:
+        """The read-only branch code column of runs [0, n), from three
+        uniforms per run from its stream; a run's values are the `table`
+        entry at its code. A run on a pruned branch raises
         `SchemeConstraintError`, naming the first in draw order."""
         cdfs = (self.cdf_init, self.cdf_event, self.cdf_final)
-        blocks = ((rows, idx) for _, rows, idx in _draw_blocks(seed, n, cdfs))
-        i, m, _ = drawn = _collect(n, blocks, (np.int64,) * 3)
+        code = np.concatenate([code for _, _, code in _draw_blocks(seed, n, cdfs)])
+        code.setflags(write=False)
+        i, m = self.table["initial_sector"], self.table["event_outcome"]
         p_m = self.p_event[i, m]  # 0 below a pruned initial sector
-        pruned = np.flatnonzero(p_m <= self.floor)
+        pruned = np.flatnonzero(p_m[code] <= self.floor)
         if pruned.size:
             j = pruned[0]
-            if self.p_init[i[j]] <= self.floor:
-                what, p = f"initial energy sector {i[j]}", self.p_init[i[j]]
+            i, m, p_m = (v[code[j]] for v in (i, m, p_m))  # the branch run j drew
+            if self.p_init[i] <= self.floor:
+                what, p = f"initial energy sector {i}", self.p_init[i]
             else:
-                what, p = f"event outcome {m[j]} after initial sector {i[j]}", p_m[j]
+                what, p = f"event outcome {m} after initial sector {i}", p_m
             raise SchemeConstraintError(
                 f"run {j} drew {what} with probability {p:.6g}, at or below outcome_floor "
                 f"{self.floor:g}; a pruned branch has no tabulated values"
             )
-        return drawn
+        return code
 
-    def columns(self, drawn, rows: slice) -> dict[str, np.ndarray]:
-        """Read-only `RECORD_COLUMNS` of the runs `rows`, a slice with start
-        and stop, from the index columns `drawn` of `draw`."""
-        i, m, f = (c[rows] for c in drawn)
-        draw = np.arange(rows.start, rows.stop)
-        e_i, e_f = self.e_init[i], self.e_fin[f]
-        branch = i * self.per_branch.shape[2] + m  # (i, m) flat: 1-D gathers are 4x faster
-        w_exp, w_reader, *sigmas = (v[branch] for v in self.per_branch.reshape(5, -1))
-        w_drive = e_f - e_i
-        w_total = w_drive + w_exp + w_reader  # left to right, as SchemeRunRecord adds
-        stream = draw // STREAM_BLOCK
-        columns = (stream, draw, i, e_i, m, f, e_f, w_drive, w_exp, w_reader, w_total, *sigmas)
-        for c in columns:
+    def columns(self, code: np.ndarray) -> dict[str, np.ndarray]:
+        """Read-only `RECORD_COLUMNS` of the runs whose branch codes (`draw`)
+        are `code`, in draw order: the entries of `table` at the codes."""
+        draw = np.arange(len(code))
+        columns = {
+            "stream": draw // STREAM_BLOCK,
+            "draw": draw,
+            **{k: v[code] for k, v in self.table.items()},
+        }
+        for c in columns.values():
             c.flags.writeable = False
-        return dict(zip(RECORD_COLUMNS, columns))
+        return columns
 
 
 def _draw_runs(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY):
-    """The context and branch tables of `config`, and the index columns its
-    runs draw (`_BranchTables.draw`)."""
+    """The context and branch tables of `config`, and the branch code column
+    its runs draw (`_BranchTables.draw`)."""
     ctx = build_context(config, policy=policy)
     tables = _BranchTables(ctx)
     return ctx, tables, tables.draw(config.seed, config.n_samples)
@@ -723,8 +735,8 @@ def run_scheme(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY) 
     counter factor exp(+sigma). Sampling is stream-partitioned: the first n
     records of a larger run equal a run of n records.
     """
-    ctx, tables, drawn = _draw_runs(config, policy=policy)
-    columns = tables.columns(drawn, slice(0, config.n_samples))
+    ctx, tables, code = _draw_runs(config, policy=policy)
+    columns = tables.columns(code)
     original, modified, totals, work_gap = _summarize(columns, config.beta, ctx.delta_f)
     return SchemeResult(
         columns=MappingProxyType(columns),

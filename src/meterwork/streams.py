@@ -245,28 +245,17 @@ def stream_blocks(seed: int, n: int, k: int):
 
 
 def _draw_blocks(seed: int, n: int, cdfs):
-    """``(stream, rows, indices)`` of each block of `stream_blocks`: one index
-    column per stage of `cdfs`, drawn with one uniform per sample and stage.
+    """``(stream, rows, code)`` of each block of `stream_blocks`: each
+    sample's branch code, ``np.ravel_multi_index(indices, cdfs[-1].shape)``
+    of the index it drew at each stage of `cdfs`, one uniform per stage.
     Stage 0 is one CDF; stage k holds one CDF row per branch of the stages
     before it, indexed by the tuple of their indices."""
-    first, *later = cdfs
     for stream, rows, us in stream_blocks(seed, n, len(cdfs)):
-        idx = (draw_indices(first, us[:, 0]),)
-        for k, cdf in enumerate(later, 1):
-            idx += (draw_rows(cdf[idx], us[:, k]),)
-        yield stream, rows, idx
-
-
-def _collect(n: int, blocks, dtypes) -> list[np.ndarray]:
-    """Whole read-only columns of samples [0, n), one per dtype, from
-    `blocks` of ``(rows, columns)``: the columns of the samples `rows`."""
-    whole = [np.empty(n, dtype=dtype) for dtype in dtypes]
-    for rows, columns in blocks:
-        for out, column in zip(whole, columns):
-            out[rows] = column
-    for out in whole:
-        out.setflags(write=False)
-    return whole
+        code = draw_indices(cdfs[0], us[:, 0])
+        for k, cdf in enumerate(cdfs[1:], 1):
+            branch_rows = cdf.reshape(-1, cdf.shape[-1])  # one row per code so far
+            code = code * cdf.shape[-1] + draw_rows(branch_rows[code], us[:, k])
+        yield stream, rows, code
 
 
 def cdf_of(probs: np.ndarray) -> np.ndarray:

@@ -676,10 +676,11 @@ class TestColumnWriter:
             [0x7FF8000000000001, 0xFFF8000000000002, 0x7FF8000000000000, 0xFFF8000000000000],
             dtype=np.uint64,
         ).view(np.float64)
-        floats = np.tile(np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324], nans]), 300)
-        code = np.tile(np.arange(9), 300)  # the column repeats: one code per bit pattern
+        patterns = np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324], nans])
+        code = np.tile(np.arange(9), 300)  # one table entry per bit pattern
+        floats = patterns[code]
         path = tmp_path / "cells.csv"
-        write_csv(path, ["x"], [cli.Coded(code, [floats])])
+        write_csv(path, ["x"], [cli.Coded(code, {"x": patterns}, {})])
         rows = path.read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats.tolist()]
         assert rows[:9] == ["-0", "0", "inf", "-inf", "4.9406564584124654e-324"] + ["nan"] * 4
@@ -688,10 +689,11 @@ class TestColumnWriter:
     @pytest.mark.parametrize("distinct", [512, 513])
     def test_coded_and_free_blocks_render_alike(self, tmp_path, distinct, coded):
         code = np.resize(np.arange(distinct), 2048)
-        floats = code / 7.0 - 20.0
+        entries = np.arange(distinct) / 7.0 - 20.0
+        floats = entries[code]
 
         def block(rows):
-            return cli.Coded(code[rows], [floats[rows]]) if coded else [floats[rows]]
+            return cli.Coded(code[rows], {"x": entries}, {}) if coded else [floats[rows]]
 
         write_csv(tmp_path / "block.csv", ["x"], [block(slice(1024))])
         rows = (tmp_path / "block.csv").read_text().splitlines()[1:]
@@ -700,6 +702,14 @@ class TestColumnWriter:
         write_csv(path, ["x"], [block(slice(None))])
         rows = path.read_text().splitlines()[1:]
         assert rows == [format(x, ".17g") for x in floats.tolist()]
+
+    def test_one_pattern_per_code_writes_each_cell(self, tmp_path):
+        # codes that skip some entries; the entries no row reads are not written
+        entries = np.full(10, 7.5)
+        entries[[5, 0, 2, 9]] = [0.0, -0.0, NAN_PAYLOADS[0], NAN_PAYLOADS[2]]
+        code = np.tile([5, 0, 2, 9], 3)
+        write_csv(tmp_path / "x.csv", ["x"], [cli.Coded(code, {"x": entries}, {})])
+        assert (tmp_path / "x.csv").read_text() == "x\n" + "0\n-0\nnan\nnan\n" * 3
 
     def test_json_block_repeating_inf_stays_quoted(self, tmp_path):
         infs = np.resize([math.inf, 0.5], 3000)
@@ -811,11 +821,20 @@ def _code_of(*columns) -> np.ndarray:
     return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
+def _entries(code: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """The table column, one entry per code, of a row column that is a
+    function of `code`."""
+    entries = np.zeros(code.max() + 1, dtype=column.dtype)
+    entries[code] = column
+    return entries
+
+
 @st.composite
 def _table(draw, max_columns: int = 4):
-    """Columns, each row's code (None: the block is a list of columns) and
-    which columns are functions of the code. The codes are k of [0, 3k), so
-    some codes below the largest occur in no row."""
+    """The rows' columns, each row's code (None: the block is a list of
+    columns) and, per column, its table column of one entry per code (None:
+    the column is free). The codes are k of the 3k entries, so some entries
+    occur in no row."""
     n = draw(st.sampled_from(ROW_COUNTS))
     kinds = draw(st.lists(st.sampled_from("if"), min_size=1, max_size=max_columns))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -823,17 +842,20 @@ def _table(draw, max_columns: int = 4):
     codes = draw(st.one_of(st.none(), distinct))
     if codes is None:
         columns = [_column(rng, kind, n, draw(distinct)) for kind in kinds]
-        return columns, None, [False] * len(kinds)
+        return columns, None, [None] * len(kinds)
     k = _count(n, codes)
     slot = rng.permutation(np.resize(np.arange(k), n))
     code = rng.permutation(3 * k)[:k][slot]
-    coded = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
-    columns = [
-        _column(rng, kind, k, draw(distinct))[slot] if is_coded
-        else _column(rng, kind, n, draw(distinct))
-        for kind, is_coded in zip(kinds, coded)
+    in_table = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    entries = [
+        _column(rng, kind, 3 * k, draw(distinct)) if t else None
+        for kind, t in zip(kinds, in_table)
     ]
-    return columns, code, coded
+    columns = [
+        _column(rng, kind, n, draw(distinct)) if e is None else e[code]
+        for kind, e in zip(kinds, entries)
+    ]
+    return columns, code, entries
 
 
 # Row indices at which the writers' input is split into blocks; a cut past
@@ -842,15 +864,20 @@ CUTS = st.lists(st.integers(0, 5000), max_size=3)
 
 
 def _blocks(names, table, cuts):
-    """The table's columns as consecutive blocks, split at the sorted cuts:
-    lists of columns, or `Coded` blocks whose free columns are the uncoded."""
-    columns, code, coded = table
-    free = tuple(name for name, is_coded in zip(names, coded) if not is_coded)
+    """The rows of a `_table` as consecutive blocks, split at the sorted
+    cuts: lists of columns, or `Coded` blocks of the table columns and the
+    free ones."""
+    columns, code, entries = table
+    in_table = {k: e for k, e in zip(names, entries) if e is not None}
     n = len(columns[0])
     edges = [0, *sorted(min(cut, n) for cut in cuts), n]
     for a, b in zip(edges, edges[1:]):
         block = [c[a:b] for c in columns]
-        yield block if code is None else cli.Coded(code[a:b], block, free)
+        if code is None:
+            yield block
+        else:
+            free = {k: c for k, c in zip(names, block) if k not in in_table}
+            yield cli.Coded(code[a:b], in_table, free)
 
 
 class TestRowTemplates:
@@ -882,7 +909,7 @@ class TestRowTemplates:
     def test_jsonl_layout_matches_cell_by_cell(self, tmp_path_factory, table, cuts):
         columns = table[0]
         path = tmp_path_factory.mktemp("jsonl") / "x.jsonl"
-        names = cli.RECORD_COLUMNS
+        names = cli.RECORD_COLUMNS[:len(columns)]
         with open(path, "w") as fh:
             cli._write_rows(fh, names, cli._jsonl_row, _blocks(names, table, cuts))
         want = "".join(
@@ -901,13 +928,13 @@ class TestRowTemplates:
     ):
         rng = np.random.default_rng(n)
         code = np.resize([0, 1, 2], n)
-        finite = {"free": rng.normal(size=n), "coded": np.array([0.25, -0.0, 1.5])[code]}[where]
-        column = finite.copy()
+        code[1024], code[min(n, 2048) - 1] = 3, 4
+        entries = np.array([0.25, -0.0, 1.5, math.inf, math.nan])
+        column = rng.normal(size=n) if where == "free" else entries[code]
         column[1024] = math.inf  # the second block alone holds non-finite values
         column[min(n, 2048) - 1] = math.nan
-        code[1024], code[min(n, 2048) - 1] = 3, 4
         ints = np.arange(n, dtype=np.int64)
-        block = [column, ints] if where == "free" else cli.Coded(code, [column, ints], ("k",))
+        block = [column, ints] if where == "free" else cli.Coded(code, {"x": entries}, {"k": ints})
         path = tmp_path / "x.json"
         write_json_records(path, ["x", "k"], [block])
         records = [{"x": x, "k": k} for x, k in zip(column.tolist(), ints.tolist())]
@@ -922,44 +949,11 @@ class TestRowTemplates:
         few, half = _column(rng, "f", n, "few"), _column(rng, "i", n, "half")
         code = _code_of(few) if free else _code_of(few, half)
         assert free or 2 * (code.max() + 1) > n  # past half the rows, each pair its own code
-        write_csv(tmp_path / "x.csv", ["f", "h"], [cli.Coded(code, [few, half], free)])
+        table = {"f": _entries(code, few)} | ({} if free else {"h": _entries(code, half)})
+        block = cli.Coded(code, table, {"h": half} if free else {})
+        write_csv(tmp_path / "x.csv", ["f", "h"], [block])
         want = "".join(f"{_cell_17g(x)},{k}\n" for x, k in zip(few.tolist(), half.tolist()))
         _assert_same_text((tmp_path / "x.csv").read_text(), "f,h\n" + want)
-
-
-class TestRowCodeGuard:
-    """A column outside a `Coded` block's free columns must hold one bit
-    pattern per code; the writer checks it before it formats the block."""
-
-    @pytest.mark.parametrize(
-        "alike, unlike",
-        [(1.5, 2.5), (0.0, -0.0), (NAN_PAYLOADS[0], NAN_PAYLOADS[2]), (7, 8)],
-        ids=["values", "signed-zeros", "nan-payloads", "ints"],
-    )
-    def test_column_that_differs_within_a_code_is_named(self, tmp_path, alike, unlike):
-        column = np.array([alike, unlike, alike, alike])
-        code = np.array([0, 0, 1, 1])
-        draws = np.arange(4)
-        blocks = [cli.Coded(code, [draws, column], free=("draw",))]
-        with pytest.raises(ValueError, match="^column 'x' is not a function of the row code$"):
-            write_csv(tmp_path / "x.csv", ["draw", "x"], blocks)
-        with pytest.raises(ValueError, match="^column 'x' is not a function of the row code$"):
-            write_json_records(tmp_path / "x.json", ["draw", "x"], blocks)
-        free = [cli.Coded(code, [draws, column], free=("draw", "x"))]
-        write_csv(tmp_path / "x.csv", ["draw", "x"], free)
-        assert (tmp_path / "x.csv").read_text().splitlines()[1:] == [
-            f"{k},{_cell_17g(x)}" for k, x in enumerate(column.tolist())
-        ]
-
-    def test_one_pattern_per_code_writes_each_cell(self, tmp_path):
-        column = np.array([0.0, -0.0, NAN_PAYLOADS[0], NAN_PAYLOADS[2]] * 3)
-        code = np.tile([5, 0, 2, 9], 3)  # codes that skip some integers
-        write_csv(tmp_path / "x.csv", ["x"], [cli.Coded(code, [column])])
-        assert (tmp_path / "x.csv").read_text() == "x\n" + "0\n-0\nnan\nnan\n" * 3
-
-    def test_row_code_is_mixed_radix_on_the_largest_digits(self):
-        code = cli.row_code(np.array([0, 1, 1, 0]), np.array([2, 0, 1, 0]))
-        np.testing.assert_array_equal(code, [2, 3, 4, 0])
 
 
 class TestDomainErrors:
@@ -1021,6 +1015,40 @@ class TestDomainErrors:
         assert report["error"]["type"] == "ValueError"
         assert "outcome_floor must lie in [0, 1), got -1" in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--j-initial", "-5", "--drive-steps", "0"], "j_initial=-5.0, drive_steps=0"),
+            (["--j-final", "0.5"], "j_final=0.5"),
+            (["--t-f", "3"], "t_f=3.0"),
+        ],
+    )
+    def test_eigenstate_prep_rejects_a_drive_setting(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "o"
+        argv = ["scheme", "--eigenstate-prep", *argv, "--samples", "10", "--output", str(out)]
+        assert main(argv) == 2
+        message = (
+            "eigenstate_prep runs the site-diagonal drive and takes no barrier drive "
+            f"setting, got {named}"
+        )
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["scheme_summary.json"]
+        assert read_json(out / "scheme_summary.json")["error"] == {
+            "type": "ValueError", "message": message,
+        }
+
+    @pytest.mark.parametrize("scenario", ["constant", "commuting-quench", "driven-qubit"])
+    def test_schedule_file_on_a_named_scenario_is_an_error(self, tmp_path, capsys, scenario):
+        out = tmp_path / "o"
+        argv = ["jarzynski", "--scenario", scenario, "--schedule-file", "/nonexistent.json",
+                "--samples", "10", "--output", str(out)]
+        assert main(argv) == 2
+        message = (
+            f"scenario {scenario!r} reads no schedule file, got "
+            "schedule_file='/nonexistent.json'; only scenario 'custom' reads one"
+        )
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["jarzynski_report.json"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -1198,8 +1226,8 @@ class TestMemory:
         assert per_sample <= 40.0
 
     def test_scheme_traced_peak_grows_at_most_100_bytes_per_run(self, tmp_path):
-        """The run keeps the drawn (i, m, f) indices and five float64
-        columns whole (64 B per run) and holds the other columns and the row
+        """The run keeps the drawn branch codes (int64) and five float64
+        columns whole (48 B per run) and holds the other columns and the row
         text one stream block at a time."""
 
         def traced_peak(n: int) -> int:

@@ -1,7 +1,7 @@
 """The public names of the package resolve: each module's ``__all__`` lists
 only names the module defines, and every name the package root imports from
 a submodule is that submodule's object, listed in its ``__all__`` if it has
-one."""
+one. Every private module-level name is read somewhere in the package."""
 
 import ast
 import importlib
@@ -36,3 +36,38 @@ def test_package_reexports_resolve():
             assert getattr(meterwork, public) is getattr(module, alias.name)
             if hasattr(module, "__all__"):
                 assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def _private_definitions(tree: ast.Module):
+    """The private names (one leading underscore) that a module's top-level
+    statements define: functions, classes and assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        else:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+        for target in filter(None, targets):
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id[:1] == "_" and name.id[:2] != "__":
+                    yield name.id
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(meterwork.__file__).parent.glob("*.py"))
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    }
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+    assert unread == []

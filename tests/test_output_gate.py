@@ -1,6 +1,6 @@
 """Output gate: every byte the CLI prints or writes, pinned.
 
-Eleven invocations run in-process through `cli.main`, each into its own
+Twelve invocations run in-process through `cli.main`, each into its own
 directory. Each pins its exit status, its stdout and the sha256 of every
 file it writes, so a change of any reported figure, verdict or file byte
 fails here. The scheme runs at beta 5 and 200 exit 1: their Monte Carlo
@@ -9,7 +9,9 @@ those verdicts as they are. The 4000-step jarzynski drive and the 400-step
 scheme drive pin the stepwise propagators far past the configs' 400 and 40
 steps. The 8193-sample JSON export spans two full 4096-sample stream blocks
 and a one-row block, and the one-sample constant drive is the smallest
-run.
+run. The custom drive (`custom_drive.json`, beside this file) reads two
+initial sectors, one of them doubly degenerate, and three final sectors, so
+its pair table is not square.
 """
 
 import hashlib
@@ -19,9 +21,11 @@ import pytest
 
 from meterwork import cli
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+TESTS = Path(__file__).resolve().parent
+CONFIGS = TESTS.parent / "configs"
 
-# argv (config names are resolved in configs/) -> (exit status, stdout, {file: sha256})
+# argv (config names are resolved in configs/, schedule files in tests/)
+# -> (exit status, stdout, {file: sha256})
 GATE = {
     ("jarzynski", "--config", "configs/jarzynski_driven.cfg"): (
         0,
@@ -208,13 +212,25 @@ GATE = {
             "work_samples.csv": "5c58dc080d976dd93970360dda70dc055affb795c8d0496964b3b11d3fcb9801",
         },
     ),
+    ("jarzynski", "--scenario", "custom", "--schedule-file", "custom_drive.json", "--samples", "9000"): (
+        0,
+        (
+            "scenario=custom mean=0.99752003644581622 target=0.99375222955831599 se=0.0055807035501716463 [pass]\n"
+        ),
+        {
+            "jarzynski_report.json": "1909bba08bbbf36a420adf84f336e00265577b409f495d5dc16ca0da49a6694d",
+            "work_samples.csv": "d339080ed31d83e9e9d87b355ed7d1725d5c1fd665cc5edc208c807a01cc2de4",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(GATE), ids=" ".join)
 def test_invocation_output_is_pinned(tmp_path, capsys, argv):
     status, stdout, digests = GATE[argv]
-    args = [str(CONFIGS / Path(a).name) if a.endswith(".cfg") else a for a in argv]
+    folder = {".cfg": CONFIGS, ".json": TESTS}
+    args = [str(folder[Path(a).suffix] / Path(a).name) if Path(a).suffix in folder else a
+            for a in argv]
     assert cli.main([*args, "--output", str(tmp_path)]) == status
     assert capsys.readouterr().out == stdout
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}

@@ -37,8 +37,9 @@ def test_draw_blocks_equal_scalar_draws(n, stages):
             idx += (int(draw_indices(cdf[idx], rng.random())),)
         expected.append(idx)
     blocks = list(_draw_blocks(5, n, cdfs))
-    assert all(len(idx) == stages for _, _, idx in blocks)
-    drawn = [tuple(map(int, run)) for _, _, idx in blocks for run in zip(*idx)]
+    assert all(code.dtype == np.intp for _, _, code in blocks)
+    codes = np.concatenate([code for _, _, code in blocks])
+    drawn = list(zip(*(idx.tolist() for idx in np.unravel_index(codes, cdfs[-1].shape))))
     assert drawn == expected
     streams = [stream for stream, rows, _ in blocks for _ in range(rows.start, rows.stop)]
     assert streams == [j // STREAM_BLOCK for j in range(n)]
