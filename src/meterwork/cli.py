@@ -12,8 +12,10 @@ output is printed with 17 significant digits so files round-trip exactly.
 Samples are drawn from seeded streams in blocks of 4096, so the output files
 are a function of the settings and the seed: a repeated run gives the same
 bytes. A sample is drawn as its branch code; every value it writes but its
-position is a table entry of that branch, rendered once per entry. Both
-sampling commands write one block at a time and keep whole only what their
+stream and its position is a table entry of that branch, rendered once per
+entry and command; a position is written as its 1000-row chunk's leading
+digits and one of a table of 1000 three-digit suffixes. Both sampling
+commands write one block at a time and keep whole only what their
 checks read: ``jarzynski`` the work column (8 bytes per sample), ``scheme``
 its branch codes (8 bytes per run) and five float columns.
 
@@ -46,7 +48,7 @@ from .jarzynski import (
     tpm_blocks,
 )
 from .linalg import Operator
-from .numeric import DEFAULT_POLICY, NumericPolicy
+from .numeric import DEFAULT_POLICY, NumericPolicy, require_integer
 from .relaxation import (
     entropy_of_weight,
     simulate_direct,
@@ -101,13 +103,16 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_json_render(obj) + "\n")
 
 
-# Rows are formatted and written this many at a time, so the text in memory
-# stays flat as the row count grows: each chunk's text is built whole before
-# it is written. (Both sampling commands pass one stream block at a time.)
-# Larger chunks cost memory and buy no speed: with 4096-row chunks
-# `scheme --config configs/scheme_default.cfg` peaks at 38.1 MiB instead of
-# 34.5 MiB (+10 %), at the same wall time.
-_ROWS_PER_BLOCK = 1024
+# Rows are formatted and written in chunks, so the text in memory stays flat
+# as the row count grows: each chunk's text is built whole before it is
+# written. (Both sampling commands pass one stream block at a time.) A chunk
+# of a coded block ends where its position reaches a multiple of this, so
+# every position in the chunk is the chunk's leading digits,
+# str(position // 1000), followed by one of 1000 three-digit suffixes; it
+# must be 1000 for that. Larger chunks cost memory and buy no speed: with
+# 4096-row chunks `scheme --config configs/scheme_default.cfg` peaked at
+# 38.1 MiB instead of 34.5 MiB (+10 %), at the same wall time.
+_ROWS_PER_BLOCK = 1000
 
 
 def _cells(column: np.ndarray) -> tuple[str, Callable[[np.ndarray], list]]:
@@ -132,13 +137,16 @@ class Coded(NamedTuple):
     """A block of rows, each of them one entry of a table.
 
     Row j is entry ``code[j]`` of `table`, which maps column names to
-    columns of one value per entry, together with row j of `free`, which
-    maps the other column names to columns of one value per row.
+    columns of one value per entry, together with the values `constants`
+    maps the block's constant columns to and, in the one column named in
+    neither, its position ``first + j``. A command passes the same `table`
+    object in every block, so its entries are rendered once.
     """
 
     code: np.ndarray
     table: Mapping[str, np.ndarray]
-    free: Mapping[str, np.ndarray]
+    constants: Mapping[str, object]
+    first: int
 
 
 def _split_row(row: str, specs) -> list[str]:
@@ -157,58 +165,142 @@ def _split_row(row: str, specs) -> list[str]:
     return pieces
 
 
+def _cell_text(value, cells) -> tuple[str, str]:
+    """Format spec and text of one value, as `cells` renders it in a column."""
+    column = np.asarray([value])
+    spec, render = cells(column)
+    return spec, spec % tuple(render(column))
+
+
+class _CodedRows:
+    """The rows of the coded blocks of one table: each entry's cells are
+    rendered once, into the text between the columns a block fills in (its
+    constants and its position), each row led by `sep`."""
+
+    def __init__(self, names, table, sep: str, cells):
+        self.table, self.names, self.sep, self.cells = table, names, sep, cells
+        self.rendered = {}  # table column name -> (spec, text of each entry)
+        for k in names:
+            if k in table:
+                column = np.asarray(table[k])
+                spec, render = cells(column)
+                self.rendered[k] = spec, np.array([spec % v for v in render(column)], dtype=object)
+        lengths = {len(column) for column in table.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+        self.entries = lengths.pop() if lengths else 1
+        self.pieces = self.segments = None
+        self.suffixes = {}  # tail -> the position suffix tables, with the tail
+
+    def _segments(self, row_format, specs) -> list:
+        """Each entry's row text before, between and after the columns not
+        in the table, one object array per gap, for a block's column specs."""
+        pieces = _split_row(row_format(specs), specs)
+        if pieces != self.pieces:
+            self.pieces = pieces
+            text = [p.replace("%%", "%") for p in pieces]  # no `%` fills these rows
+            segment = np.full(self.entries, self.sep + text[0], dtype=object)
+            self.segments = []
+            for k, after in zip(self.names, text[1:]):
+                if k in self.rendered:
+                    segment = segment + self.rendered[k][1] + after
+                else:
+                    self.segments.append(segment)
+                    segment = np.full(self.entries, after, dtype=object)
+            self.segments.append(segment)
+        return self.segments
+
+    def chunks(self, block: Coded, row_format):
+        """The text of each chunk of the block's rows."""
+        code, table, constants, first = block
+        holes = [k for k in self.names if k not in table]
+        position = [k for k in holes if k not in constants]
+        if len(position) != 1:
+            raise ValueError(
+                f"a coded block has one position column, in neither its table nor its "
+                f"constants; got {position}"
+            )
+        first = require_integer("first", first)
+        if first < 0:
+            raise ValueError(f"a block's first position must be >= 0, got {first}")
+        filled = {k: _cell_text(constants[k], self.cells) for k in holes if k in constants}
+        filled[position[0]] = "%d", None  # positions are written as decimal integers
+        specs = [self.rendered[k][0] if k in table else filled[k][0] for k in self.names]
+        segments = self._segments(row_format, specs)
+        if not len(code):
+            return
+        at = holes.index(position[0])
+        heads, tails = segments[0], segments[at + 1]
+        for k, segment in zip(holes[:at], segments[1:]):
+            heads = heads + filled[k][1] + segment
+        for k, segment in zip(holes[at + 1:], segments[at + 2:]):
+            tails = tails + filled[k][1] + segment
+        # A tail every entry shares (the row's end, when the position is the
+        # last column) is folded into the suffixes: a row is two parts, not three.
+        shared = bool((tails == tails[0]).all())
+        tail = tails[0] if shared else ""
+        if tail not in self.suffixes:  # a position's last three digits, then the tail
+            self.suffixes[tail] = (
+                [f"{j}{tail}" for j in range(_ROWS_PER_BLOCK)],  # below 1000, unpadded
+                [f"{j:03d}{tail}" for j in range(_ROWS_PER_BLOCK)],
+            )
+        width = 2 if shared else 3
+        start, n = 0, len(code)
+        while start < n:
+            lead, low = divmod(first + start, _ROWS_PER_BLOCK)
+            stop = min(start + _ROWS_PER_BLOCK - low, n)
+            rows = code[start:stop]
+            parts = [None] * (width * len(rows))
+            parts[0::width] = (heads + str(lead) if lead else heads)[rows].tolist()
+            parts[1::width] = self.suffixes[tail][lead > 0][low:low + len(rows)]
+            if not shared:
+                parts[2::3] = tails[rows].tolist()
+            yield "".join(parts)
+            start = stop
+
+
+def _plain_chunks(columns, row_format, sep: str, cells):
+    """The text of each chunk of a block of free columns, each row led by
+    `sep`: its row template repeated and filled in with one `%`."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    specs, renders = zip(*(cells(c) for c in columns))
+    row = sep + row_format(specs)
+    for start in range(0, n, _ROWS_PER_BLOCK):
+        stop = min(start + _ROWS_PER_BLOCK, n)
+        values = [render(column[start:stop]) for render, column in zip(renders, columns)]
+        text = row * (stop - start)
+        yield text % tuple(values[0] if len(values) == 1 else chain.from_iterable(zip(*values)))
+
+
 def _write_rows(fh, names, row_format, blocks, sep: str = "", cells=_cells) -> None:
     """Write the rows of each block in turn, `sep` between rows; `names`
     names the columns in order.
 
-    A block is a `Coded` block, or a list of equal-length columns in order,
-    every one of them free. `row_format` maps the per-column format specs to
-    the row template. The table's columns are rendered once per entry, into
-    a template of that entry, and each chunk of rows joins its rows'
-    templates and fills in the free columns with one `%`. How the rows are
-    split into blocks, and which columns are in the table, changes no byte
-    of the text.
+    A block is a `Coded` block, or a list of equal-length columns in order
+    that is formatted cell by cell. `row_format` maps the per-column format
+    specs to the row template. A coded block's table is rendered once per
+    table object, into the text of each entry before and after its position;
+    its constants are joined in once per block. Each chunk of rows is one
+    join of its rows' entry heads (with the chunk's leading position digits),
+    their position suffixes and their entry tails. How the rows are split
+    into blocks, and which columns are in the table, changes no byte of the
+    text.
     """
-    first = True
+    coded = None  # the rows of the last coded block's table
+    skip = len(sep)  # the file's first row is led by no sep
     for block in blocks:
         if isinstance(block, Coded):
-            code, table, free = block
-            columns = [table[k] if k in table else free[k] for k in names]
-            in_table = [k in table for k in names]
+            if coded is None or coded.table is not block.table:
+                coded = _CodedRows(names, block.table, sep, cells)
+            chunks = coded.chunks(block, row_format)
         else:
-            code, columns, in_table = None, block, [False] * len(block)
-        columns = [np.asarray(c) for c in columns]
-        n = len(columns[0]) if code is None else len(code)
-        if any(len(c) != n for c, t in zip(columns, in_table) if not t):
-            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-        specs, renders = zip(*(cells(c) for c in columns))
-        pieces = _split_row(row_format(specs), specs)
-        if not n:
-            continue
-        if not any(in_table):  # one template for every row
-            code = np.zeros(n, dtype=np.intp)
-        entries = next((len(c) for c, t in zip(columns, in_table) if t), 1)
-        texts = [
-            [(spec % v).replace("%", "%%") for v in render(column)] if t else [spec] * entries
-            for spec, render, column, t in zip(specs, renders, columns, in_table)
-        ]
-        templates = [
-            "".join(chain.from_iterable(zip(pieces, row))) + pieces[-1] for row in zip(*texts)
-        ]
-        free_columns = [(r, c) for r, c, t in zip(renders, columns, in_table) if not t]
-        if not free_columns:
-            templates = [t % () for t in templates]
-        templates = np.array(templates, dtype=object)
-        for start in range(0, n, _ROWS_PER_BLOCK):
-            stop = min(start + _ROWS_PER_BLOCK, n)
-            if not first:
-                fh.write(sep)
-            first = False
-            text = sep.join(templates[code[start:stop]].tolist())
-            if free_columns:
-                values = [render(column[start:stop]) for render, column in free_columns]
-                text %= tuple(values[0] if len(values) == 1 else chain.from_iterable(zip(*values)))
-            fh.write(text)
+            chunks = _plain_chunks(block, row_format, sep, cells)
+        for text in chunks:
+            fh.write(text[skip:] if skip else text)
+            skip = 0
 
 
 def write_csv(path: Path, header: list[str], blocks) -> None:
@@ -470,15 +562,15 @@ def cmd_jarzynski(settings: dict) -> int:
     _equality_target(beta, df_used)  # the check's domain errors, before any row is written
 
     # Each block is drawn, written and dropped; only the work column is kept
-    # whole, for the equality check. Every column but draw_id is a function
-    # of the (i, f) pair drawn, so the writer renders it once per pair.
+    # whole, for the equality check. A row is its (i, f) pair's table entry,
+    # its block's stream_id and its position, draw_id.
     work = np.empty(n)
     keys = ["initial_energy", "final_energy", "work", "stream_id", "draw_id"]
 
     def rows():
-        for drawn, code, table in blocks:
+        for stream, drawn, code, table in blocks:
             work[drawn] = table["work"][code]
-            yield Coded(code, table, {"draw_id": np.arange(drawn.start, drawn.stop)})
+            yield Coded(code, table, {"stream_id": stream}, drawn.start)
 
     if settings["format"] == "json":
         write_json_records(out / "work_samples.json", keys, rows())
@@ -557,13 +649,11 @@ def cmd_scheme(settings: dict) -> int:
     n = config.n_samples
     kept = {k: tables.table[k][code] for k in _CHECKED_COLUMNS}  # what the checks read
 
-    # Each stream block of runs is written from the branch table and that
-    # block's stream: every column but draw is a function of the branch code.
+    # Each stream block of runs is written from the branch table, that
+    # block's stream and each run's position, draw.
     def blocks():
-        entries = len(tables.table["work_total"])
         for stream, rows in enumerate(_block_rows(n)):
-            table = {"stream": np.full(entries, stream), **tables.table}
-            yield Coded(code[rows], table, {"draw": np.arange(rows.start, rows.stop)})
+            yield Coded(code[rows], tables.table, {"stream": stream}, rows.start)
 
     with open(out / "scheme_records.jsonl", "w") as fh:
         _write_rows(fh, RECORD_COLUMNS, _jsonl_row, blocks())

@@ -374,11 +374,13 @@ def tpm_blocks(
     through the stepwise propagator, and read a final sector by the Born
     rule. `n_samples`, `beta` and `seed` are checked, and the sector tables
     built, on the call, so a domain error is raised before any block is drawn.
-    Returns an iterator of ``(rows, code, table)``: the slice of samples one
-    block covers (see `streams.stream_blocks`), each sample's (i, f) pair
-    code ``i * n_final + f``, and a dict with one entry per pair under the
-    `WorkSamples` field names: both energies, both outcome indices, ``work``
-    and the block's ``stream_id``. Sample j of the block is entry ``code[j]``.
+    Returns an iterator of ``(stream, rows, code, table)``: the stream of
+    one block and the slice of samples it covers (see
+    `streams.stream_blocks`), each sample's (i, f) pair code
+    ``i * n_final + f``, and one read-only dict, the same in every block,
+    with one entry per pair under the `WorkSamples` field names but
+    ``stream_id`` and ``draw_id``: both energies, both outcome indices and
+    ``work``. Sample j of the block is entry ``code[j]``.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -394,12 +396,10 @@ def tpm_blocks(
         "final_outcome_index": f_idx,
         "work": final - initial,
     }
-
-    def blocks():
-        for stream, rows, code in _draw_blocks(seed, n_samples, cdfs):
-            yield rows, code, {**pairs, "stream_id": np.full(i_idx.size, stream, dtype=np.int64)}
-
-    return blocks()
+    for column in pairs.values():
+        column.setflags(write=False)  # one table for every block, rendered once by a writer
+    blocks = _draw_blocks(seed, n_samples, cdfs)
+    return ((stream, rows, code, pairs) for stream, rows, code in blocks)
 
 
 def tpm_sample(
@@ -415,9 +415,12 @@ def tpm_sample(
     run equal a run of n samples."""
     blocks = list(tpm_blocks(schedule, beta, n_samples, seed, policy=policy))
     columns = {
-        f.name: np.concatenate([table[f.name][code] for _, code, table in blocks])
-        for f in fields(WorkSamples) if f.init and f.name != "draw_id"
+        f.name: np.concatenate([table[f.name][code] for _, _, code, table in blocks])
+        for f in fields(WorkSamples) if f.init and f.name not in ("stream_id", "draw_id")
     }
+    columns["stream_id"] = np.concatenate(
+        [np.full(len(code), stream, dtype=np.int64) for stream, _, code, _ in blocks]
+    )
     columns["draw_id"] = np.arange(n_samples, dtype=np.int64)
     for column in columns.values():
         column.setflags(write=False)  # fresh read-only columns: kept uncopied

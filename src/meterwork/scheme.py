@@ -150,9 +150,11 @@ def szilard_schedule(
 ) -> DriveSchedule:
     """Barrier-raising drive: tunneling ramps linearly from j_initial down to
     j_final, partitioning the box while the symmetric ground state stays an
-    equal left/right superposition."""
-    if not (j_initial > 0.0 and j_final > 0.0):
-        raise ValueError("tunneling amplitudes must stay positive")
+    equal left/right superposition. Both amplitudes must be positive and
+    finite; a ValueError names the first that is not."""
+    for name, j in (("j_initial", j_initial), ("j_final", j_final)):
+        if not (np.isfinite(j) and j > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {j!r}")
 
     def h_at(lams: np.ndarray) -> np.ndarray:
         # `barrier_hamiltonian` at each control value

@@ -254,7 +254,7 @@ def _draw_blocks(seed: int, n: int, cdfs):
         code = draw_indices(cdfs[0], us[:, 0])
         for k, cdf in enumerate(cdfs[1:], 1):
             branch_rows = cdf.reshape(-1, cdf.shape[-1])  # one row per code so far
-            code = code * cdf.shape[-1] + draw_rows(branch_rows[code], us[:, k])
+            code = code * cdf.shape[-1] + draw_rows(branch_rows, code, us[:, k])
         yield stream, rows, code
 
 
@@ -273,10 +273,21 @@ def draw_indices(cdf: np.ndarray, us: float | np.ndarray):
     return np.searchsorted(cdf, np.maximum(us, _U_FLOOR), side="left")
 
 
-def draw_rows(cdf_rows: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """`draw_indices` with one CDF per draw: draw j searches row j for us[j].
+def draw_rows(cdf_rows: np.ndarray, code: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """`draw_indices` with one CDF per draw: draw j searches row ``code[j]``
+    of `cdf_rows` for us[j].
 
     Every row ends at 1.0 (see `cdf_of`) and each u is below 1, so the first
-    row entry reaching u exists and equals the row's sorted search.
+    row entry reaching u exists and equals the row's sorted search. The rows
+    are read one CDF column at a time: a draw's index is the number of
+    leading columns that stay below its u, which is ``argmax(u <= row)``
+    for any row, and 0 where no entry reaches u (a NaN row), as argmax gives.
     """
-    return np.argmax(np.maximum(us, _U_FLOOR)[:, None] <= cdf_rows, axis=1)
+    us = np.maximum(us, _U_FLOOR)
+    index = np.zeros(len(us), dtype=np.intp)
+    below = np.ones(len(us), dtype=bool)  # every column so far stays below u
+    for column in cdf_rows.T:
+        below &= ~(us <= np.take(column, code))
+        index += below
+    index[below] = 0
+    return index

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -680,10 +681,12 @@ class TestColumnWriter:
         code = np.tile(np.arange(9), 300)  # one table entry per bit pattern
         floats = patterns[code]
         path = tmp_path / "cells.csv"
-        write_csv(path, ["x"], [cli.Coded(code, {"x": patterns}, {})])
+        write_csv(path, ["x", "k"], [cli.Coded(code, {"x": patterns}, {}, 0)])
         rows = path.read_text().splitlines()[1:]
-        assert rows == [format(x, ".17g") for x in floats.tolist()]
-        assert rows[:9] == ["-0", "0", "inf", "-inf", "4.9406564584124654e-324"] + ["nan"] * 4
+        assert rows == [f"{format(x, '.17g')},{k}" for k, x in enumerate(floats.tolist())]
+        assert [row.split(",")[0] for row in rows[:9]] == (
+            ["-0", "0", "inf", "-inf", "4.9406564584124654e-324"] + ["nan"] * 4
+        )
 
     @pytest.mark.parametrize("coded", [True, False])
     @pytest.mark.parametrize("distinct", [512, 513])
@@ -691,25 +694,30 @@ class TestColumnWriter:
         code = np.resize(np.arange(distinct), 2048)
         entries = np.arange(distinct) / 7.0 - 20.0
         floats = entries[code]
+        positions = np.arange(2048)
 
         def block(rows):
-            return cli.Coded(code[rows], {"x": entries}, {}) if coded else [floats[rows]]
+            if coded:
+                return cli.Coded(code[rows], {"x": entries}, {}, rows.indices(2048)[0])
+            return [floats[rows], positions[rows]]
 
-        write_csv(tmp_path / "block.csv", ["x"], [block(slice(1024))])
-        rows = (tmp_path / "block.csv").read_text().splitlines()[1:]
-        assert rows == [format(x, ".17g") for x in floats[:1024].tolist()]
+        want = [f"{format(x, '.17g')},{k}" for k, x in enumerate(floats.tolist())]
+        write_csv(tmp_path / "block.csv", ["x", "k"], [block(slice(1024))])
+        assert (tmp_path / "block.csv").read_text().splitlines()[1:] == want[:1024]
         path = tmp_path / "half.csv"
-        write_csv(path, ["x"], [block(slice(None))])
-        rows = path.read_text().splitlines()[1:]
-        assert rows == [format(x, ".17g") for x in floats.tolist()]
+        write_csv(path, ["x", "k"], [block(slice(None))])
+        assert path.read_text().splitlines()[1:] == want
 
     def test_one_pattern_per_code_writes_each_cell(self, tmp_path):
         # codes that skip some entries; the entries no row reads are not written
         entries = np.full(10, 7.5)
         entries[[5, 0, 2, 9]] = [0.0, -0.0, NAN_PAYLOADS[0], NAN_PAYLOADS[2]]
         code = np.tile([5, 0, 2, 9], 3)
-        write_csv(tmp_path / "x.csv", ["x"], [cli.Coded(code, {"x": entries}, {})])
-        assert (tmp_path / "x.csv").read_text() == "x\n" + "0\n-0\nnan\nnan\n" * 3
+        write_csv(tmp_path / "x.csv", ["x", "k"], [cli.Coded(code, {"x": entries}, {}, 0)])
+        cells = ["0", "-0", "nan", "nan"] * 3
+        assert (tmp_path / "x.csv").read_text() == "x,k\n" + "".join(
+            f"{x},{k}\n" for k, x in enumerate(cells)
+        )
 
     def test_json_block_repeating_inf_stays_quoted(self, tmp_path):
         infs = np.resize([math.inf, 0.5], 3000)
@@ -829,33 +837,42 @@ def _entries(code: np.ndarray, column: np.ndarray) -> np.ndarray:
     return entries
 
 
+# First positions around the thousands a coded chunk is cut at: the first
+# prefixed position, a power of ten, and past 2**53, where a float could no
+# longer hold every position.
+FIRST_POSITIONS = [0, 998, 999, 1000, 1001, 9999, 10000, 10001, 10**6 - 1, 10**6 + 1, 2**53]
+
+
 @st.composite
 def _table(draw, max_columns: int = 4):
     """The rows' columns, each row's code (None: the block is a list of
-    columns) and, per column, its table column of one entry per code (None:
-    the column is free). The codes are k of the 3k entries, so some entries
-    occur in no row."""
+    columns), per column its table column of one entry per code (None: the
+    column is the rows' position, or the block is a list of columns), and
+    the first row's position. The codes are k of the 3k entries, so some
+    entries occur in no row."""
     n = draw(st.sampled_from(ROW_COUNTS))
-    kinds = draw(st.lists(st.sampled_from("if"), min_size=1, max_size=max_columns))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     distinct = st.sampled_from(list(DISTINCT))
     codes = draw(st.one_of(st.none(), distinct))
+    # a coded block has a table column beside its position
+    kinds = draw(st.lists(st.sampled_from("if"), min_size=1 + (codes is not None),
+                          max_size=max_columns))
     if codes is None:
         columns = [_column(rng, kind, n, draw(distinct)) for kind in kinds]
-        return columns, None, [None] * len(kinds)
+        return columns, None, [None] * len(kinds), 0
     k = _count(n, codes)
     slot = rng.permutation(np.resize(np.arange(k), n))
     code = rng.permutation(3 * k)[:k][slot]
-    in_table = draw(st.lists(st.booleans(), min_size=len(kinds), max_size=len(kinds)))
+    at = draw(st.integers(0, len(kinds) - 1))  # the position column
+    first = draw(st.one_of(st.sampled_from(FIRST_POSITIONS), st.integers(0, 2**53)))
     entries = [
-        _column(rng, kind, 3 * k, draw(distinct)) if t else None
-        for kind, t in zip(kinds, in_table)
+        None if j == at else _column(rng, kind, 3 * k, draw(distinct))
+        for j, kind in enumerate(kinds)
     ]
     columns = [
-        _column(rng, kind, n, draw(distinct)) if e is None else e[code]
-        for kind, e in zip(kinds, entries)
+        first + np.arange(n, dtype=np.int64) if e is None else e[code] for e in entries
     ]
-    return columns, code, entries
+    return columns, code, entries, first
 
 
 # Row indices at which the writers' input is split into blocks; a cut past
@@ -865,19 +882,59 @@ CUTS = st.lists(st.integers(0, 5000), max_size=3)
 
 def _blocks(names, table, cuts):
     """The rows of a `_table` as consecutive blocks, split at the sorted
-    cuts: lists of columns, or `Coded` blocks of the table columns and the
-    free ones."""
-    columns, code, entries = table
+    cuts: lists of columns, or `Coded` blocks of one table and the rows'
+    positions."""
+    columns, code, entries, first = table
     in_table = {k: e for k, e in zip(names, entries) if e is not None}
     n = len(columns[0])
     edges = [0, *sorted(min(cut, n) for cut in cuts), n]
     for a, b in zip(edges, edges[1:]):
-        block = [c[a:b] for c in columns]
         if code is None:
-            yield block
+            yield [c[a:b] for c in columns]
         else:
-            free = {k: c for k, c in zip(names, block) if k not in in_table}
-            yield cli.Coded(code[a:b], in_table, free)
+            yield cli.Coded(code[a:b], in_table, {}, first + a)
+
+
+def _jsonl_format(keys):
+    """A scheme_records.jsonl row template over `keys` (see `cli._jsonl_row`)."""
+
+    def row_format(specs):
+        cells = (s if s == "%d" else f'"{s}"' for s in specs)
+        return "{" + ", ".join(f'"{k}": {c}' for k, c in zip(keys, cells)) + "}\n"
+
+    return row_format
+
+
+def _jsonl_reference(keys, columns) -> str:
+    return "".join(
+        "{" + ", ".join(
+            f'"{k}": {x}' if isinstance(x, int) else f'"{k}": "{format(x, ".17g")}"'
+            for k, x in zip(keys, row)
+        ) + "}\n"
+        for row in zip(*(c.tolist() for c in columns))
+    )
+
+
+def _write(fmt, path, names, blocks) -> str:
+    """The text one writer makes of the blocks, and the cell-by-cell
+    reference text of the same rows."""
+    if fmt == "csv":
+        write_csv(path, names, blocks)
+    elif fmt == "json":
+        write_json_records(path, names, blocks)
+    else:
+        with open(path, "w") as fh:
+            cli._write_rows(fh, names, _jsonl_format(names), blocks)
+    return path.read_text()
+
+
+def _reference(fmt, names, columns) -> str:
+    rows = list(zip(*(c.tolist() for c in columns)))
+    if fmt == "csv":
+        return ",".join(names) + "\n" + "".join(",".join(map(_cell_17g, r)) + "\n" for r in rows)
+    if fmt == "json":
+        return cli._json_render([dict(zip(names, r)) for r in rows]) + "\n"
+    return _jsonl_reference(names, columns)
 
 
 class TestRowTemplates:
@@ -912,14 +969,7 @@ class TestRowTemplates:
         names = cli.RECORD_COLUMNS[:len(columns)]
         with open(path, "w") as fh:
             cli._write_rows(fh, names, cli._jsonl_row, _blocks(names, table, cuts))
-        want = "".join(
-            "{" + ", ".join(
-                f'"{k}": {x}' if isinstance(x, int) else f'"{k}": "{format(x, ".17g")}"'
-                for k, x in zip(cli.RECORD_COLUMNS, row)
-            ) + "}\n"
-            for row in zip(*(c.tolist() for c in columns))
-        )
-        _assert_same_text(path.read_text(), want)
+        _assert_same_text(path.read_text(), _jsonl_reference(cli.RECORD_COLUMNS, columns))
 
     @pytest.mark.parametrize("n", [1026, 5000])
     @pytest.mark.parametrize("where", ["free", "coded"])
@@ -933,8 +983,9 @@ class TestRowTemplates:
         column = rng.normal(size=n) if where == "free" else entries[code]
         column[1024] = math.inf  # the second block alone holds non-finite values
         column[min(n, 2048) - 1] = math.nan
-        ints = np.arange(n, dtype=np.int64)
-        block = [column, ints] if where == "free" else cli.Coded(code, {"x": entries}, {"k": ints})
+        first = 0 if where == "free" else int(rng.integers(0, 2**53))
+        ints = first + np.arange(n, dtype=np.int64)
+        block = [column, ints] if where == "free" else cli.Coded(code, {"x": entries}, {}, first)
         path = tmp_path / "x.json"
         write_json_records(path, ["x", "k"], [block])
         records = [{"x": x, "k": k} for x, k in zip(column.tolist(), ints.tolist())]
@@ -943,17 +994,115 @@ class TestRowTemplates:
         assert '"x": "inf"' in text and '"x": "nan"' in text
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 5000])
-    @pytest.mark.parametrize("free", [("h",), ()], ids=["h-free", "both-coded"])
-    def test_code_of_more_than_half_the_rows_renders_alike(self, tmp_path, n, free):
+    @pytest.mark.parametrize("coded", [("f",), ("f", "h")], ids=["f-coded", "both-coded"])
+    def test_code_of_more_than_half_the_rows_renders_alike(self, tmp_path, n, coded):
         rng = np.random.default_rng(n)
         few, half = _column(rng, "f", n, "few"), _column(rng, "i", n, "half")
-        code = _code_of(few) if free else _code_of(few, half)
-        assert free or 2 * (code.max() + 1) > n  # past half the rows, each pair its own code
-        table = {"f": _entries(code, few)} | ({} if free else {"h": _entries(code, half)})
-        block = cli.Coded(code, table, {"h": half} if free else {})
-        write_csv(tmp_path / "x.csv", ["f", "h"], [block])
-        want = "".join(f"{_cell_17g(x)},{k}\n" for x, k in zip(few.tolist(), half.tolist()))
-        _assert_same_text((tmp_path / "x.csv").read_text(), "f,h\n" + want)
+        columns = {"f": few, "h": half}
+        code = _code_of(*(columns[k] for k in coded))
+        assert len(coded) == 1 or 2 * (code.max() + 1) > n  # past half the rows, each pair its own code
+        table = {k: _entries(code, columns[k]) for k in coded}
+        first = int(rng.integers(0, 2**53))
+        names = [*coded, "k"]
+        write_csv(tmp_path / "x.csv", names, [cli.Coded(code, table, {}, first)])
+        want = "".join(
+            ",".join(map(_cell_17g, row)) + "\n"
+            for row in zip(*(columns[k].tolist() for k in coded), range(first, first + n))
+        )
+        _assert_same_text((tmp_path / "x.csv").read_text(), ",".join(names) + "\n" + want)
+
+
+class TestPositionText:
+    """A coded block's position column, written from each chunk's leading
+    digits and a table of three-digit suffixes, against the cell-by-cell
+    reference, wherever the column stands and wherever a block starts."""
+
+    # the position column first, in the middle (as the scheme's draw) and last
+    LAYOUTS = {
+        "first": ["k", "s", "a", "b"],
+        "middle": ["s", "k", "a", "b"],
+        "last": ["a", "s", "b", "k"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "jsonl"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("first", FIRST_POSITIONS)
+    def test_positions_match_cell_by_cell(self, tmp_path, fmt, layout, first):
+        rng = np.random.default_rng(first % 1000)
+        names = self.LAYOUTS[layout]
+        table = {"a": _column(rng, "f", 6, "all"), "b": np.arange(6, dtype=np.int64) - 3}
+        n = 2600
+        code = rng.integers(0, 6, size=n)
+        # blocks of one row, of a part of a chunk, and across several chunks
+        edges = [0, 1, 2, 503, 507, n]
+        streams = range(len(edges) - 1)
+        blocks = [
+            cli.Coded(code[a:b], table, {"s": stream}, first + a)
+            for stream, (a, b) in zip(streams, zip(edges, edges[1:]))
+        ]
+        stream = np.repeat(np.array(streams), np.diff(edges))
+        columns = {
+            "k": first + np.arange(n, dtype=np.int64), "s": stream,
+            "a": table["a"][code], "b": table["b"][code],
+        }
+        path = tmp_path / f"x.{fmt}"
+        got = _write(fmt, path, names, blocks)
+        _assert_same_text(got, _reference(fmt, names, [columns[k] for k in names]))
+
+    def test_tables_alternating_between_blocks_render_alike(self, tmp_path):
+        rng = np.random.default_rng(7)
+        tables = [{"a": rng.normal(size=3)}, {"a": rng.normal(size=5)}]
+        codes = [rng.integers(0, 3, 700), rng.integers(0, 5, 900), rng.integers(0, 3, 400)]
+        blocks, values, first = [], [], 0
+        for table, code in zip([tables[0], tables[1], tables[0]], codes):
+            blocks.append(cli.Coded(code, table, {}, first))
+            values.append(table["a"][code])
+            first += len(code)
+        got = _write("csv", tmp_path / "x.csv", ["a", "k"], blocks)
+        want = [np.concatenate(values), np.arange(first)]
+        _assert_same_text(got, _reference("csv", ["a", "k"], want))
+
+    def test_table_entries_are_rendered_once_per_table(self, tmp_path):
+        entries, blocks = 5000, 20
+        rng = np.random.default_rng(0)
+        table = {"x": rng.normal(size=entries), "i": np.arange(entries) - 7}
+        rendered = []
+
+        def cells(column):
+            spec, render = cli._cells(column)
+            return spec, lambda values: rendered.append(len(values)) or render(values)
+
+        codes = [rng.integers(0, entries, size=100) for _ in range(blocks)]
+        coded = [cli.Coded(code, table, {"s": j}, 100 * j) for j, code in enumerate(codes)]
+        with open(tmp_path / "x.csv", "w") as fh:
+            cli._write_rows(fh, ["x", "i", "s", "k"], lambda s: ",".join(s) + "\n", coded, cells=cells)
+        # each table column once, and each block's one constant
+        assert sorted(rendered) == [1] * blocks + [entries] * 2
+        code = np.concatenate(codes)
+        stream = np.repeat(np.arange(blocks), 100)
+        columns = [table["x"][code], table["i"][code], stream, np.arange(100 * blocks)]
+        want = _reference("csv", ["x", "i", "s", "k"], columns).split("\n", 1)[1]
+        _assert_same_text((tmp_path / "x.csv").read_text(), want)
+
+    @pytest.mark.parametrize(
+        "names, constants, message",
+        [(["a", "k", "m"], {}, r"one position column.*got \['k', 'm'\]"),
+         (["a", "s"], {"s": 1}, r"one position column.*got \[\]")],
+    )
+    def test_one_position_column(self, tmp_path, names, constants, message):
+        block = cli.Coded(np.zeros(3, dtype=np.intp), {"a": np.zeros(1)}, constants, 0)
+        with pytest.raises(ValueError, match=message):
+            write_csv(tmp_path / "x.csv", names, [block])
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [(-1, "a block's first position must be >= 0, got -1"),
+         (1.0, "first must be an integer, got 1.0")],
+    )
+    def test_first_position_is_a_nonnegative_integer(self, tmp_path, first, message):
+        block = cli.Coded(np.zeros(3, dtype=np.intp), {"a": np.zeros(1)}, {}, first)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_csv(tmp_path / "x.csv", ["a", "k"], [block])
 
 
 class TestDomainErrors:
@@ -1066,6 +1215,15 @@ class TestDomainErrors:
         assert message in capsys.readouterr().err
         report = read_json(out / cli._SUMMARY_FILES[argv[0]])
         assert report["passed"] is False
+        assert report["error"] == {"type": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("flag, value", [("--j-initial", "inf"), ("--j-final", "nan")])
+    def test_non_finite_tunneling_amplitude_is_named(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        assert main(["scheme", flag, value, "--samples", "10", "--output", str(out)]) == 2
+        message = f"{flag[2:].replace('-', '_')} must be positive and finite, got {value}"
+        assert message in capsys.readouterr().err
+        report = read_json(out / "scheme_summary.json")
         assert report["error"] == {"type": "ValueError", "message": message}
 
     def test_non_finite_delta_f_override_is_named(self, tmp_path, capsys):

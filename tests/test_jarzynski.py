@@ -102,24 +102,27 @@ class TestTpmBlocks:
         sched = driven_qubit_schedule(n_steps=20)
         samples = tpm_sample(sched, 1.0, 9000, seed=5)
         blocks = list(tpm_blocks(sched, 1.0, 9000, seed=5))
-        assert [(rows.start, rows.stop) for rows, _, _ in blocks] == [
-            (0, 4096), (4096, 8192), (8192, 9000)
+        assert [(stream, rows.start, rows.stop) for stream, rows, _, _ in blocks] == [
+            (0, 0, 4096), (1, 4096, 8192), (2, 8192, 9000)
         ]
-        names = [f.name for f in fields(WorkSamples) if f.name != "draw_id"]
-        for rows, code, table in blocks:
+        names = [f.name for f in fields(WorkSamples) if f.name not in ("stream_id", "draw_id")]
+        for stream, rows, code, table in blocks:
+            assert table is blocks[0][3]  # one table for every block
             assert sorted(table) == sorted(names)
             assert all(len(column) == 4 for column in table.values())  # (i, f) pairs of a qubit
+            assert not any(column.flags.writeable for column in table.values())
             for name, column in table.items():
                 want = getattr(samples, name)[rows]
                 assert column.dtype == want.dtype
                 assert column[code].tobytes() == want.tobytes(), name
+            assert (samples.stream_id[rows] == stream).all()
 
     def test_pair_code_is_the_flat_index_of_both_outcomes(self):
         h_i = Operator.from_diagonal([0.0, 0.0, 1.0])  # two sectors, one doubly degenerate
         h_f = Operator(np.array([[0.5, 0.3, 0.0], [0.3, -0.2, 0.4], [0.0, 0.4, 1.1]]),
                        hermitian=True)
         sched = DriveSchedule.linear(cli._interpolation(h_i, h_f), 1.0, 20)
-        (rows, code, table), = tpm_blocks(sched, 1.0, 3000, seed=2)
+        (_, rows, code, table), = tpm_blocks(sched, 1.0, 3000, seed=2)
         i, f = table["initial_outcome_index"], table["final_outcome_index"]
         np.testing.assert_array_equal(i * 3 + f, np.arange(6))
         assert sorted(set(code.tolist())) == list(range(6))  # every pair is drawn

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 
@@ -499,6 +500,13 @@ class TestConfigValidation:
     def test_vanishing_tunneling_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             szilard_schedule(j_final=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("name", ["j_initial", "j_final"])
+    def test_bad_tunneling_amplitude_is_named(self, name, value):
+        message = f"{name} must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            szilard_schedule(**{name: value})
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -2.0])
     def test_beta_must_be_positive_and_finite(self, beta):

@@ -71,13 +71,14 @@ def test_draw_rows_equals_row_by_row_search():
     on_value = rng.integers(0, 4, size=100)
     us[:100] = cdf_rows[np.arange(100), on_value]
     us[100:120] = 0.0
-    np.testing.assert_array_equal(draw_rows(cdf_rows, us), _row_by_row(cdf_rows, us))
+    drawn = draw_rows(cdf_rows, np.arange(500), us)
+    np.testing.assert_array_equal(drawn, _row_by_row(cdf_rows, us))
 
 
 def test_zero_draw_skips_zero_width_leading_segment():
     cdf_rows = np.vstack([cdf_of([0.0, 0.0, 0.4, 0.6]), cdf_of([0.0, 0.5, 0.0, 0.5])])
     us = np.zeros(2)
-    assert draw_rows(cdf_rows, us).tolist() == [2, 1]
+    assert draw_rows(cdf_rows, np.arange(2), us).tolist() == [2, 1]
     assert _row_by_row(cdf_rows, us).tolist() == [2, 1]
 
 
@@ -87,9 +88,49 @@ def test_cumsum_above_one_is_clamped():
     cdf = cdf_of(probs)
     assert cdf[-1] == 1.0 < cdf[-2]
     us = np.array([0.0, 0.33, 0.95, np.nextafter(1.0, 0.0)])
-    drawn = draw_rows(np.vstack([cdf] * len(us)), us)
+    drawn = draw_rows(np.vstack([cdf] * len(us)), np.arange(len(us)), us)
     assert drawn.tolist() == [0, 0, 2, 2]
     np.testing.assert_array_equal(drawn, draw_indices(cdf, us))
+
+
+def _argmax_by_row(cdf_rows, code, us):
+    """The row-by-row reference of `draw_rows`: the first entry of row
+    code[j] that reaches us[j], by argmax (0 where none does)."""
+    return np.array([
+        np.argmax(max(u, 1e-300) <= cdf_rows[c]) for c, u in zip(code.tolist(), us.tolist())
+    ])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 64])
+def test_draw_rows_by_code_equals_argmax_by_row(width):
+    rng = np.random.default_rng(width)
+    probs = rng.random((40, width))
+    probs[rng.random(probs.shape) < 0.3] = 0.0  # zero-width segments
+    probs[:, -1] += 1e-3
+    rows = [cdf_of(p / p.sum()) for p in probs]
+    rows[0] = np.full(width, 1.0)  # every segment but the first zero-width
+    if width >= 4:
+        rows[1] = cdf_of([0.33, 0.56, 0.11, 0.0, *[0.0] * (width - 4)])  # clamped top
+        assert rows[1][-2] > 1.0
+    cdf_rows = np.vstack(rows)
+    # rows that are not CDFs: decreasing entries and NaN
+    odd = np.vstack([rng.random(width), np.full(width, np.nan), np.linspace(1.0, 0.0, width)])
+    odd[0, -1] = np.nan
+    cdf_rows = np.vstack([cdf_rows, odd])
+    n = 5000
+    code = rng.integers(0, len(cdf_rows), size=n)
+    us = rng.random(n)
+    # u exactly on a boundary of its row, at zero, and just below 1
+    on = rng.random(n) < 0.3
+    us[on] = cdf_rows[code[on], rng.integers(0, width, size=on.sum())]
+    us[rng.random(n) < 0.05] = 0.0
+    us[:3] = np.nextafter(1.0, 0.0)
+    us = np.nan_to_num(us, nan=0.5)
+    drawn = draw_rows(cdf_rows, code, us)
+    assert drawn.dtype == np.intp
+    np.testing.assert_array_equal(drawn, _argmax_by_row(cdf_rows, code, us))
+    valid = code < 40  # on proper CDF rows, as the sorted search finds
+    np.testing.assert_array_equal(drawn[valid], _row_by_row(cdf_rows[code[valid]], us[valid]))
 
 
 def test_draw_indices_scalar_and_array_agree():
