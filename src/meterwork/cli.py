@@ -15,9 +15,10 @@ bytes. A sample is drawn as its branch code; every value it writes but its
 stream and its position is a table entry of that branch, rendered once per
 entry and command; a position is written as its 1000-row chunk's leading
 digits and one of a table of 1000 three-digit suffixes. Both sampling
-commands write one block at a time and keep whole only what their
-checks read: ``jarzynski`` the work column (8 bytes per sample), ``scheme``
-its branch codes (8 bytes per run) and five float columns.
+commands first draw every sample's branch code (1 byte per sample, up to
+256 branches), then write one block at a time and keep whole besides only
+what their checks read: ``jarzynski`` the work column (8 bytes per
+sample), ``scheme`` five float columns.
 
 Exit status is 0 iff every enabled check passed. A machine-readable summary
 is written even when checks fail; on a domain error (exit status 2) it holds
@@ -60,9 +61,9 @@ from .scheme import (
     SchemeConfig,
     _CHECKED_COLUMNS,
     _draw_runs,
+    _roundtrips,
     _summarize,
     szilard_schedule,
-    verify_unitary_roundtrips,
 )
 from .streams import _block_rows
 
@@ -369,6 +370,12 @@ def _coerce(key: str, value: str, template):
     return value
 
 
+def _policy(*names: str) -> dict:
+    """Numeric-policy overrides, as policy_<field>, of the `NumericPolicy`
+    fields a command's runs read; any other field is an unknown key."""
+    return {f"policy_{name}": (getattr(DEFAULT_POLICY, name), None) for name in names}
+
+
 # Each command's help line and its settings, one entry per config key:
 # (default, flag). The default's type is the type a config value or a flag's
 # argument is parsed to; a bool flag takes no argument and sets True. A flag
@@ -377,11 +384,6 @@ def _coerce(key: str, value: str, template):
 # from a config file alone.
 _OUTPUT = {"output": ("meterwork-output", {"help": "output directory"})}
 _SEEDED = {"seed": (0, {"help": "root seed (64-bit unsigned)"}), **_OUTPUT}
-# numeric-policy overrides, as policy_<field>
-_POLICY = {
-    f"policy_{f.name}": (getattr(DEFAULT_POLICY, f.name), None)
-    for f in dataclass_fields(NumericPolicy)
-}
 
 _SETTINGS = {
     "relaxation": ("weight and entropy trajectories", {
@@ -405,7 +407,7 @@ _SETTINGS = {
             "name": "--delta-f", "help": "override the closed-form free-energy difference",
         }),
         "schedule_file": ("", {"help": "custom scenario JSON"}),
-        **_POLICY,
+        **_policy("hermitian_tol", "projector_tol", "completeness_tol"),
     }),
     "scheme": ("full five-step protocol runs", {
         **_SEEDED,
@@ -417,7 +419,10 @@ _SETTINGS = {
         "j_final": (0.25, {}),
         "t_f": (2.0, {}),
         "drive_steps": (40, {}),
-        **_POLICY,
+        **_policy(
+            "hermitian_tol", "unitary_tol", "projector_tol", "psd_tol", "trace_tol", "norm_tol",
+            "preservation_tol", "completeness_tol", "marginal_tol", "outcome_floor", "max_dim",
+        ),
     }),
 }
 
@@ -561,9 +566,9 @@ def cmd_jarzynski(settings: dict) -> int:
     blocks = tpm_blocks(schedule, beta, n, settings["seed"], policy=policy)
     _equality_target(beta, df_used)  # the check's domain errors, before any row is written
 
-    # Each block is drawn, written and dropped; only the work column is kept
-    # whole, for the equality check. A row is its (i, f) pair's table entry,
-    # its block's stream_id and its position, draw_id.
+    # Each block of pair codes is written and dropped; only the work column
+    # is kept whole, for the equality check. A row is its (i, f) pair's
+    # table entry, its block's stream_id and its position, draw_id.
     work = np.empty(n)
     keys = ["initial_energy", "final_energy", "work", "stream_id", "draw_id"]
 
@@ -647,13 +652,14 @@ def cmd_scheme(settings: dict) -> int:
     ctx, tables, code = _draw_runs(config, policy=policy)  # a pruned draw raises here
     kT = 1.0 / settings["beta"]
     n = config.n_samples
-    kept = {k: tables.table[k][code] for k in _CHECKED_COLUMNS}  # what the checks read
+    table = tables.branches.table
+    kept = {k: table[k][code] for k in _CHECKED_COLUMNS}  # what the checks read
 
     # Each stream block of runs is written from the branch table, that
     # block's stream and each run's position, draw.
     def blocks():
         for stream, rows in enumerate(_block_rows(n)):
-            yield Coded(code[rows], tables.table, {"stream": stream}, rows.start)
+            yield Coded(code[rows], table, {"stream": stream}, rows.start)
 
     with open(out / "scheme_records.jsonl", "w") as fh:
         _write_rows(fh, RECORD_COLUMNS, _jsonl_row, blocks())
@@ -683,7 +689,7 @@ def cmd_scheme(settings: dict) -> int:
 
     roundtrips = None
     if settings["verify_appendix_b"]:
-        roundtrips = verify_unitary_roundtrips(config, settings["seed"], policy=policy)
+        roundtrips = _roundtrips(ctx, settings["seed"])  # the context the runs drew with
         checks["roundtrips_passed"] = roundtrips.all_passed
         write_json(
             out / "roundtrip_report.json",
@@ -736,15 +742,20 @@ def cmd_scheme(settings: dict) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with the flags of `command` alone (of
+    every command when None): a run parses one command's flags, and the
+    top-level help lists each command with its help line either way."""
     parser = argparse.ArgumentParser(
         prog="meterwork",
         description="Measurement-thermodynamics simulator (hbar = k_B = 1). "
         "Outputs are a function of the settings and the seed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, settings) in _SETTINGS.items():
-        p = sub.add_parser(command, help=help_line)
+    for name, (help_line, settings) in _SETTINGS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is not None and name != command:
+            continue
         p.add_argument("--config", help="flat key = value settings file")
         for key, (default, flag) in settings.items():
             if flag is None:
@@ -771,7 +782,9 @@ _DOMAIN_ERRORS = (ArithmeticError, ValueError, SchemeConstraintError)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run names its command first: the top-level parser has no option but --help
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         settings = _merge_settings(args.command, args)
     except (ValueError, OSError) as exc:

@@ -24,8 +24,9 @@ sector machinery.
 
 Monte Carlo estimation partitions samples over seeded streams in fixed
 blocks, so results are a function of the configuration and seed.
-`tpm_blocks` draws them one stream block at a time, with the block drawer
-the scheme runs use; `tpm_sample` collects them into whole columns.
+`tpm_blocks` draws them as pair codes with the branch table the scheme runs
+use (`streams._BranchTable`) and hands them out one stream block at a time;
+`tpm_sample` collects them into whole columns.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import NumericalConsistencyError
 from .linalg import DensityMatrix, Operator, _hermitian_function
 from .numeric import DEFAULT_POLICY, NumericPolicy
-from .streams import _draw_blocks, cdf_of, check_seed
+from .streams import _BranchTable, _block_rows, check_seed
 from .superselection import energy_sectors
 
 __all__ = [
@@ -328,15 +329,11 @@ def delta_F(h_initial: Operator, h_final: Operator, beta: float) -> float:
     return -(_log_partition(h_final, beta) - _log_partition(h_initial, beta)) / beta
 
 
-def _sector_tables(
-    schedule: DriveSchedule,
-    beta: float,
-    *,
-    policy: NumericPolicy,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Initial and final sector energies, and the stage CDFs of a TPM draw:
-    the Gibbs sector probabilities, then one row per initial sector of the
-    conditional outcome matrix T[i, f] for the full drive propagator."""
+def _sector_tables(schedule: DriveSchedule, beta: float, *, policy: NumericPolicy) -> _BranchTable:
+    """The branch table of a TPM draw: the Gibbs sector probabilities, then
+    the conditional outcome matrix T[i, f] for the full drive propagator,
+    and one entry per (i, f) pair under the `WorkSamples` field names but
+    ``stream_id`` and ``draw_id``. No pair is pruned."""
     init = energy_sectors(schedule.initial_hamiltonian(), policy=policy)
     fin = energy_sectors(schedule.final_hamiltonian(), policy=policy)
     energies = np.array(init.labels)
@@ -354,8 +351,16 @@ def _sector_tables(
     )
     cond = np.clip(cond, 0.0, None)
     cond /= cond.sum(axis=1, keepdims=True)
-    cdfs = (cdf_of(p_init), np.vstack([cdf_of(row) for row in cond]))
-    return energies, np.array(fin.labels), cdfs
+    i_idx, f_idx = np.indices(cond.shape, dtype=np.int64).reshape(2, -1)
+    initial, final = energies[i_idx], np.array(fin.labels)[f_idx]
+    pairs = {
+        "initial_energy": initial,
+        "final_energy": final,
+        "initial_outcome_index": i_idx,
+        "final_outcome_index": f_idx,
+        "work": final - initial,
+    }
+    return _BranchTable((p_init, cond), -math.inf, ("initial energy sector {0}",), pairs)
 
 
 def tpm_blocks(
@@ -373,33 +378,29 @@ def tpm_blocks(
     collapse with the full (possibly degenerate) sector projector, evolve
     through the stepwise propagator, and read a final sector by the Born
     rule. `n_samples`, `beta` and `seed` are checked, and the sector tables
-    built, on the call, so a domain error is raised before any block is drawn.
+    built, on the call, so a domain error is raised before any sample is
+    drawn; every sample's code is drawn when the first block is asked for.
     Returns an iterator of ``(stream, rows, code, table)``: the stream of
     one block and the slice of samples it covers (see
     `streams.stream_blocks`), each sample's (i, f) pair code
-    ``i * n_final + f``, and one read-only dict, the same in every block,
-    with one entry per pair under the `WorkSamples` field names but
-    ``stream_id`` and ``draw_id``: both energies, both outcome indices and
-    ``work``. Sample j of the block is entry ``code[j]``.
+    ``i * n_final + f`` (a read-only unsigned column, uint8 up to 256
+    pairs), and the `_BranchTable.table` of the pairs, the same read-only
+    dict in every block, with one entry per pair under the `WorkSamples`
+    field names but ``stream_id`` and ``draw_id``: both energies, both
+    outcome indices and ``work``. Sample j of the block is entry ``code[j]``.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     _check_beta(beta, zero_ok=True)
     check_seed(seed)
-    e_init, e_fin, cdfs = _sector_tables(schedule, beta, policy=policy)
-    i_idx, f_idx = np.indices(cdfs[-1].shape, dtype=np.int64).reshape(2, -1)
-    initial, final = e_init[i_idx], e_fin[f_idx]
-    pairs = {
-        "initial_energy": initial,
-        "final_energy": final,
-        "initial_outcome_index": i_idx,
-        "final_outcome_index": f_idx,
-        "work": final - initial,
-    }
-    for column in pairs.values():
-        column.setflags(write=False)  # one table for every block, rendered once by a writer
-    blocks = _draw_blocks(seed, n_samples, cdfs)
-    return ((stream, rows, code, pairs) for stream, rows, code in blocks)
+    branches = _sector_tables(schedule, beta, policy=policy)
+
+    def blocks():
+        code = branches.draw(seed, n_samples)
+        for stream, rows in enumerate(_block_rows(n_samples)):
+            yield stream, rows, code[rows], branches.table
+
+    return blocks()
 
 
 def tpm_sample(

@@ -76,8 +76,7 @@ from .numeric import DEFAULT_POLICY, NumericPolicy
 from .streams import (
     STREAM_BLOCK,
     PhiloxStream,
-    _draw_blocks,
-    cdf_of,
+    _BranchTable,
     check_seed,
     stream_generator,
 )
@@ -592,36 +591,37 @@ class _BranchTables:
 
     Stage probabilities and collapsed states depend only on the drawn
     outcome indices, so all distinct branches are computed once with the
-    same step functions the stepwise path uses. Branch (i, m) keeps what a
-    draw reads: its run values in `per_branch[:, i, m]` and its ledger in
-    `ledgers[i][m]`; one pruned by `outcome_floor` keeps its CDF width and
-    no ledger. Its states are those of the stepwise run that draws (i, m).
-    `table` holds every `RECORD_COLUMNS` value but ``stream`` and ``draw``,
-    one entry per (i, m, f) branch in branch code order (`draw`).
+    same step functions the stepwise path uses. `branches` is the
+    `streams._BranchTable` of the three readings: their probabilities
+    ``p_init`` (n_i,), ``p_event`` (n_i, n_m) and ``p_final`` (n_i, n_m,
+    n_f), pruned by `outcome_floor`, and a `table` of every
+    `RECORD_COLUMNS` value but ``stream`` and ``draw``, one entry per
+    (i, m, f) branch code. Branch (i, m) keeps what a draw reads: its run
+    values in `per_branch[:, i, m]` and its ledger in `ledgers[i][m]`; a
+    pruned one keeps its probability, zeros under it and no ledger. Its
+    states are those of the stepwise run that draws (i, m).
     """
 
     def __init__(self, ctx: SchemeContext):
         policy = ctx.policy
-        self.floor = floor = policy.outcome_floor
+        floor = policy.outcome_floor
         prepared = prepare_initial_state(ctx)
         dephased0 = nonselective_measure(prepared, ctx.initial_pset, policy=policy)
-        self.p_init, s1 = reading_distribution(dephased0, ctx.initial_pset, policy=policy)
-        self.cdf_init = cdf_of(self.p_init)
+        p_init, s1 = reading_distribution(dephased0, ctx.initial_pset, policy=policy)
         self.e_init = np.array(ctx.initial_pset.labels, dtype=float)
         self.e_fin = np.array(ctx.final_pset.labels, dtype=float)
 
         n_i = len(ctx.initial_pset)
         n_m = len(ctx.meter_outcome_set)
-        self.p_event = np.zeros((n_i, n_m))
-        self.cdf_event = np.zeros((n_i, n_m))
-        self.cdf_final = np.zeros((n_i, n_m, len(ctx.final_pset)))
+        p_event = np.zeros((n_i, n_m))
+        p_final = np.zeros((n_i, n_m, len(ctx.final_pset)))
         self.ledgers: list[list[EntropyLedger | None]] = [[None] * n_m for _ in range(n_i)]
         # w_exp, w_reader, then the experimenter, reader and measured ledger
         # totals: the order of these five in RECORD_COLUMNS
         self.per_branch = np.zeros((5, n_i, n_m))
 
         for i in range(n_i):
-            if self.p_init[i] <= floor:
+            if p_init[i] <= floor:
                 continue
             state_i = collapse(dephased0, ctx.initial_pset, i, policy=policy)
             state_b = apply_barrier_drive(ctx, state_i)
@@ -629,15 +629,13 @@ class _BranchTables:
             state_e = apply_meter_entangling(ctx, state_n)
             ready = apply_event_coupling(ctx, state_e)
             q, s2 = reading_distribution(ready, ctx.meter_outcome_set, policy=policy)
-            self.p_event[i] = q
-            self.cdf_event[i] = cdf_of(q)
+            p_event[i] = q
             for m_idx in range(n_m):
                 if q[m_idx] <= floor:
                     continue
                 state_v = collapse(ready, ctx.meter_outcome_set, m_idx, policy=policy)
                 deph_f = nonselective_measure(state_v, ctx.final_pset, policy=policy)
-                r, s3 = reading_distribution(deph_f, ctx.final_pset, policy=policy)
-                self.cdf_final[i, m_idx] = cdf_of(r)
+                p_final[i, m_idx], s3 = reading_distribution(deph_f, ctx.final_pset, policy=policy)
                 ledger = (
                     EntropyLedger()
                     .with_pair(EXPERIMENTER, MEASURED, s1, ENERGY_EVENT_READING)
@@ -652,48 +650,26 @@ class _BranchTables:
                 )
                 self.ledgers[i][m_idx] = ledger
 
-        i, m, f = np.indices(self.cdf_final.shape, dtype=np.int64).reshape(3, -1)
+        i, m, f = np.indices(p_final.shape, dtype=np.int64).reshape(3, -1)
         e_i, e_f = self.e_init[i], self.e_fin[f]
         w_exp, w_reader, *sigmas = self.per_branch[:, i, m]
         w_drive = e_f - e_i
         w_total = w_drive + w_exp + w_reader  # left to right, as SchemeRunRecord adds
         values = (i, e_i, m, f, e_f, w_drive, w_exp, w_reader, w_total, *sigmas)
-        for v in values:
-            v.flags.writeable = False
-        self.table = dict(zip(RECORD_COLUMNS[2:], values))
-
-    def draw(self, seed: int, n: int) -> np.ndarray:
-        """The read-only branch code column of runs [0, n), from three
-        uniforms per run from its stream; a run's values are the `table`
-        entry at its code. A run on a pruned branch raises
-        `SchemeConstraintError`, naming the first in draw order."""
-        cdfs = (self.cdf_init, self.cdf_event, self.cdf_final)
-        code = np.concatenate([code for _, _, code in _draw_blocks(seed, n, cdfs)])
-        code.setflags(write=False)
-        i, m = self.table["initial_sector"], self.table["event_outcome"]
-        p_m = self.p_event[i, m]  # 0 below a pruned initial sector
-        pruned = np.flatnonzero(p_m[code] <= self.floor)
-        if pruned.size:
-            j = pruned[0]
-            i, m, p_m = (v[code[j]] for v in (i, m, p_m))  # the branch run j drew
-            if self.p_init[i] <= self.floor:
-                what, p = f"initial energy sector {i}", self.p_init[i]
-            else:
-                what, p = f"event outcome {m} after initial sector {i}", p_m
-            raise SchemeConstraintError(
-                f"run {j} drew {what} with probability {p:.6g}, at or below outcome_floor "
-                f"{self.floor:g}; a pruned branch has no tabulated values"
-            )
-        return code
+        names = ("initial energy sector {0}", "event outcome {1} after initial sector {0}")
+        self.branches = _BranchTable(
+            (p_init, p_event, p_final), floor, names, dict(zip(RECORD_COLUMNS[2:], values))
+        )
 
     def columns(self, code: np.ndarray) -> dict[str, np.ndarray]:
-        """Read-only `RECORD_COLUMNS` of the runs whose branch codes (`draw`)
-        are `code`, in draw order: the entries of `table` at the codes."""
+        """Read-only `RECORD_COLUMNS` of the runs whose branch codes
+        (`_BranchTable.draw`) are `code`, in draw order: the entries of the
+        branch table at the codes."""
         draw = np.arange(len(code))
         columns = {
             "stream": draw // STREAM_BLOCK,
             "draw": draw,
-            **{k: v[code] for k, v in self.table.items()},
+            **{k: v[code] for k, v in self.branches.table.items()},
         }
         for c in columns.values():
             c.flags.writeable = False
@@ -702,10 +678,10 @@ class _BranchTables:
 
 def _draw_runs(config: SchemeConfig, *, policy: NumericPolicy = DEFAULT_POLICY):
     """The context and branch tables of `config`, and the branch code column
-    its runs draw (`_BranchTables.draw`)."""
+    its runs draw (`_BranchTable.draw`)."""
     ctx = build_context(config, policy=policy)
     tables = _BranchTables(ctx)
-    return ctx, tables, tables.draw(config.seed, config.n_samples)
+    return ctx, tables, tables.branches.draw(config.seed, config.n_samples)
 
 
 # the columns `_summarize` reads, whole
@@ -807,10 +783,15 @@ def verify_unitary_roundtrips(
     (d) the branch actually selected by an event reading passes the same
         round trip.
     """
-    ctx = build_context(config, policy=policy)
+    return _roundtrips(build_context(config, policy=policy), seed)
+
+
+def _roundtrips(ctx: SchemeContext, seed: int) -> RoundTripReport:
+    """`verify_unitary_roundtrips` on a built context, with its policy."""
+    policy = ctx.policy
     rng = stream_generator(seed, 0)
-    tol = ctx.policy.marginal_tol
-    floor = ctx.policy.outcome_floor
+    tol = policy.marginal_tol
+    floor = policy.outcome_floor
     ledger = EntropyLedger()
 
     prepared = prepare_initial_state(ctx)

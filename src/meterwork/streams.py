@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .errors import SchemeConstraintError
 from .numeric import require_integer
 
 __all__ = [
@@ -262,6 +263,67 @@ def cdf_of(probs: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(np.asarray(probs, dtype=float))
     cdf[-1] = 1.0  # guard the top edge against rounding
     return cdf
+
+
+class _BranchTable:
+    """The branches of a sampler that draws each sample as a chain of
+    readings, one outcome per stage, and one value per branch for each of
+    its columns.
+
+    Stage k's probabilities ``stages[k]`` are indexed by the outcomes of
+    stages 0 .. k, one row per branch of the stages before it; the last
+    stage's shape is that of the branches, and a branch's flat index (C
+    order) is its code. `floor` prunes each branch of a stage but the last
+    whose probability is at or below it: no row is drawn under it, so its
+    rows of the later stages stay all zero in `cdfs`, and a sample that
+    draws it raises. `names` holds, for each stage but the last, the text
+    naming one of its branches, formatted with the outcome indices. `table`
+    maps column names to read-only columns of one value per branch code.
+    """
+
+    def __init__(self, stages, floor: float, names, table):
+        self.stages, self.floor, self.names, self.table = tuple(stages), floor, names, table
+        self.shape = self.stages[-1].shape
+        for column in table.values():
+            column.flags.writeable = False
+        cdfs = []
+        # reach: each branch's probability so far, 0 under a pruned one
+        reach, live, self.pruned_mass = np.ones(()), np.ones((), dtype=bool), 0.0
+        for k, p in enumerate(self.stages):
+            cdf = np.zeros(p.shape)
+            for row in map(tuple, np.argwhere(live)):
+                cdf[row] = cdf_of(p[row])
+            cdfs.append(cdf)
+            reach = reach[..., None] * p
+            if k + 1 < len(self.stages):
+                live = live[..., None] & ~(p <= floor)
+                self.pruned_mass += float(reach[~live].sum())
+                reach = np.where(live, reach, 0.0)
+        self.cdfs = tuple(cdfs)
+        self.probabilities = reach.reshape(-1)  # of each branch code, 0 if pruned
+        self._pruned = np.broadcast_to(~live[..., None], self.shape).reshape(-1)
+        self.code_dtype = np.min_scalar_type(self._pruned.size - 1)
+
+    def draw(self, seed: int, n: int) -> np.ndarray:
+        """The read-only branch code column of samples [0, n), in the
+        narrowest unsigned dtype that holds every code, from one uniform per
+        stage from each sample's stream (`_draw_blocks`). A sample on a
+        pruned branch raises `SchemeConstraintError`, naming the first in
+        draw order."""
+        code = np.empty(n, dtype=self.code_dtype)
+        for _, rows, drawn in _draw_blocks(seed, n, self.cdfs):
+            code[rows] = drawn
+        code.flags.writeable = False
+        if self._pruned.any() and (pruned := self._pruned[code]).any():
+            j = int(pruned.argmax())  # the first run on a pruned branch
+            index = np.unravel_index(code[j], self.shape)
+            k, p = next((k, p[index[:k + 1]]) for k, p in enumerate(self.stages)
+                        if p[index[:k + 1]] <= self.floor)
+            raise SchemeConstraintError(
+                f"run {j} drew {self.names[k].format(*index)} with probability {p:.6g}, at or "
+                f"below outcome_floor {self.floor:g}; a pruned branch has no tabulated values"
+            )
+        return code
 
 # A draw of exactly 0.0 must not land in a zero-width leading segment.
 _U_FLOOR = 1e-300

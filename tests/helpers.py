@@ -160,7 +160,8 @@ def branch_states(ctx, tables, i: int, m: int) -> dict:
     def midpoint(cdf, k):
         return 0.5 * ((cdf[k - 1] if k else 0.0) + cdf[k])
 
-    us = (midpoint(tables.cdf_init, i), midpoint(tables.cdf_event[i], m), 0.5)
+    cdf_init, cdf_event, _ = tables.branches.cdfs
+    us = (midpoint(cdf_init, i), midpoint(cdf_event[i], m), 0.5)
     states = dict(run_single(ctx, SimpleNamespace(random=iter(us).__next__)).states)
     del states["final"]
     return states

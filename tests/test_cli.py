@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -23,10 +24,11 @@ from meterwork.cli import (
     write_json,
     write_json_records,
 )
-from meterwork.jarzynski import DriveSchedule, tpm_sample
+from meterwork.jarzynski import DriveSchedule, tpm_blocks, tpm_sample
 from meterwork.linalg import Operator
 from meterwork.measurement import EntropyLedger
 from meterwork.scheme import SchemeRunRecord, run_scheme
+from meterwork.streams import stream_generator
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -106,7 +108,14 @@ class TestCommandKnobs:
 
     @pytest.mark.parametrize(
         "command, line", [("relaxation", "seed = 3"), ("relaxation", "format = csv"),
-                          ("scheme", "format = json")],
+                          ("scheme", "format = json"),
+                          # policy fields that no run of the command reads
+                          ("jarzynski", "policy_outcome_floor = 0.3"),
+                          ("jarzynski", "policy_max_dim = 8"),
+                          ("jarzynski", "policy_marginal_tol = 1e-9"),
+                          ("scheme", "policy_coherence_tol = 1e-9"),
+                          ("scheme", "policy_imag_tol = 1e-9"),
+                          ("scheme", "policy_support_tol = 1e-9")],
     )
     def test_config_key_without_effect_is_unknown(self, command, line, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -115,12 +124,16 @@ class TestCommandKnobs:
         assert "unknown config key" in capsys.readouterr().err
 
 
-POLICY_KEYS = [
-    "policy_hermitian_tol", "policy_unitary_tol", "policy_projector_tol", "policy_psd_tol",
-    "policy_trace_tol", "policy_norm_tol", "policy_preservation_tol", "policy_imag_tol",
-    "policy_completeness_tol", "policy_coherence_tol", "policy_support_tol",
-    "policy_marginal_tol", "policy_outcome_floor", "policy_max_dim",
-]
+# each policy key a command accepts: the NumericPolicy fields its runs read
+POLICY_KEYS = {
+    "jarzynski": ["policy_hermitian_tol", "policy_projector_tol", "policy_completeness_tol"],
+    "scheme": [
+        "policy_hermitian_tol", "policy_unitary_tol", "policy_projector_tol", "policy_psd_tol",
+        "policy_trace_tol", "policy_norm_tol", "policy_preservation_tol",
+        "policy_completeness_tol", "policy_marginal_tol", "policy_outcome_floor",
+        "policy_max_dim",
+    ],
+}
 
 # each command's flags, in parser order, and the config key each one sets
 FLAGS = {
@@ -158,16 +171,23 @@ DEFAULTS = {
         "j_final": 0.25, "t_f": 2.0, "drive_steps": 40,
     },
 }
-POLICY_DEFAULTS = dict(zip(POLICY_KEYS, [1e-12, 1e-10, 1e-10, 1e-10, 1e-12, 1e-12, 1e-10,
-                                         1e-10, 1e-10, 1e-10, 1e-10, 1e-12, 1e-14, 1024]))
-DEFAULTS["jarzynski"].update(POLICY_DEFAULTS)
-DEFAULTS["scheme"].update(POLICY_DEFAULTS)
+POLICY_DEFAULTS = {
+    "policy_hermitian_tol": 1e-12, "policy_unitary_tol": 1e-10, "policy_projector_tol": 1e-10,
+    "policy_psd_tol": 1e-10, "policy_trace_tol": 1e-12, "policy_norm_tol": 1e-12,
+    "policy_preservation_tol": 1e-10, "policy_completeness_tol": 1e-10,
+    "policy_marginal_tol": 1e-12, "policy_outcome_floor": 1e-14, "policy_max_dim": 1024,
+}
+for _command, _keys in POLICY_KEYS.items():
+    DEFAULTS[_command].update({k: POLICY_DEFAULTS[k] for k in _keys})
+
+
+def _subparsers_of(parser: argparse.ArgumentParser) -> dict:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 def _subparsers() -> dict:
-    parser = cli.build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
+    return _subparsers_of(cli.build_parser())
 
 
 def _merged(argv: list[str]) -> dict:
@@ -202,6 +222,24 @@ class TestSettingsTable:
         assert flags == FLAGS[command]
         assert all(len(a.option_strings) == 1 for a in sub._actions if a.dest != "help")
 
+    @pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in FLAGS)])
+    def test_one_command_parser_prints_the_same_help(self, argv, capsys):
+        texts = []
+        for parse in (cli.build_parser().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: meterwork")
+
+    def test_a_run_builds_its_command_flags_alone(self):
+        for command in FLAGS:
+            built = {
+                name: [a.dest for a in sub._actions if a.dest != "help"]
+                for name, sub in _subparsers_of(cli.build_parser(command)).items()
+            }
+            assert built == {c: list(FLAGS[c].values()) if c == command else [] for c in FLAGS}
+
     @pytest.mark.parametrize("command", list(DEFAULTS))
     def test_keys_and_defaults_are_pinned(self, command):
         merged = _merged([command])
@@ -225,7 +263,7 @@ class TestSettingsTable:
     def test_keys_without_a_flag_are_the_policy_keys(self, command):
         flagged = set(FLAGS[command].values()) - {"config"}
         config_only = set(_merged([command])) - flagged
-        assert config_only == (set(POLICY_KEYS) if command != "relaxation" else set())
+        assert config_only == set(POLICY_KEYS.get(command, ()))
 
     @pytest.mark.parametrize(
         "command, flag, key, words, value",
@@ -290,6 +328,27 @@ class TestRelaxationCommand:
         assert header == "t,rho,sigma"
 
 
+def _write_drive_17(path: Path) -> None:
+    """A custom drive between two real symmetric 17 x 17 hamiltonians with
+    entries from a fixed stream: 17 sectors each, so 289 (i, f) pairs."""
+    rng = stream_generator(17, 0)
+
+    def symmetric():
+        a = rng.random((17, 17)) - 0.5
+        return (a + a.T).tolist()
+
+    drive = {"h_initial": symmetric(), "h_final": symmetric(), "t_f": 1.0, "n_steps": 4}
+    path.write_text(json.dumps(drive))
+
+
+# sha256 of each sample file of `jarzynski --scenario custom --samples 9000`
+# on `_write_drive_17`, as the pair code was written while it was int64
+_DRIVE_17_DIGESTS = {
+    "csv": "0913a211a744916fe2b09fa14d54cf74894d46836645e96fbf80b5fe9038bdbb",
+    "json": "57c9671322a5aa0ddfb83dbb63036a60be46c18367ca12cb7e2c7b629a8b1ef4",
+}
+
+
 class TestJarzynskiCommand:
     def test_constant_scenario_exact_pass(self, tmp_path):
         out = tmp_path / "o"
@@ -300,6 +359,19 @@ class TestJarzynskiCommand:
         report = read_json(out / "jarzynski_report.json")
         assert report["estimator_mean"] == 1.0
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_drive_past_256_pairs_writes_the_same_bytes(self, tmp_path, fmt):
+        drive = tmp_path / "drive.json"
+        _write_drive_17(drive)
+        argv = ["jarzynski", "--scenario", "custom", "--schedule-file", str(drive)]
+        settings = cli._merge_settings("jarzynski", cli.build_parser().parse_args(argv))
+        ((_, _, code, table), *_) = tpm_blocks(cli._scenario_schedule(settings), 1.0, 9000, 0)
+        assert len(table["work"]) == 289 and code.dtype == np.uint16
+        out = tmp_path / "o"
+        assert main([*argv, "--samples", "9000", "--format", fmt, "--output", str(out)]) == 0
+        written = (out / f"work_samples.{fmt}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == _DRIVE_17_DIGESTS[fmt]
 
     def test_commuting_quench_passes(self, tmp_path):
         out = tmp_path / "o"
@@ -446,6 +518,20 @@ class TestJarzynskiCommand:
 
 
 class TestSchemeCommand:
+    def test_roundtrips_reuse_the_context_the_runs_drew_with(self, tmp_path, monkeypatch):
+        built = []
+        original = scheme.build_context
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "build_context", counted)
+        argv = ["scheme", "--verify-appendix-b", "--samples", "20", "--output", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(built) == 1
+        assert read_json(tmp_path / "scheme_summary.json")["checks"]["roundtrips_passed"]
+
     def test_default_run_passes(self, tmp_path):
         out = tmp_path / "o"
         code = main(

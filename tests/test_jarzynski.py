@@ -11,6 +11,7 @@ from meterwork.jarzynski import (
     DriveSchedule,
     WorkSamples,
     _logsumexp,
+    _sector_tables,
     delta_F,
     jarzynski_equality_check,
     jarzynski_exact,
@@ -24,6 +25,7 @@ from meterwork.jarzynski import (
 from meterwork import cli
 from meterwork.errors import NumericalConsistencyError
 from meterwork.linalg import Operator
+from meterwork.numeric import DEFAULT_POLICY
 from meterwork.scheme import barrier_hamiltonian, site_diagonal_schedule, szilard_schedule
 from meterwork.superselection import energy_sectors
 
@@ -128,6 +130,31 @@ class TestTpmBlocks:
         assert sorted(set(code.tolist())) == list(range(6))  # every pair is drawn
         work = table["final_energy"] - table["initial_energy"]
         assert table["work"].tobytes() == work.tobytes()
+
+    @pytest.mark.parametrize("drive", ["driven-qubit", "degenerate-qutrit"])
+    def test_pair_probabilities_are_the_born_weights_by_hand(self, drive):
+        if drive == "driven-qubit":
+            sched, beta = driven_qubit_schedule(n_steps=20), 1.3
+        else:
+            h_i = Operator.from_diagonal([0.0, 0.0, 1.0])
+            h_f = Operator(np.array([[0.5, 0.3, 0.0], [0.3, -0.2, 0.4], [0.0, 0.4, 1.1]]),
+                           hermitian=True)
+            sched, beta = DriveSchedule.linear(cli._interpolation(h_i, h_f), 1.0, 20), 0.7
+        branches = _sector_tables(sched, beta, policy=DEFAULT_POLICY)
+        init = energy_sectors(sched.initial_hamiltonian())
+        fin = energy_sectors(sched.final_hamiltonian())
+        u = sched.total_propagator()
+        z = sum(math.exp(-beta * e) * np.trace(p.matrix).real
+                for e, p in zip(init.labels, init.projectors))
+        want = [
+            math.exp(-beta * e_i) / z * np.trace(q.matrix @ u @ p.matrix @ u.conj().T).real
+            for e_i, p in zip(init.labels, init.projectors) for q in fin.projectors
+        ]
+        np.testing.assert_allclose(branches.probabilities, want, rtol=1e-12, atol=1e-15)
+        p_init, cond = branches.stages
+        assert branches.probabilities.tobytes() == (p_init[:, None] * cond).tobytes()
+        assert branches.pruned_mass == 0.0  # a TPM draw prunes nothing
+        assert branches.code_dtype == np.uint8
 
     @pytest.mark.parametrize(
         "beta, n, message",

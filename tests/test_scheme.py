@@ -677,7 +677,12 @@ class TestOneReadingPath:
             assert ready.matrix.tobytes() == again.matrix.tobytes()
 
 
-_TABLES = ("p_init", "p_event", "cdf_init", "cdf_event", "cdf_final")
+def _stage_tables(tables) -> dict:
+    """The initial and event reading probabilities and the three stage CDFs
+    of `tables`' branch table, by name."""
+    branches = tables.branches
+    names = ("p_init", "p_event", "cdf_init", "cdf_event", "cdf_final")
+    return dict(zip(names, (*branches.stages[:2], *branches.cdfs)))
 
 
 def _factored_and_dense_tables(cfg):
@@ -690,6 +695,35 @@ def _factored_and_dense_tables(cfg):
     ]
     assert pairs
     return factored, dense, pairs
+
+
+@pytest.mark.parametrize(
+    "options, floor, pruned",
+    [({}, 1e-14, ()), ({"eigenstate_prep": True}, 1e-14, (1,)), ({}, 0.3, (1,))],
+    ids=["default", "eigenstate-prep", "floor-0.3"],
+)
+def test_branch_probabilities_and_pruned_mass_by_hand(options, floor, pruned):
+    ctx = build_context(SchemeConfig(**options), policy=NumericPolicy(outcome_floor=floor))
+    tables = scheme._BranchTables(ctx)
+    branches = tables.branches
+    p_init, p_event, p_final = branches.stages
+    assert [i for i in range(len(p_init)) if p_init[i] <= floor] == list(pruned)
+    want, mass = np.zeros(p_final.shape), 0.0
+    for i in range(len(p_init)):
+        if p_init[i] <= floor:
+            mass += p_init[i]
+            assert not p_event[i].any() and not branches.cdfs[1][i].any()
+            continue
+        for m in range(p_event.shape[1]):
+            if p_event[i, m] <= floor:
+                mass += p_init[i] * p_event[i, m]
+            else:
+                want[i, m] = p_init[i] * p_event[i, m] * p_final[i, m]
+                assert tables.ledgers[i][m] is not None
+    assert branches.probabilities.tobytes() == want.reshape(-1).tobytes()
+    assert branches.pruned_mass == pytest.approx(mass, rel=1e-15)
+    assert math.fsum(branches.probabilities) + branches.pruned_mass == pytest.approx(1.0)
+    assert branches.code_dtype == np.uint8  # 8 branches
 
 
 class TestFactoredLifts:
@@ -708,8 +742,9 @@ class TestFactoredLifts:
             nsm_pointer=pointer, event_pointer=pointer, eigenstate_prep=eigenstate_prep
         )
         factored, dense, pairs = _factored_and_dense_tables(cfg)
-        for name in _TABLES:
-            assert getattr(factored, name).tobytes() == getattr(dense, name).tobytes(), name
+        want = _stage_tables(dense)
+        for name, table in _stage_tables(factored).items():
+            assert table.tobytes() == want[name].tobytes(), name
         for states, ref in pairs:
             for stage in states:
                 assert states[stage].matrix.tobytes() == ref[stage].matrix.tobytes(), stage
@@ -718,8 +753,9 @@ class TestFactoredLifts:
     def test_default_tables_within_ulps_of_the_dense_reference(self, beta):
         # at dim 64 the dense products sum some entries in another order
         factored, dense, pairs = _factored_and_dense_tables(SchemeConfig(beta=beta))
-        for name in _TABLES:
-            assert ulps_apart(getattr(factored, name), getattr(dense, name)) <= 4, name
+        want = _stage_tables(dense)
+        for name, table in _stage_tables(factored).items():
+            assert ulps_apart(table, want[name]) <= 4, name
         for states, ref in pairs:
             for stage in states:
                 a, b = states[stage].matrix, ref[stage].matrix
@@ -838,8 +874,8 @@ def _state_digest(cfg: SchemeConfig) -> str:
     ctx = build_context(cfg)
     tables = scheme._BranchTables(ctx)
     h = hashlib.sha256()
-    for name in (*_TABLES, "e_init", "e_fin", "per_branch"):
-        h.update(getattr(tables, name).tobytes())
+    for table in (*_stage_tables(tables).values(), tables.e_init, tables.e_fin, tables.per_branch):
+        h.update(table.tobytes())
     h.update((tables.per_branch[2] + tables.per_branch[3]).tobytes())
     for i, m in live_branches(tables):
         for stage, state in branch_states(ctx, tables, i, m).items():

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from meterwork.errors import SchemeConstraintError
 from meterwork.streams import (
     STREAM_BLOCK,
+    _BranchTable,
     _draw_blocks,
     cdf_of,
     draw_indices,
@@ -43,6 +47,86 @@ def test_draw_blocks_equal_scalar_draws(n, stages):
     assert drawn == expected
     streams = [stream for stream, rows, _ in blocks for _ in range(rows.start, rows.stop)]
     assert streams == [j // STREAM_BLOCK for j in range(n)]
+
+
+def _stage_probabilities(rng, sizes):
+    """Stage k's probabilities, one normalized row per branch of the stages
+    before it, with zeros."""
+    stages = []
+    for k, size in enumerate(sizes):
+        probs = rng.random((*sizes[:k], size))
+        probs[rng.random(probs.shape) < 0.3] = 0.0
+        probs[..., -1] += 1e-3  # every row keeps some mass
+        stages.append(probs / probs.sum(axis=-1, keepdims=True))
+    return stages
+
+
+def _branch_table(stages, floor, **table):
+    names = tuple(f"stage {k} outcome {{{k}}}" for k in range(len(stages) - 1))
+    return _BranchTable(stages, floor, names, table)
+
+
+@pytest.mark.parametrize("entries, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint8),
+                                            (257, np.uint16), (65537, np.uint32)])
+def test_code_is_the_narrowest_unsigned_dtype(entries, dtype):
+    branches = _branch_table([np.full(entries, 1.0 / entries)], 0.0)
+    code = branches.draw(3, 5000)
+    assert code.dtype == dtype and not code.flags.writeable
+    drawn = np.concatenate([c for _, _, c in _draw_blocks(3, 5000, branches.cdfs)])
+    np.testing.assert_array_equal(code, drawn)
+
+
+@pytest.mark.parametrize("floor", [-np.inf, 0.0, 0.25])
+def test_cdf_rows_are_cdf_of_each_live_row_and_zero_under_a_pruned_one(floor):
+    stages = _stage_probabilities(np.random.default_rng(4), [3, 4, 5])
+    branches = _branch_table(stages, floor)
+    p_i, p_m, p_f = stages
+    assert branches.cdfs[0].tobytes() == cdf_of(p_i).tobytes()
+    for i in range(3):
+        live_i = not p_i[i] <= floor
+        want = cdf_of(p_m[i]) if live_i else np.zeros(4)
+        assert branches.cdfs[1][i].tobytes() == want.tobytes()
+        for m in range(4):
+            want = cdf_of(p_f[i, m]) if live_i and not p_m[i, m] <= floor else np.zeros(5)
+            assert branches.cdfs[2][i, m].tobytes() == want.tobytes()
+
+
+def test_probabilities_and_pruned_mass_by_hand():
+    stages = _stage_probabilities(np.random.default_rng(6), [3, 4, 5])
+    floor = 0.2
+    branches = _branch_table(stages, floor)
+    p_i, p_m, p_f = stages
+    want, pruned = np.zeros((3, 4, 5)), 0.0
+    for i in range(3):
+        if p_i[i] <= floor:
+            pruned += p_i[i]
+            continue
+        for m in range(4):
+            if p_m[i, m] <= floor:
+                pruned += p_i[i] * p_m[i, m]
+            else:
+                want[i, m] = p_i[i] * p_m[i, m] * p_f[i, m]
+    assert 0.0 < pruned < 1.0
+    assert branches.probabilities.tobytes() == want.reshape(-1).tobytes()
+    assert branches.pruned_mass == pytest.approx(pruned, rel=1e-15)
+    assert branches.probabilities.sum() + branches.pruned_mass == pytest.approx(1.0, rel=1e-15)
+
+
+def test_draw_on_a_pruned_branch_names_the_first_in_draw_order():
+    p_i = np.array([0.5, 0.1, 0.4])
+    branches = _branch_table([p_i, np.full((3, 2), 0.5)], 0.2)
+    code = np.concatenate([c for _, _, c in _draw_blocks(8, 50, branches.cdfs)])
+    j = int(np.flatnonzero(code // 2 == 1)[0])
+    message = f"run {j} drew stage 0 outcome 1 with probability 0.1, at or below outcome_floor 0.2;"
+    with pytest.raises(SchemeConstraintError, match=re.escape(message)):
+        branches.draw(8, 50)
+
+
+def test_table_columns_are_made_read_only():
+    stages = _stage_probabilities(np.random.default_rng(1), [2, 3])
+    value = np.arange(6.0)
+    assert _branch_table(stages, -np.inf, value=value).table["value"] is value
+    assert not value.flags.writeable
 
 
 @pytest.mark.parametrize("n", [0, 1, 4096, 9000])
